@@ -17,8 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError, InputError
-from .forecasters import ForecasterHandle, forecast, make_mask
-from .imagespace import SoftImageTensor, SpaceParams, denormalize, encode, normalize, soft_decode
+from .forecasters import ForecasterHandle, _predicted_rows
+from .imagespace import SpaceParams, decode_rows, denormalize, encode_rows, normalize
 from .rng import RngStream
 from .series import TimeSeries, carry_forward, linear_resample
 
@@ -96,56 +96,41 @@ class EvalReport:
 
     rows: list[ReportRow]
 
-    def _select(self, horizon: int, scenario: str) -> list[ReportRow]:
-        return [
-            r
+    def _mean(self, horizon: int, scenario: str, metric: str) -> float:
+        values = [
+            getattr(r, metric)
             for r in self.rows
             if r.horizon == horizon and r.scenario == scenario and r.beta is not None and r.mse is not None
         ]
+        if not values:
+            raise EvaluationError(f"no usable rows for horizon={horizon}, scenario={scenario!r}")
+        return float(np.mean(values))
 
     def remse(self, horizon: int, scenario: str = "none") -> float:
-        rows = self._select(horizon, scenario)
-        if not rows:
-            raise EvaluationError(f"no usable rows for horizon={horizon}, scenario={scenario!r}")
-        return float(np.mean([r.mse for r in rows]))
+        return self._mean(horizon, scenario, "mse")
 
     def remae(self, horizon: int, scenario: str = "none") -> float:
-        rows = self._select(horizon, scenario)
-        if not rows:
-            raise EvaluationError(f"no usable rows for horizon={horizon}, scenario={scenario!r}")
-        return float(np.mean([r.mae for r in rows]))
+        return self._mean(horizon, scenario, "mae")
 
     def aggregates(self) -> list[ReportRow]:
         """One row per (dataset, horizon, scenario): means over the rescale set."""
-        keys: list[tuple[str, int, str]] = []
+        groups: dict[tuple[str, int, str], list[ReportRow]] = {}
         for r in self.rows:
-            key = (r.dataset, r.horizon, r.scenario)
-            if key not in keys:
-                keys.append(key)
-        out = []
-        for dataset, horizon, scenario in keys:
-            rows = [
-                r
-                for r in self.rows
-                if (r.dataset, r.horizon, r.scenario) == (dataset, horizon, scenario)
-                and r.beta is not None
-                and r.mse is not None
-            ]
-            if not rows:
-                out.append(ReportRow(dataset, horizon, None, scenario, None, None, 0))
-                continue
-            out.append(
-                ReportRow(
-                    dataset,
-                    horizon,
-                    None,
-                    scenario,
-                    float(np.mean([r.mse for r in rows])),
-                    float(np.mean([r.mae for r in rows])),
-                    sum(r.windows for r in rows),
-                )
+            usable = groups.setdefault((r.dataset, r.horizon, r.scenario), [])
+            if r.beta is not None and r.mse is not None:
+                usable.append(r)
+        return [
+            ReportRow(
+                dataset,
+                horizon,
+                None,
+                scenario,
+                float(np.mean([r.mse for r in rows])) if rows else None,
+                float(np.mean([r.mae for r in rows])) if rows else None,
+                sum(r.windows for r in rows),
             )
-        return out
+            for (dataset, horizon, scenario), rows in groups.items()
+        ]
 
 
 def tsi_rescale(series: TimeSeries, beta: float) -> TimeSeries:
@@ -220,23 +205,10 @@ def _window_predictions(
         filled = carry_forward(look_values, look_missing)
         return np.stack([model.predict(filled[i], horizon) for i in range(channels)])
 
-    window = TimeSeries(look_values, look_missing)
-    z, stats = normalize(window, lookback)
-    padded_values = np.concatenate([z.values, np.zeros((channels, horizon))], axis=1)
-    padded_missing = np.concatenate(
-        [
-            z.missing if z.missing is not None else np.zeros((channels, lookback), dtype=bool),
-            np.ones((channels, horizon), dtype=bool),
-        ],
-        axis=1,
-    )
-    image = encode(TimeSeries(padded_values, padded_missing), space)
-    mask = make_mask(lookback + horizon, lookback)
-    completed = forecast(model, image, mask)
-    # decode only the predicted suffix: visible columns of a masked lookback
-    # may be all-zero (missing) and are not probability columns
-    suffix = SoftImageTensor(completed.grid[:, :, lookback:], space)
-    z_pred = soft_decode(suffix).values
+    # one active row per grid column: score on row indices, never on dense grids
+    z, stats = normalize(TimeSeries(look_values, look_missing), lookback)
+    visible = decode_rows(encode_rows(z, space), space)
+    z_pred = space.centers()[_predicted_rows(model, visible, horizon, space)]
     return denormalize(TimeSeries(z_pred), stats).values
 
 

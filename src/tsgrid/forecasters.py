@@ -17,8 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import CapabilityError, InputError
-from .imagespace import BinaryImageTensor, SoftImageTensor, decode, preprocess, value_to_row
-from .series import carry_forward
+from .imagespace import BinaryImageTensor, SoftImageTensor, SpaceParams, decode, preprocess, value_to_row
+from .series import TimeSeries, carry_forward
 
 MAX_LOOKBACK = 8192
 MAX_HORIZON = 4096
@@ -185,18 +185,26 @@ def forecast(
 
     visible = BinaryImageTensor(image.grid[:, :, : mask.lookback].copy(), image.params)
     decoded = decode(visible, allow_missing=True)
-    lookback_values = carry_forward(decoded.values, decoded.missing)
-
     if blur_kernel is not None:
         prefix = preprocess(visible, blur_kernel).grid
     else:
         prefix = visible.grid.astype(np.float64)
+    rows = _predicted_rows(model, decoded, horizon, image.params)
 
     out = np.zeros((image.channels, image.params.h, image.length))
     out[:, :, : mask.lookback] = prefix
-    cols = np.arange(mask.lookback, image.length)
-    for i in range(image.channels):
-        prediction = model.predict(lookback_values[i], horizon)
-        rows = value_to_row(prediction, image.params)
-        out[i, rows, cols] = 1.0
+    np.put_along_axis(out[:, :, mask.lookback :], rows[:, None, :], 1.0, axis=1)
     return SoftImageTensor(out, image.params)
+
+
+def _predicted_rows(model: ForecasterHandle, lookback: TimeSeries, horizon: int, params: SpaceParams) -> np.ndarray:
+    """Active cell index of each predicted sample, shape (channels, horizon).
+
+    Missing lookback samples are carried forward, the model predicts each
+    channel in value space, and the prediction is binned into the grid.
+    """
+    filled = carry_forward(lookback.values, lookback.missing)
+    rows = np.empty((lookback.channels, horizon), dtype=np.int64)
+    for i in range(lookback.channels):
+        rows[i] = value_to_row(model.predict(filled[i], horizon), params)
+    return rows

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.ndimage import convolve1d
@@ -55,55 +56,44 @@ class NormStats:
 
 
 @dataclass
-class BinaryImageTensor:
+class _GridTensor:
+    """Grid of shape (channels, h, length) stored with the subclass's dtype."""
+
+    grid: np.ndarray
+    params: SpaceParams
+    _dtype: ClassVar[type]
+
+    def __post_init__(self) -> None:
+        g = np.asarray(self.grid, dtype=self._dtype)
+        if g.ndim != 3:
+            raise InputError(f"grid must be 3-D (channels, h, length), got ndim={g.ndim}")
+        if g.shape[1] != self.params.h:
+            raise InputError(f"grid height {g.shape[1]} does not match params.h={self.params.h}")
+        self.grid = g
+
+    @property
+    def channels(self) -> int:
+        return self.grid.shape[0]
+
+    @property
+    def length(self) -> int:
+        return self.grid.shape[2]
+
+
+class BinaryImageTensor(_GridTensor):
     """One-hot-per-column grid of shape (channels, h, length).
 
     Columns encoding missing samples are all-zero; everything else has
     exactly one active cell.
     """
 
-    grid: np.ndarray
-    params: SpaceParams
-
-    def __post_init__(self) -> None:
-        g = np.asarray(self.grid, dtype=np.uint8)
-        if g.ndim != 3:
-            raise InputError(f"grid must be 3-D (channels, h, length), got ndim={g.ndim}")
-        if g.shape[1] != self.params.h:
-            raise InputError(f"grid height {g.shape[1]} does not match params.h={self.params.h}")
-        self.grid = g
-
-    @property
-    def channels(self) -> int:
-        return self.grid.shape[0]
-
-    @property
-    def length(self) -> int:
-        return self.grid.shape[2]
+    _dtype = np.uint8
 
 
-@dataclass
-class SoftImageTensor:
+class SoftImageTensor(_GridTensor):
     """Column-normalized nonnegative grid of shape (channels, h, length)."""
 
-    grid: np.ndarray
-    params: SpaceParams
-
-    def __post_init__(self) -> None:
-        g = np.asarray(self.grid, dtype=np.float64)
-        if g.ndim != 3:
-            raise InputError(f"grid must be 3-D (channels, h, length), got ndim={g.ndim}")
-        if g.shape[1] != self.params.h:
-            raise InputError(f"grid height {g.shape[1]} does not match params.h={self.params.h}")
-        self.grid = g
-
-    @property
-    def channels(self) -> int:
-        return self.grid.shape[0]
-
-    @property
-    def length(self) -> int:
-        return self.grid.shape[2]
+    _dtype = np.float64
 
 
 def normalize(series: TimeSeries, lookback: int) -> tuple[TimeSeries, NormStats]:
@@ -153,16 +143,28 @@ def quantize_values(values: np.ndarray, params: SpaceParams) -> np.ndarray:
     return params.centers()[value_to_row(values, params)]
 
 
+def encode_rows(series: TimeSeries, params: SpaceParams) -> np.ndarray:
+    """Active cell index of every sample, -1 for missing samples."""
+    rows = value_to_row(series.values, params)
+    if series.missing is not None:
+        rows[series.missing] = -1
+    return rows
+
+
+def decode_rows(rows: np.ndarray, params: SpaceParams) -> TimeSeries:
+    """Cell-center value of every row index; -1 becomes a missing sample (value 0.0)."""
+    empty = rows < 0
+    values = params.centers()[rows]
+    values[empty] = 0.0
+    return TimeSeries(values, empty if np.any(empty) else None)
+
+
 def encode(series: TimeSeries, params: SpaceParams) -> BinaryImageTensor:
     """Map a series onto the grid; missing samples become all-zero columns."""
-    c, length = series.values.shape
-    rows = value_to_row(series.values, params)
-    grid = np.zeros((c, params.h, length), dtype=np.uint8)
-    cols = np.arange(length)
-    for i in range(c):
-        grid[i, rows[i], cols] = 1
-        if series.missing is not None:
-            grid[i, :, series.missing[i]] = 0
+    rows = encode_rows(series, params)
+    grid = np.zeros((series.channels, params.h, series.length), dtype=np.uint8)
+    np.put_along_axis(grid, rows[:, None, :], 1, axis=1)
+    grid[:, -1][rows < 0] = 0  # row -1 (missing) wrapped around to the top cell
     return BinaryImageTensor(grid, params)
 
 
@@ -181,12 +183,7 @@ def decode(image: BinaryImageTensor, allow_missing: bool = False) -> TimeSeries:
     empty = colsums == 0
     if np.any(empty) and not allow_missing:
         raise StructuralError("some columns have no active cell (no missing markers expected)")
-    centers = image.params.centers()
-    rows = grid.argmax(axis=1)
-    values = centers[rows]
-    values[empty] = 0.0
-    mask = empty if np.any(empty) else None
-    return TimeSeries(values, mask)
+    return decode_rows(np.where(empty, -1, grid.argmax(axis=1)), image.params)
 
 
 def soft_decode(image: SoftImageTensor) -> TimeSeries:

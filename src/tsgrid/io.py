@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InputError
-from .imagespace import BinaryImageTensor, NormStats, SoftImageTensor, SpaceParams
+from .imagespace import STD_FLOOR, BinaryImageTensor, NormStats, SoftImageTensor, SpaceParams
 from .series import TimeSeries
 
 
@@ -239,7 +239,8 @@ def read_image(meta_path: str | Path) -> tuple[BinaryImageTensor, NormStats | No
     if "norm_mean" in meta and "norm_std" in meta:
         mean = np.array([float(v) for v in meta["norm_mean"].split(",")])
         std = np.array([float(v) for v in meta["norm_std"].split(",")])
-        stats = NormStats(mean=mean, std=std, floored=std <= 1e-8)
+        # normalize stores a floored std as exactly STD_FLOOR, hence <= rather than <
+        stats = NormStats(mean=mean, std=std, floored=std <= STD_FLOOR)
     return BinaryImageTensor(grid, params), stats
 
 

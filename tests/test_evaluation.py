@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tsgrid import (
     ConfigurationError,
@@ -16,6 +19,9 @@ from tsgrid import (
     remetrics,
     tsi_rescale,
 )
+from tsgrid.evaluation import _window_predictions
+from tsgrid.forecasters import ForecasterHandle, forecast, make_mask
+from tsgrid.imagespace import SoftImageTensor, SpaceParams, denormalize, encode, normalize, soft_decode
 
 
 def walk(length, seed=0, scale=1.0):
@@ -288,3 +294,53 @@ def test_run_benchmark_from_file(tmp_path):
         run_benchmark(str(tmp_path / "pwb.csv"), "not-a-model", cfg)
     with pytest.raises(InputError):
         run_benchmark(str(tmp_path / "missing.csv"), "persistence", cfg)
+
+
+# ---------------------------------------------------------------- grid-space windows
+
+
+def dense_window_predictions(model, look_values, look_missing, horizon, space):
+    """Reference: encode the padded window, forecast on the dense grid, soft-decode the suffix."""
+    channels, lookback = look_values.shape
+    z, stats = normalize(TimeSeries(look_values, look_missing), lookback)
+    missing = np.ones((channels, lookback + horizon), dtype=bool)
+    missing[:, :lookback] = False if z.missing is None else z.missing
+    padded = TimeSeries(np.concatenate([z.values, np.zeros((channels, horizon))], axis=1), missing)
+    completed = forecast(model, encode(padded, space), make_mask(lookback + horizon, lookback))
+    z_pred = soft_decode(SoftImageTensor(completed.grid[:, :, lookback:], space)).values
+    return denormalize(TimeSeries(z_pred), stats).values
+
+
+@st.composite
+def image_windows(draw):
+    channels = draw(st.integers(1, 3))
+    lookback = draw(st.integers(2, 40))
+    values = draw(arrays(np.float64, (channels, lookback), elements=st.floats(-1e3, 1e3)))
+    # one spike per channel drives |z| past the smaller scales
+    spikes = draw(arrays(np.float64, channels, elements=st.floats(-1e4, 1e4)))
+    values[:, draw(st.integers(0, lookback - 1))] += spikes
+    missing = draw(arrays(np.bool_, (channels, lookback)))
+    missing[0, : draw(st.integers(0, lookback))] = True  # leading gap, up to the whole channel
+    if draw(st.booleans()):
+        missing[-1] = True
+    look_missing = draw(st.sampled_from([None, missing]))
+    horizon = draw(st.integers(1, 24))
+    space = SpaceParams(h=draw(st.sampled_from([2, 7, 128])), ms=draw(st.sampled_from([0.5, 1.5, 3.5])))
+    return values, look_missing, horizon, space
+
+
+@pytest.mark.parametrize("model_id", ["persistence-image", "seasonal-naive-image", "linear-trend-image"])
+@settings(max_examples=150, deadline=None)
+@given(window=image_windows())
+def test_image_window_predictions_match_dense_grid_path(model_id, window):
+    values, look_missing, horizon, space = window
+    model = get_model(model_id)
+    target = np.zeros((values.shape[0], horizon))
+    got = _window_predictions(model, values, look_missing, horizon, target, space)
+    assert np.array_equal(got, dense_window_predictions(model, values, look_missing, horizon, space))
+
+
+def test_image_window_rejects_non_finite_prediction():
+    model = ForecasterHandle(id="nan-image", space="image", predict_fn=lambda x, horizon: np.full(horizon, np.nan))
+    with pytest.raises(InputError):
+        _window_predictions(model, np.arange(16.0)[None, :], None, 4, np.zeros((1, 4)), SpaceParams())

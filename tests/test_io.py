@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tsgrid import InputError, SpaceParams, TimeSeries, encode, from_1d, preprocess
+from tsgrid import InputError, SpaceParams, TimeSeries, encode, from_1d, normalize, preprocess
 from tsgrid.evaluation import ReportRow
 from tsgrid.io import (
     atomic_write,
@@ -165,3 +165,12 @@ def test_atomic_write_cleans_up_on_failure(tmp_path):
             raise RuntimeError("boom")
     assert not target.exists()
     assert list(tmp_path.iterdir()) == []
+
+
+def test_read_image_flags_floored_channels(tmp_path):
+    constant = np.full(32, 5.0)
+    unit_std = np.tile([-1.0, 1.0], 16)
+    z, stats = normalize(TimeSeries(np.stack([constant, unit_std])), lookback=32)
+    meta = write_image(tmp_path / "grid", encode(z, SpaceParams()), stats)
+    _, back = read_image(meta)
+    assert back.floored.tolist() == [True, False]
