@@ -13,7 +13,6 @@ import argparse
 import configparser
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import io
@@ -202,29 +201,23 @@ def cmd_generate(args) -> int:
     seed = _pick_seed(args)
     out_dir = _output_dir(args)
     out_dir.mkdir(parents=True, exist_ok=True)
-    threads = _threads(args)
+    threads = _threads(args)  # validated and recorded only: generation runs on one thread
     start = args.start_stream
 
-    def render(index: int):
-        stream = RngStream(seed, start + index)
-        series = sample_series(cfg, stream)
-        name = f"series_{start + index:05d}.csv"
+    def render(stream: int) -> dict:
+        series = sample_series(cfg, RngStream(seed, stream))
+        name = f"series_{stream:05d}.csv"
         io.write_series_csv(out_dir / name, series)
         return {
             "id": name,
             "seed": seed,
-            "stream": start + index,
+            "stream": stream,
             "hypothesis": series.tags.get("hypothesis", ""),
             "behavior": series.tags.get("behavior", ""),
             "length": series.length,
         }
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(render, range(args.count)))
-    else:
-        records = [render(i) for i in range(args.count)]
-
+    records = [render(stream) for stream in range(start, start + args.count)]
     io.write_manifest_csv(out_dir / "manifest.csv", records)
     _write_snapshot(
         out_dir,
@@ -433,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-sigma", type=float, help="observation noise std (default: 5%% of signal std)")
     p.add_argument("--augment-probability", type=float, help="per-augmentation firing probability")
     p.add_argument("--start-stream", type=int, default=0, help="first stream index (default 0)")
-    p.add_argument("--threads", type=int, help=f"worker threads (or ${THREADS_ENV})")
+    p.add_argument("--threads", type=int, help=f"accepted and recorded, no effect (or ${THREADS_ENV})")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("encode", help="encode series CSVs into per-channel graymaps")

@@ -130,6 +130,8 @@ def _seasonal_naive(x: np.ndarray, horizon: int) -> np.ndarray:
 
 
 def _linear_trend(x: np.ndarray, horizon: int) -> np.ndarray:
+    if x.size < 2:
+        raise InputError(f"linear-trend needs a lookback of at least 2 samples, got {x.size}")
     t = np.arange(x.size, dtype=np.float64)
     slope, intercept = np.polyfit(t, x, 1)
     future_t = np.arange(x.size, x.size + horizon, dtype=np.float64)

@@ -45,18 +45,23 @@ def atomic_write(path: str | Path, mode: str = "w"):
 
 
 def write_series_csv(path: str | Path, series: TimeSeries) -> None:
-    """Header ``t,ch0[,ch1,...]``, one row per time index."""
+    """Header ``t,ch0[,ch1,...]``, one row per time index.
+
+    The body is one ``%`` format: ``%d`` per index, ``,%.9g`` per observed
+    cell (the same text as ``_fmt``) and a bare ``,`` per missing cell.
+    """
+    observed = np.ones((series.length, series.channels + 1), dtype=bool)
+    if series.missing is not None:
+        observed[:, 1:] = ~series.missing.T
+    tokens = np.array([",", ",%.9g"], dtype=object)[observed.astype(np.uint8)]
+    tokens[:, 0] = "\n%d"
+    table = np.empty(observed.shape, dtype=object)
+    table[:, 0] = range(series.length)
+    table[:, 1:] = series.values.T
+    header = ",".join(["t"] + [f"ch{i}" for i in range(series.channels)])
+    body = "".join(tokens.ravel().tolist()) % tuple(table[observed].tolist())
     with atomic_write(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["t"] + [f"ch{i}" for i in range(series.channels)])
-        for t in range(series.length):
-            row: list[str] = [str(t)]
-            for i in range(series.channels):
-                if series.missing is not None and series.missing[i, t]:
-                    row.append("")
-                else:
-                    row.append(_fmt(series.values[i, t]))
-            writer.writerow(row)
+        handle.write(header + body + "\n")
 
 
 def read_series_csv(path: str | Path) -> TimeSeries:

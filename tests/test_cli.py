@@ -1,10 +1,13 @@
 import filecmp
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tsgrid
 from tsgrid import SpaceParams, from_1d
 from tsgrid.cli import main
 from tsgrid.io import read_manifest_csv, read_series_csv, write_series_csv
@@ -233,6 +236,22 @@ def test_evaluate_unknown_model_lists_ids(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "persistence" in err and "oracle" in err
+
+
+def test_evaluate_one_sample_lookback_names_the_lookback(tmp_path):
+    # a child process, so output that native code writes to the raw file
+    # descriptors is flushed and captured too
+    src = tmp_path / "data.csv"
+    write_sine(src)
+    args = ["evaluate", "--dataset", str(src), "--model", "linear-trend", "--lookback", "1"]
+    args += ["--horizons", "4", "--betas", "1", "--seed", "1", "-o", str(tmp_path / "ev")]
+    env = {**os.environ, "PYTHONPATH": str(Path(tsgrid.__file__).resolve().parent.parent)}
+    result = subprocess.run(
+        [sys.executable, "-m", "tsgrid.cli", *args], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 1
+    assert result.stderr == "error: linear-trend needs a lookback of at least 2 samples, got 1\n"
+    assert "DLASCL" not in result.stdout
 
 
 def test_evaluate_noise_monotonicity(tmp_path, capsys):

@@ -344,3 +344,9 @@ def test_image_window_rejects_non_finite_prediction():
     model = ForecasterHandle(id="nan-image", space="image", predict_fn=lambda x, horizon: np.full(horizon, np.nan))
     with pytest.raises(InputError):
         _window_predictions(model, np.arange(16.0)[None, :], None, 4, np.zeros((1, 4)), SpaceParams())
+
+
+def test_image_window_rejects_one_sample_lookback_for_linear_trend():
+    model = get_model("linear-trend-image")
+    with pytest.raises(InputError, match="at least 2 samples, got 1"):
+        _window_predictions(model, np.array([[5.0], [-2.0]]), None, 3, np.zeros((2, 3)), SpaceParams())

@@ -115,6 +115,12 @@ def test_linear_trend_extends_ramp():
     assert np.max(np.abs(prediction - truth)) < 1e-9
 
 
+def test_linear_trend_rejects_one_sample_lookback(capfd):
+    with pytest.raises(InputError, match="at least 2 samples, got 1"):
+        get_model("linear-trend").predict(np.array([1.0]), 3)
+    assert capfd.readouterr() == ("", "")
+
+
 def test_oracle_requires_and_returns_future():
     model = get_model("oracle")
     future = np.array([9.0, 8.0, 7.0])

@@ -1,9 +1,16 @@
+import csv
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsgrid import InputError, SpaceParams, TimeSeries, encode, from_1d, normalize, preprocess
 from tsgrid.evaluation import ReportRow
 from tsgrid.io import (
+    _fmt,
     atomic_write,
     read_image,
     read_manifest_csv,
@@ -63,6 +70,58 @@ def test_series_csv_rejects_garbage(tmp_path):
     empty.write_text("t,ch0\n")
     with pytest.raises(InputError):
         read_series_csv(empty)
+
+
+def reference_write_series_csv(path, series):
+    """Reference: the per-cell ``csv.writer`` series writer."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["t"] + [f"ch{i}" for i in range(series.channels)])
+        for t in range(series.length):
+            row = [str(t)]
+            for i in range(series.channels):
+                if series.missing is not None and series.missing[i, t]:
+                    row.append("")
+                else:
+                    row.append(_fmt(series.values[i, t]))
+            writer.writerow(row)
+
+
+@st.composite
+def gappy_series(draw):
+    channels = draw(st.integers(1, 4))
+    length = draw(st.integers(1, 600))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (channels, length)
+    values = np.where(g.random(shape) < 0.5, -1.0, 1.0) * 10.0 ** g.uniform(-300, 300, shape)
+    specials = np.array([0.0, -0.0, 5e-324, 1e16, 999999999.5, -1e-300, 1e300])
+    sprinkle = g.random(shape) < 0.1
+    values[sprinkle] = g.choice(specials, size=int(sprinkle.sum()))
+    if draw(st.booleans()):
+        return TimeSeries(values)
+    missing = g.random(shape) < draw(st.sampled_from([0.0, 0.1, 0.5, 0.9]))
+    missing[:, g.integers(length)] = True  # a fully-missing row
+    if draw(st.booleans()):
+        missing[g.integers(channels)] = True  # a fully-missing channel
+    missing[:, 0] |= draw(st.booleans())
+    missing[:, -1] |= draw(st.booleans())
+    return TimeSeries(values, missing)
+
+
+@settings(max_examples=80, deadline=None)
+@given(series=gappy_series())
+def test_series_csv_matches_reference_writer(series):
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        write_series_csv(got, series)
+        reference_write_series_csv(want, series)
+        assert got.read_bytes() == want.read_bytes()
+        back = read_series_csv(got)
+    no_gaps = np.zeros(series.values.shape, dtype=bool)
+    missing = no_gaps if series.missing is None else series.missing
+    assert np.array_equal(no_gaps if back.missing is None else back.missing, missing)
+    expected = np.array([float(_fmt(v)) for v in series.values.ravel()]).reshape(missing.shape)
+    assert np.array_equal(back.values, np.where(missing, 0.0, expected))
 
 
 def test_manifest_roundtrip(tmp_path):
