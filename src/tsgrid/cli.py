@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import io
 from .bounds import solve_ms_table
-from .errors import TsgridError
+from .errors import ConfigurationError, TsgridError
 from .evaluation import EvalConfig, PerturbationSpec, perturb, run_benchmark
 from .generate import AugmentConfig, GeneratorConfig, sample_series
 from .imagespace import SpaceParams, decode, denormalize, encode, normalize
@@ -136,12 +136,19 @@ def _output_dir(args) -> Path:
 
 
 def _threads(args) -> int:
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        return max(1, int(env))
-    return 1
+    if getattr(args, "threads", None) is not None:
+        setting, value = "--threads", args.threads
+    elif os.environ.get(THREADS_ENV):
+        setting, value = THREADS_ENV, os.environ[THREADS_ENV]
+        try:
+            value = int(value)
+        except ValueError:
+            raise ConfigurationError(f"{setting} must be a positive integer, got {value!r}") from None
+    else:
+        return 1
+    if value < 1:
+        raise ConfigurationError(f"{setting} must be a positive integer, got {value}")
+    return value
 
 
 def _pick_seed(args) -> int:
@@ -199,9 +206,9 @@ def cmd_generate(args) -> int:
     file_cfg = _load_config_file(args.config)
     cfg = _generator_from(args, file_cfg)
     seed = _pick_seed(args)
+    threads = _threads(args)  # validated and recorded only: generation runs on one thread
     out_dir = _output_dir(args)
     out_dir.mkdir(parents=True, exist_ok=True)
-    threads = _threads(args)  # validated and recorded only: generation runs on one thread
     start = args.start_stream
 
     def render(stream: int) -> dict:

@@ -176,7 +176,8 @@ def forecast(
     model predicts in value space, and the prediction is re-encoded into
     one-hot columns; values beyond the scale saturate into the edge cells.
     Visible columns pass through unmodified, or blurred when ``blur_kernel``
-    is given; every output column sums to 1.
+    is given.  Every output column sums to 1, except that missing lookback
+    columns pass through all-zero; blurring needs a complete lookback.
     """
     if mask.length != image.length:
         raise InputError(f"mask length {mask.length} does not match image length {image.length}")
@@ -188,6 +189,12 @@ def forecast(
     visible = BinaryImageTensor(image.grid[:, :, : mask.lookback].copy(), image.params)
     decoded = decode(visible, allow_missing=True)
     if blur_kernel is not None:
+        if decoded.missing is not None:
+            cols = np.flatnonzero(decoded.missing.any(axis=0))
+            shown = ", ".join(str(i) for i in cols[:10]) + (", ..." if cols.size > 10 else "")
+            raise InputError(
+                f"cannot blur a lookback with missing samples; {cols.size} missing lookback column(s): {shown}"
+            )
         prefix = preprocess(visible, blur_kernel).grid
     else:
         prefix = visible.grid.astype(np.float64)

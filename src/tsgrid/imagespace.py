@@ -197,24 +197,87 @@ def soft_decode(image: SoftImageTensor) -> TimeSeries:
     return TimeSeries(values)
 
 
-def _check_normalized(grid: np.ndarray, what: str, tol: float = 1e-9) -> None:
+_TOL = 1e-9
+_KLD_EPS = 1e-8
+
+
+def _check_normalized(grid: np.ndarray, what: str) -> None:
     colsums = grid.sum(axis=1)
     if np.any(grid < 0):
         raise InputError(f"{what} must be nonnegative")
-    if np.max(np.abs(colsums - 1.0)) > tol:
-        raise InputError(f"{what} columns must each sum to 1 within {tol}")
+    if np.max(np.abs(colsums - 1.0)) > _TOL:
+        raise InputError(f"{what} columns must each sum to 1 within {_TOL}")
 
 
-def _paired_grids(a, b) -> tuple[np.ndarray, np.ndarray]:
-    ga = np.asarray(a.grid, dtype=np.float64)
-    gb = np.asarray(b.grid, dtype=np.float64)
-    if ga.shape != gb.shape:
-        raise InputError(f"grid shapes differ: {ga.shape} vs {gb.shape}")
+def _active_rows(image: BinaryImageTensor, what: str) -> np.ndarray:
+    """Row of each column's active cell, shape (channels, length).
+
+    An integer column sums to 1 within the tolerance only when it is
+    one-hot, so this is the soft-grid column check made exact; on one-hot
+    columns the row-weighted sum is the active row.
+    """
+    grid = image.grid
+    if np.any(grid.sum(axis=1) != 1):
+        raise InputError(f"{what} columns must each sum to 1 within {_TOL}")
+    return np.einsum("chl,h->cl", grid, np.arange(grid.shape[1]))
+
+
+def _operands(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Check that two grids are comparable and that their columns are
+    distributions.  A binary operand comes back as its active rows
+    (channels, length), a soft one as its float64 grid."""
+    if np.shape(a.grid) != np.shape(b.grid):
+        raise InputError(f"grid shapes differ: {np.shape(a.grid)} vs {np.shape(b.grid)}")
     if a.params != b.params:
         raise InputError("grid space parameters differ")
-    _check_normalized(ga, "left grid")
-    _check_normalized(gb, "right grid")
-    return ga, gb
+    return _operand(a, "left grid"), _operand(b, "right grid")
+
+
+def _operand(image, what: str) -> np.ndarray:
+    if isinstance(image, BinaryImageTensor):
+        return _active_rows(image, what)
+    grid = np.asarray(image.grid, dtype=np.float64)
+    _check_normalized(grid, what)
+    return grid
+
+
+def _columns(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Grid (channels, h, length) whose column (c, t) is ``table[:, rows[c, t]]``.
+
+    C order, as a dense grid has: the summation order of later column sums
+    follows the memory layout.
+    """
+    return np.ascontiguousarray(np.take(table, rows, axis=1).swapaxes(0, 1))
+
+
+def _emd(x: np.ndarray, y: np.ndarray) -> float:
+    if x.ndim == 2 and y.ndim == 2:
+        return float(np.abs(x - y).sum())
+    if x.ndim == 2:
+        x, y = y, x
+    if y.ndim == 2:
+        # against a point mass at row r a column's transport distance is
+        # its expected distance to r; one code path for both argument orders
+        dist = np.arange(x.shape[1], dtype=np.float64)[:, None] - y[:, None, :]
+        return float(np.einsum("chl,chl->", x, np.abs(dist, out=dist)))
+    return float(np.abs(np.cumsum(x, axis=1) - np.cumsum(y, axis=1)).sum())
+
+
+def _kld(x: np.ndarray, y: np.ndarray, h: int, eps: float) -> float:
+    gp = _columns(np.eye(h), x) if x.ndim == 2 else x
+    ps = gp + eps
+    ps /= gp.sum(axis=1, keepdims=True) + h * eps
+    if y.ndim == 2:
+        # the smoothed one-hot q is hi at the active row and lo elsewhere
+        lo, hi = eps / (1.0 + h * eps), (1.0 + eps) / (1.0 + h * eps)
+        ratio = ps / lo
+        active = np.take_along_axis(ps, y[:, None, :], axis=1)
+        np.put_along_axis(ratio, y[:, None, :], active / hi, axis=1)
+    else:
+        ratio = ps / ((y + eps) / (y.sum(axis=1, keepdims=True) + h * eps))
+    np.log(ratio, out=ratio)
+    ratio *= ps
+    return float(ratio.sum())
 
 
 def emd(a, b) -> float:
@@ -222,13 +285,13 @@ def emd(a, b) -> float:
 
     Each column pair is a pair of distributions over the ``h`` cells; their
     1-D minimum-cost transport distance in cell-index units equals the L1
-    distance between their cumulative sums, which is what this computes.
+    distance between their cumulative sums.  Against a binary grid it is
+    the distance of each column's mass to the active row.
     """
-    ga, gb = _paired_grids(a, b)
-    return float(np.abs(np.cumsum(ga, axis=1) - np.cumsum(gb, axis=1)).sum())
+    return _emd(*_operands(a, b))
 
 
-def kld(p, q, eps: float = 1e-8) -> float:
+def kld(p, q, eps: float = _KLD_EPS) -> float:
     """Column-wise KL(p || q) with eps-smoothing, summed over channels/columns.
 
     Both arguments are smoothed (add ``eps``, renormalize) so the result is
@@ -236,16 +299,13 @@ def kld(p, q, eps: float = 1e-8) -> float:
     """
     if eps <= 0:
         raise ConfigurationError(f"eps must be positive, got {eps}")
-    gp, gq = _paired_grids(p, q)
-    h = gp.shape[1]
-    ps = (gp + eps) / (gp.sum(axis=1, keepdims=True) + h * eps)
-    qs = (gq + eps) / (gq.sum(axis=1, keepdims=True) + h * eps)
-    return float(np.sum(ps * np.log(ps / qs)))
+    return _kld(*_operands(p, q), p.params.h, eps)
 
 
 def loss(pred, target, alpha: float = 0.2) -> float:
     """Transport distance plus ``alpha`` times the smoothed KL divergence."""
-    return emd(pred, target) + alpha * kld(pred, target)
+    x, y = _operands(pred, target)
+    return _emd(x, y) + alpha * _kld(x, y, pred.params.h, _KLD_EPS)
 
 
 def _gaussian_kernel(size: int, sigma: float) -> np.ndarray:
@@ -269,22 +329,24 @@ def preprocess(
     kh, kw = blur_kernel
     if kh < 1 or kw < 1 or kh % 2 == 0 or kw % 2 == 0:
         raise ConfigurationError(f"blur kernel dims must be odd positive integers, got {blur_kernel}")
-    grid = image.grid.astype(np.float64)
-    _check_normalized(grid, "preprocess input")
+    rows = _active_rows(image, "preprocess input")
 
-    out = grid
-    weight_rows = np.ones(grid.shape[1])
-    weight_cols = np.ones(grid.shape[2])
+    # blurring a one-hot column down the rows places the truncated kernel
+    # at its active row: gather the blurred columns of the identity
+    table = np.eye(image.params.h)
+    weight_rows = np.ones(image.params.h)
+    weight_cols = np.ones(image.length)
     if kh > 1:
         krow = _gaussian_kernel(kh, blur_sigma if blur_sigma is not None else kh / 6.0)
-        out = convolve1d(out, krow, axis=1, mode="constant", cval=0.0)
+        table = convolve1d(table, krow, axis=0, mode="constant", cval=0.0)
         weight_rows = convolve1d(weight_rows, krow, mode="constant", cval=0.0)
+    out = _columns(table, rows)
     if kw > 1:
         kcol = _gaussian_kernel(kw, blur_sigma if blur_sigma is not None else kw / 6.0)
         out = convolve1d(out, kcol, axis=2, mode="constant", cval=0.0)
         weight_cols = convolve1d(weight_cols, kcol, mode="constant", cval=0.0)
-    out = out / (weight_rows[None, :, None] * weight_cols[None, None, :])
-    out = out / out.sum(axis=1, keepdims=True)
+    out /= weight_rows[:, None] * weight_cols[None, :]
+    out /= out.sum(axis=1, keepdims=True)
     return SoftImageTensor(out, image.params)
 
 

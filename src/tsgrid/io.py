@@ -27,10 +27,17 @@ def _fmt(x: float) -> str:
 
 @contextmanager
 def atomic_write(path: str | Path, mode: str = "w"):
-    """Write to a sibling temp file and rename into place on success."""
+    """Write to a sibling temp file and rename into place on success.
+
+    A missing parent directory is created on the first failed attempt only.
+    """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    temp_args = {"dir": path.parent, "prefix": f".{path.name}.", "suffix": ".tmp"}
+    try:
+        fd, tmp = tempfile.mkstemp(**temp_args)
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(**temp_args)
     try:
         newline = "" if "b" not in mode else None
         with os.fdopen(fd, mode, newline=newline) as handle:

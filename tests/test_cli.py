@@ -69,6 +69,39 @@ def test_generate_threads_do_not_change_results(tmp_path):
         assert filecmp.cmp(a / name, b / name, shallow=False)
 
 
+def _recorded_threads(out: Path) -> str:
+    return next(line for line in (out / "resolved_generate.ini").read_text().splitlines() if line.startswith("threads"))
+
+
+def test_generate_records_valid_thread_counts(tmp_path, monkeypatch):
+    monkeypatch.delenv("TSGRID_THREADS", raising=False)
+    args = ["generate", "-n", "1", "--seed", "5", "--length", "16"]
+    assert main(args + ["-o", str(tmp_path / "default")]) == 0
+    assert _recorded_threads(tmp_path / "default") == "threads = 1"
+    assert main(args + ["-o", str(tmp_path / "flag"), "--threads", "4"]) == 0
+    assert _recorded_threads(tmp_path / "flag") == "threads = 4"
+    monkeypatch.setenv("TSGRID_THREADS", "3")
+    assert main(args + ["-o", str(tmp_path / "env")]) == 0
+    assert _recorded_threads(tmp_path / "env") == "threads = 3"
+
+
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_generate_rejects_non_positive_threads_flag(tmp_path, capsys, monkeypatch, count):
+    monkeypatch.delenv("TSGRID_THREADS", raising=False)
+    out = tmp_path / "out"
+    assert main(["generate", "-n", "1", "--seed", "5", "--length", "16", "-o", str(out), "--threads", count]) == 1
+    assert capsys.readouterr().err == f"error: --threads must be a positive integer, got {count}\n"
+    assert not out.exists()
+
+
+def test_generate_rejects_non_integer_threads_env(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("TSGRID_THREADS", "abc")
+    out = tmp_path / "out"
+    assert main(["generate", "-n", "1", "--seed", "5", "--length", "16", "-o", str(out)]) == 1
+    assert capsys.readouterr().err == "error: TSGRID_THREADS must be a positive integer, got 'abc'\n"
+    assert not out.exists()
+
+
 def test_generate_manifest_hypothesis_split(tmp_path):
     out = tmp_path / "out"
     n = 2000

@@ -207,6 +207,34 @@ def test_forecast_handles_missing_lookback_columns():
     assert np.max(np.abs(soft.grid[:, :, 40:].sum(axis=1) - 1.0)) < 1e-9
 
 
+def gappy_image(gaps, length=48, lookback=40):
+    missing = np.zeros((1, length), dtype=bool)
+    missing[0, gaps] = True
+    series = TimeSeries(np.linspace(-1, 1, length)[None, :], missing)
+    mask = make_mask(length, lookback)
+    return apply_mask(encode(series, P64), mask), mask
+
+
+def test_forecast_blur_names_missing_lookback_columns():
+    image, mask = gappy_image([])
+    soft = forecast(get_model("persistence-image"), image, mask, blur_kernel=(3, 3))
+    assert np.max(np.abs(soft.grid.sum(axis=1) - 1.0)) < 1e-9
+    image, mask = gappy_image([3, 10, 11, 12])
+    with pytest.raises(InputError, match=r"4 missing lookback column\(s\): 3, 10, 11, 12$"):
+        forecast(get_model("persistence-image"), image, mask, blur_kernel=(3, 3))
+    image, mask = gappy_image(list(range(12)))
+    with pytest.raises(InputError, match=r"12 missing lookback column\(s\): 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, \.\.\.$"):
+        forecast(get_model("persistence-image"), image, mask, blur_kernel=(3, 3))
+
+
+def test_forecast_without_blur_leaves_missing_lookback_columns_empty():
+    image, mask = gappy_image([3, 10, 11, 12])
+    soft = forecast(get_model("persistence-image"), image, mask)
+    sums = soft.grid.sum(axis=1)[0]
+    assert np.flatnonzero(sums == 0.0).tolist() == [3, 10, 11, 12]
+    assert np.all(np.delete(sums, [3, 10, 11, 12]) == 1.0)
+
+
 def test_forecast_rejects_mismatched_mask():
     image, _ = masked_image(np.zeros(16), 8)
     with pytest.raises(InputError):

@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.ndimage import convolve1d
 from scipy.optimize import linprog
 
 from tsgrid import (
@@ -420,6 +424,129 @@ def test_encode_preprocessed_doubles_length():
     out = encode_preprocessed(series, P128)
     assert out.grid.shape == (1, 128, 200)
     assert np.max(np.abs(out.grid.sum(axis=1) - 1.0)) < 1e-9
+
+
+# ----------------------------------- active-row paths vs the dense references
+
+
+def reference_preprocess(image, blur_kernel, blur_sigma=None):
+    """The dense blur: convolve the float grid down the rows, then along time."""
+    out = image.grid.astype(np.float64)
+    weights = [np.ones(out.shape[1]), np.ones(out.shape[2])]
+    for axis, size in ((1, blur_kernel[0]), (2, blur_kernel[1])):
+        if size > 1:
+            sigma = blur_sigma if blur_sigma is not None else size / 6.0
+            x = np.arange(-(size // 2), size // 2 + 1, dtype=np.float64)
+            kernel = np.exp(-0.5 * (x / sigma) ** 2)
+            kernel /= kernel.sum()
+            out = convolve1d(out, kernel, axis=axis, mode="constant", cval=0.0)
+            weights[axis - 1] = convolve1d(weights[axis - 1], kernel, mode="constant", cval=0.0)
+    out = out / (weights[0][None, :, None] * weights[1][None, None, :])
+    return out / out.sum(axis=1, keepdims=True)
+
+
+def reference_emd(ga, gb):
+    return float(np.abs(np.cumsum(ga, axis=1) - np.cumsum(gb, axis=1)).sum())
+
+
+def reference_kld(gp, gq, eps=1e-8):
+    h = gp.shape[1]
+    ps = (gp + eps) / (gp.sum(axis=1, keepdims=True) + h * eps)
+    qs = (gq + eps) / (gq.sum(axis=1, keepdims=True) + h * eps)
+    return float(np.sum(ps * np.log(ps / qs)))
+
+
+@st.composite
+def binary_images(draw, max_h=160, max_length=48):
+    channels = draw(st.integers(1, 3))
+    h = draw(st.integers(2, max_h))
+    rows = draw(arrays(np.int64, (channels, draw(st.integers(1, max_length))), elements=st.integers(0, h - 1)))
+    grid = np.zeros((channels, h, rows.shape[1]), dtype=np.uint8)
+    np.put_along_axis(grid, rows[:, None, :], 1, axis=1)
+    return BinaryImageTensor(grid, SpaceParams(h=h, ms=1.0))
+
+
+@st.composite
+def binary_and_soft(draw):
+    """A binary grid and a soft grid of the same shape with spread-out columns."""
+    binary = draw(binary_images())
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = g.random(binary.grid.shape)
+    weights[g.random(weights.shape) < draw(st.sampled_from([0.0, 0.5, 0.9]))] = 0.0
+    np.put_along_axis(weights, g.integers(0, binary.params.h, (binary.channels, 1, binary.length)), 1.0, axis=1)
+    return binary, SoftImageTensor(weights / weights.sum(axis=1, keepdims=True), binary.params)
+
+
+odd_sizes = st.integers(0, 40).map(lambda n: 2 * n + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    image=binary_images(),
+    kernel=st.one_of(st.just((1, 1)), st.tuples(st.just(1), odd_sizes), st.tuples(odd_sizes, odd_sizes)),
+    sigma=st.one_of(st.none(), st.floats(0.2, 10.0)),
+)
+def test_preprocess_matches_dense_reference(image, kernel, sigma):
+    assert np.array_equal(preprocess(image, kernel, sigma).grid, reference_preprocess(image, kernel, sigma))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=binary_and_soft())
+def test_binary_operand_metrics_match_dense_reference(pair):
+    binary, soft = pair
+    dense = binary.grid.astype(np.float64)
+    for a, b, ga, gb in ((soft, binary, soft.grid, dense), (binary, soft, dense, soft.grid)):
+        want_emd, want_kld = reference_emd(ga, gb), reference_kld(ga, gb)
+        assert emd(a, b) == pytest.approx(want_emd, rel=1e-12, abs=0.0)
+        assert kld(a, b) == pytest.approx(want_kld, rel=1e-12, abs=0.0)
+        assert loss(a, b) == pytest.approx(want_emd + 0.2 * want_kld, rel=1e-12, abs=0.0)
+        assert loss(a, b) == emd(a, b) + 0.2 * kld(a, b)
+    assert emd(soft, binary) == emd(binary, soft)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=binary_images(max_h=16, max_length=8), seed=st.integers(0, 2**32 - 1))
+def test_binary_binary_emd_is_row_distance_and_symmetric(a, seed):
+    rows = np.random.default_rng(seed).integers(0, a.params.h, (a.channels, a.length))
+    grid = np.zeros_like(a.grid)
+    np.put_along_axis(grid, rows[:, None, :], 1, axis=1)
+    b = BinaryImageTensor(grid, a.params)
+    assert emd(a, b) == emd(b, a) == reference_emd(a.grid.astype(float), grid.astype(float))
+    assert kld(a, b) == pytest.approx(reference_kld(a.grid.astype(float), grid.astype(float)), rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(binary=binary_images())
+def test_one_hot_soft_copy_scores_zero_against_binary_original(binary):
+    soft = SoftImageTensor(binary.grid.astype(np.float64), binary.params)
+    for a, b in ((soft, binary), (binary, soft), (binary, binary)):
+        assert emd(a, b) == 0.0
+        assert kld(a, b) == 0.0
+        assert loss(a, b) == 0.0
+
+
+@pytest.mark.parametrize("defect", ["non-one-hot", "multi-hot", "missing"])
+def test_binary_operands_reject_bad_columns(defect):
+    params = SpaceParams(h=8, ms=1.0)
+    good = one_hot_image(np.array([1, 4, 6]), params)
+    grid = good.grid.copy()
+    if defect == "non-one-hot":
+        grid[0, 4, 1] = 2
+    elif defect == "multi-hot":
+        grid[0, 0, 1] = 1
+    else:
+        grid[0, :, 1] = 0
+    bad = BinaryImageTensor(grid, params)
+    soft = SoftImageTensor(good.grid.astype(np.float64), params)
+    message = "columns must each sum to 1 within 1e-09"
+    with pytest.raises(InputError, match=f"preprocess input {message}"):
+        preprocess(bad)
+    for metric in (emd, kld, loss):
+        for other in (good, soft):
+            with pytest.raises(InputError, match=f"left grid {message}"):
+                metric(bad, other)
+            with pytest.raises(InputError, match=f"right grid {message}"):
+                metric(other, bad)
 
 
 # ------------------------------------------------- geometric regularization

@@ -226,6 +226,21 @@ def test_atomic_write_cleans_up_on_failure(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_atomic_write_creates_missing_directories(tmp_path):
+    target = tmp_path / "a" / "b" / "out.txt"
+    with atomic_write(target) as handle:
+        handle.write("done")
+    assert target.read_text() == "done"
+    assert [p.name for p in target.parent.iterdir()] == ["out.txt"]
+
+    failed = tmp_path / "c" / "d" / "out.txt"
+    with pytest.raises(RuntimeError):
+        with atomic_write(failed) as handle:
+            handle.write("partial")
+            raise RuntimeError("boom")
+    assert list(failed.parent.iterdir()) == []
+
+
 def test_read_image_flags_floored_channels(tmp_path):
     constant = np.full(32, 5.0)
     unit_std = np.tile([-1.0, 1.0], 16)
