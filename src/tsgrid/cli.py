@@ -13,7 +13,9 @@ import argparse
 import configparser
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from . import io
 from .bounds import solve_ms_table
@@ -27,27 +29,32 @@ OUTPUT_DIR_ENV = "TSGRID_OUTPUT_DIR"
 THREADS_ENV = "TSGRID_THREADS"
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
+def _parse_value(tp, text: str):
+    """Parse one INI value or flag as type ``tp``: ``none`` for an optional
+    field, a comma list for a tuple."""
     text = text.strip()
-    if not text:
-        return ()
-    return tuple(float(v) for v in text.split(","))
+    args = get_args(tp)
+    if type(None) in args:
+        if text.lower() == "none":
+            return None
+        (tp,) = (a for a in args if a is not type(None))
+        args = get_args(tp)
+    if args:
+        return tuple(_parse_value(args[0], v) for v in text.split(",")) if text else ()
+    if tp is bool:
+        try:
+            return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+        except KeyError:
+            raise ValueError(f"not a boolean: {text!r}") from None
+    return tp(text)
+
+
+def _parse_floats(text: str) -> tuple[float, ...]:
+    return _parse_value(tuple[float, ...], text)
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(v) for v in text.split(","))
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
+    return _parse_value(tuple[int, ...], text)
 
 
 def _load_config_file(path: str | None) -> configparser.ConfigParser:
@@ -59,71 +66,35 @@ def _load_config_file(path: str | None) -> configparser.ConfigParser:
     return parser
 
 
-def _resolve(flag_value, file_cfg: configparser.ConfigParser, section: str, key: str, conv, default):
-    if flag_value is not None:
-        return flag_value
-    if file_cfg.has_option(section, key):
-        return conv(file_cfg.get(section, key))
-    return default
+def _ini_fields(cls) -> dict[str, object]:
+    """Fields of config dataclass ``cls`` that one INI value can hold, with
+    their types, in field order: scalars, tuples of scalars and optional
+    ones.  Nested dataclasses are left out."""
+    hints = get_type_hints(cls)
+
+    def plain(tp) -> bool:
+        args = [a for a in get_args(tp) if a not in (type(None), Ellipsis)]
+        return tp in (bool, int, float, str) or (bool(args) and all(plain(a) for a in args))
+
+    return {f.name: hints[f.name] for f in fields(cls) if plain(hints[f.name])}
 
 
-# [generator] / [augment] keys accepted from config files
-_GEN_FILE_KEYS = {
-    "alpha": float,
-    "length": int,
-    "rwb_sigma": float,
-    "pwb_k_max": int,
-    "noise_sigma_eps": lambda s: None if s.lower() == "none" else float(s),
-    "pwb_amp_range": _parse_floats,
-    "pwb_logfreq_range": lambda s: None if s.lower() == "none" else _parse_floats(s),
-    "lgb_logK_range": _parse_floats,
-    "lgb_logr_range": _parse_floats,
-    "lgb_mid_frac_range": _parse_floats,
-    "twdb_a_range": _parse_floats,
-    "twdb_b_range": _parse_floats,
-    "periodic_behaviors": lambda s: tuple(v.strip() for v in s.split(",")),
-    "trend_behaviors": lambda s: tuple(v.strip() for v in s.split(",")),
-    "pwb_waveforms": lambda s: tuple(v.strip() for v in s.split(",")),
-}
-
-_AUG_FILE_KEYS = {
-    "replicate": _parse_bool,
-    "flip": _parse_bool,
-    "smooth_detrend": _parse_bool,
-    "perturb": _parse_bool,
-    "probability": float,
-    "replicate_max": int,
-    "smooth_window": int,
-}
+def _config_from(cls, flags: dict, file_cfg: configparser.ConfigParser | None = None, section: str = "", **nested):
+    """Build config dataclass ``cls`` from INI ``[section]``.  A flag whose
+    dest is the field name wins when it is not None; fields given neither
+    way keep the dataclass default.  ``nested`` passes dataclass fields."""
+    kwargs = dict(nested)
+    for name, tp in _ini_fields(cls).items():
+        if flags.get(name) is not None:
+            kwargs[name] = flags[name]
+        elif file_cfg is not None and file_cfg.has_option(section, name):
+            kwargs[name] = _parse_value(tp, file_cfg.get(section, name))
+    return cls(**kwargs)
 
 
-def _generator_from(args, file_cfg: configparser.ConfigParser) -> GeneratorConfig:
-    gen_kwargs = {}
-    for key, conv in _GEN_FILE_KEYS.items():
-        if file_cfg.has_option("generator", key):
-            gen_kwargs[key] = conv(file_cfg.get("generator", key))
-    aug_kwargs = {}
-    for key, conv in _AUG_FILE_KEYS.items():
-        if file_cfg.has_option("augment", key):
-            aug_kwargs[key] = conv(file_cfg.get("augment", key))
-    # flags win over file entries
-    if getattr(args, "alpha", None) is not None:
-        gen_kwargs["alpha"] = args.alpha
-    if getattr(args, "length", None) is not None:
-        gen_kwargs["length"] = args.length
-    if getattr(args, "noise_sigma", None) is not None:
-        gen_kwargs["noise_sigma_eps"] = args.noise_sigma
-    if getattr(args, "augment_probability", None) is not None:
-        aug_kwargs["probability"] = args.augment_probability
-    if aug_kwargs:
-        gen_kwargs["augment"] = AugmentConfig(**aug_kwargs)
-    return GeneratorConfig(**gen_kwargs)
-
-
-def _space_from(args, file_cfg: configparser.ConfigParser) -> SpaceParams:
-    h = _resolve(getattr(args, "h", None), file_cfg, "space", "h", int, 128)
-    ms = _resolve(getattr(args, "ms", None), file_cfg, "space", "ms", float, 3.5)
-    return SpaceParams(h=h, ms=ms)
+def _snapshot(cfg) -> dict[str, object]:
+    """The INI fields of a config dataclass instance, in field order."""
+    return {name: getattr(cfg, name) for name in _ini_fields(type(cfg))}
 
 
 def _output_dir(args) -> Path:
@@ -162,49 +133,19 @@ def _write_snapshot(out_dir: Path, command: str, sections: dict[str, dict[str, o
     for section, entries in sections.items():
         parser[section] = {}
         for key, value in entries.items():
-            if isinstance(value, (tuple, list)):
-                parser[section][key] = ",".join(str(v) for v in value)
-            else:
-                parser[section][key] = str(value)
+            if value is None:
+                value = "none"
+            elif isinstance(value, (tuple, list)):
+                value = ",".join(str(v) for v in value)
+            parser[section][key] = str(value)
     with io.atomic_write(out_dir / f"resolved_{command}.ini") as handle:
         parser.write(handle)
 
 
-def _generator_snapshot(cfg: GeneratorConfig) -> dict[str, object]:
-    return {
-        "alpha": cfg.alpha,
-        "length": cfg.length,
-        "periodic_behaviors": cfg.periodic_behaviors,
-        "trend_behaviors": cfg.trend_behaviors,
-        "pwb_amp_range": cfg.pwb_amp_range,
-        "pwb_logfreq_range": "none" if cfg.pwb_logfreq_range is None else cfg.pwb_logfreq_range,
-        "pwb_k_max": cfg.pwb_k_max,
-        "pwb_waveforms": cfg.pwb_waveforms,
-        "rwb_sigma": cfg.rwb_sigma,
-        "lgb_logK_range": cfg.lgb_logK_range,
-        "lgb_logr_range": cfg.lgb_logr_range,
-        "lgb_mid_frac_range": cfg.lgb_mid_frac_range,
-        "twdb_a_range": cfg.twdb_a_range,
-        "twdb_b_range": cfg.twdb_b_range,
-        "noise_sigma_eps": "none" if cfg.noise_sigma_eps is None else cfg.noise_sigma_eps,
-    }
-
-
-def _augment_snapshot(cfg: AugmentConfig) -> dict[str, object]:
-    return {
-        "replicate": cfg.replicate,
-        "flip": cfg.flip,
-        "smooth_detrend": cfg.smooth_detrend,
-        "perturb": cfg.perturb,
-        "probability": cfg.probability,
-        "replicate_max": cfg.replicate_max,
-        "smooth_window": cfg.smooth_window,
-    }
-
-
 def cmd_generate(args) -> int:
     file_cfg = _load_config_file(args.config)
-    cfg = _generator_from(args, file_cfg)
+    augment = _config_from(AugmentConfig, {"probability": args.augment_probability}, file_cfg, "augment")
+    cfg = _config_from(GeneratorConfig, vars(args), file_cfg, "generator", augment=augment)
     seed = _pick_seed(args)
     threads = _threads(args)  # validated and recorded only: generation runs on one thread
     out_dir = _output_dir(args)
@@ -231,8 +172,8 @@ def cmd_generate(args) -> int:
         "generate",
         {
             "run": {"command": "generate", "count": args.count, "seed": seed, "start_stream": start, "threads": threads},
-            "generator": _generator_snapshot(cfg),
-            "augment": _augment_snapshot(cfg.augment),
+            "generator": _snapshot(cfg),
+            "augment": _snapshot(cfg.augment),
         },
     )
     print(f"wrote {args.count} series and manifest.csv to {out_dir}")
@@ -240,8 +181,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    space = _space_from(args, file_cfg)
+    space = _config_from(SpaceParams, vars(args), _load_config_file(args.config), "space")
     out_dir = _output_dir(args)
     out_dir.mkdir(parents=True, exist_ok=True)
     for input_path in args.inputs:
@@ -262,9 +202,9 @@ def cmd_encode(args) -> int:
             "run": {
                 "command": "encode",
                 "inputs": ",".join(str(p) for p in args.inputs),
-                "normalize_lookback": args.normalize_lookback if args.normalize_lookback is not None else "none",
+                "normalize_lookback": args.normalize_lookback,
             },
-            "space": {"h": space.h, "ms": space.ms},
+            "space": _snapshot(space),
         },
     )
     return 0
@@ -300,8 +240,11 @@ def cmd_decode(args) -> int:
 
 def cmd_solve_ms(args) -> int:
     file_cfg = _load_config_file(args.config)
-    h_list = _resolve(args.h_list, file_cfg, "solve", "h_list", _parse_ints, (32, 64, 128, 256, 512))
-    k_list = _resolve(args.k_list, file_cfg, "solve", "k_list", _parse_floats, (1.0, 1.5, 2.0))
+    h_list, k_list = args.h_list, args.k_list
+    if h_list is None:
+        h_list = _parse_ints(file_cfg.get("solve", "h_list", fallback="32,64,128,256,512"))
+    if k_list is None:
+        k_list = _parse_floats(file_cfg.get("solve", "k_list", fallback="1,1.5,2"))
     rows = solve_ms_table(h_list, k_list)
     lines = ["h,k,ms_star,residual"]
     for h, k, ms, res in rows:
@@ -339,13 +282,8 @@ def _parse_perturbation(text: str) -> PerturbationSpec:
 
 def cmd_evaluate(args) -> int:
     file_cfg = _load_config_file(args.config)
-    cfg = EvalConfig(
-        lookback=_resolve(args.lookback, file_cfg, "eval", "lookback", int, 512),
-        horizons=_resolve(args.horizons, file_cfg, "eval", "horizons", _parse_ints, (96, 192, 336, 720)),
-        rescale_factors=_resolve(args.betas, file_cfg, "eval", "rescale_factors", _parse_floats, (0.5, 0.66, 1.0, 1.5, 2.0)),
-        stride=_resolve(args.stride, file_cfg, "eval", "stride", int, None),
-    )
-    space = _space_from(args, file_cfg)
+    cfg = _config_from(EvalConfig, vars(args), file_cfg, "eval")
+    space = _config_from(SpaceParams, vars(args), file_cfg, "space")
     perturbations = tuple(_parse_perturbation(p) for p in (args.perturb or ()))
     seed = _pick_seed(args)
     out_dir = _output_dir(args)
@@ -367,13 +305,8 @@ def cmd_evaluate(args) -> int:
         "evaluate",
         {
             "run": {"command": "evaluate", "dataset": args.dataset, "model": args.model, "seed": seed},
-            "eval": {
-                "lookback": cfg.lookback,
-                "horizons": cfg.horizons,
-                "rescale_factors": cfg.rescale_factors,
-                "stride": "none" if cfg.stride is None else cfg.stride,
-            },
-            "space": {"h": space.h, "ms": space.ms},
+            "eval": _snapshot(cfg),
+            "space": _snapshot(space),
             "perturbations": {"specs": ";".join(p.label() for p in perturbations) or "none"},
         },
     )
@@ -382,13 +315,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_perturb(args) -> int:
-    spec = PerturbationSpec(
-        kind=args.kind,
-        noise_std=args.noise_std if args.noise_std is not None else 0.1,
-        harmonic_amplitude=args.harmonic_amplitude,
-        harmonic_frequency=args.harmonic_frequency,
-        missing_probability=args.missing_probability if args.missing_probability is not None else 0.3,
-    )
+    spec = _config_from(PerturbationSpec, vars(args))
     seed = _pick_seed(args)
     out_dir = _output_dir(args)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -430,7 +357,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", "--count", type=int, required=True, help="number of series")
     p.add_argument("--alpha", type=float, help="probability of the periodic hypothesis")
     p.add_argument("--length", type=int, help="series length")
-    p.add_argument("--noise-sigma", type=float, help="observation noise std (default: 5%% of signal std)")
+    p.add_argument(
+        "--noise-sigma", type=float, dest="noise_sigma_eps", metavar="NOISE_SIGMA",
+        help="observation noise std (default: 5%% of signal std)",
+    )
     p.add_argument("--augment-probability", type=float, help="per-augmentation firing probability")
     p.add_argument("--start-stream", type=int, default=0, help="first stream index (default 0)")
     p.add_argument("--threads", type=int, help=f"accepted and recorded, no effect (or ${THREADS_ENV})")
@@ -462,7 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="forecaster id (see list-models)")
     p.add_argument("--lookback", type=int, help="lookback window (default 512)")
     p.add_argument("--horizons", type=_parse_ints, help="forecast horizons (default 96,192,336,720)")
-    p.add_argument("--betas", type=_parse_floats, help="rescale factors (default 0.5,0.66,1,1.5,2)")
+    p.add_argument(
+        "--betas", type=_parse_floats, dest="rescale_factors", metavar="BETAS",
+        help="rescale factors (default 0.5,0.66,1,1.5,2)",
+    )
     p.add_argument("--stride", type=int, help="window stride (default: the horizon)")
     p.add_argument("--h", type=int, help="grid resolution for image-space models (default 128)")
     p.add_argument("--ms", type=float, help="grid maximum scale (default 3.5)")

@@ -76,7 +76,10 @@ class PerturbationSpec:
             return f"gaussian_noise:{self.noise_std:g}"
         if self.kind == "missing":
             return f"missing:{self.missing_probability:g}"
-        return "harmonic"
+        if self.harmonic_amplitude is None and self.harmonic_frequency is None:
+            return "harmonic"
+        amp, freq = ("" if v is None else f"{v:g}" for v in (self.harmonic_amplitude, self.harmonic_frequency))
+        return f"harmonic:{amp},{freq}"
 
 
 @dataclass(frozen=True)

@@ -205,7 +205,7 @@ def _check_normalized(grid: np.ndarray, what: str) -> None:
     colsums = grid.sum(axis=1)
     if np.any(grid < 0):
         raise InputError(f"{what} must be nonnegative")
-    if np.max(np.abs(colsums - 1.0)) > _TOL:
+    if np.any(np.abs(colsums - 1.0) > _TOL):
         raise InputError(f"{what} columns must each sum to 1 within {_TOL}")
 
 

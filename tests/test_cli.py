@@ -1,3 +1,5 @@
+import configparser
+import csv
 import filecmp
 import os
 import subprocess
@@ -8,8 +10,8 @@ import numpy as np
 import pytest
 
 import tsgrid
-from tsgrid import SpaceParams, from_1d
-from tsgrid.cli import main
+from tsgrid import PerturbationSpec, SpaceParams, from_1d
+from tsgrid.cli import _parse_perturbation, main
 from tsgrid.io import read_manifest_csv, read_series_csv, write_series_csv
 
 
@@ -138,6 +140,27 @@ def test_output_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("TSGRID_OUTPUT_DIR", str(tmp_path / "from-env"))
     assert main(["generate", "-n", "1", "--seed", "1", "--length", "16"]) == 0
     assert (tmp_path / "from-env" / "series_00000.csv").exists()
+
+
+def _snapshot_section(out: Path, command: str, section: str) -> dict[str, str]:
+    parser = configparser.ConfigParser()
+    parser.read(out / f"resolved_{command}.ini")
+    return dict(parser[section])
+
+
+def test_config_file_accepts_legacy_spellings(tmp_path):
+    cfg = tmp_path / "gen.ini"
+    cfg.write_text(
+        "[generator]\nlgb_logK_range = 0.5,1.5\nnoise_sigma_eps = none\n"
+        "[augment]\nreplicate = yes\nflip = off\nperturb = 1\n"
+    )
+    out = tmp_path / "out"
+    assert main(["generate", "-n", "1", "--seed", "3", "--length", "32", "--config", str(cfg), "-o", str(out)]) == 0
+    generator = _snapshot_section(out, "generate", "generator")
+    assert generator["lgb_logk_range"] == "0.5,1.5"
+    assert generator["noise_sigma_eps"] == "none"
+    augment = _snapshot_section(out, "generate", "augment")
+    assert (augment["replicate"], augment["flip"], augment["perturb"]) == ("True", "False", "True")
 
 
 # ---------------------------------------------------------------- codec
@@ -328,6 +351,36 @@ def test_evaluate_is_deterministic(tmp_path):
     assert files_identical(a, b)
 
 
+def test_evaluate_keeps_distinct_harmonic_scenarios_apart(tmp_path):
+    src = tmp_path / "data.csv"
+    write_sine(src, length=400)
+    args = ["evaluate", "--dataset", str(src), "--model", "persistence", "--lookback", "32", "--horizons", "16"]
+    args += ["--betas", "1", "--perturb", "harmonic:0.5,0.01", "--perturb", "harmonic:5,0.2", "--seed", "2"]
+    assert main(args + ["-o", str(tmp_path / "ev")]) == 0
+    with open(tmp_path / "ev" / "report.csv", newline="") as handle:
+        aggregates = {r["scenario"]: r for r in csv.DictReader(handle) if r["beta"] == "mean(U)"}
+    assert sorted(aggregates) == ["harmonic:0.5,0.01", "harmonic:5,0.2", "none"]
+    assert {r["windows"] for r in aggregates.values()} == {aggregates["none"]["windows"]}
+    assert aggregates["harmonic:0.5,0.01"]["mse"] != aggregates["harmonic:5,0.2"]["mse"]
+    specs = _snapshot_section(tmp_path / "ev", "evaluate", "perturbations")["specs"]
+    assert specs == "harmonic:0.5,0.01;harmonic:5,0.2"
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        PerturbationSpec("harmonic", harmonic_amplitude=0.5, harmonic_frequency=0.01),
+        PerturbationSpec("harmonic", harmonic_amplitude=2.5),
+        PerturbationSpec("harmonic", harmonic_frequency=0.125),
+        PerturbationSpec("harmonic"),
+        PerturbationSpec("gaussian_noise", noise_std=0.25),
+        PerturbationSpec("missing", missing_probability=0.5),
+    ],
+)
+def test_perturbation_label_parses_back(spec):
+    assert _parse_perturbation(spec.label()) == spec
+
+
 # ---------------------------------------------------------------- perturb
 
 
@@ -378,3 +431,49 @@ def test_help_exits_zero_for_every_subcommand(capsys):
             main([sub, "--help"])
         assert exc.value.code == 0
         assert sub in capsys.readouterr().out or sub == "list-models"
+
+
+# ---------------------------------------------------------------- replay
+
+
+def _replay_argv(snapshot: Path) -> list[str]:
+    """The command a snapshot records: --config <snapshot> plus its [run]
+    values as flags (and evaluate's recorded scenarios as --perturb)."""
+    parser = configparser.ConfigParser()
+    parser.read(snapshot)
+    run = dict(parser["run"])
+    argv = [run.pop("command"), "--config", str(snapshot)]
+    if "inputs" in run:
+        argv += run.pop("inputs").split(",")
+    for key, value in run.items():
+        if value != "none":
+            argv += ["--" + key.replace("_", "-"), value]
+    if parser.has_section("perturbations") and parser["perturbations"]["specs"] != "none":
+        for spec in parser["perturbations"]["specs"].split(";"):
+            argv += ["--perturb", spec]
+    return argv
+
+
+@pytest.mark.parametrize("command", ["generate", "encode", "solve-ms", "evaluate"])
+def test_snapshot_replays_byte_exactly(tmp_path, monkeypatch, command):
+    monkeypatch.delenv("TSGRID_THREADS", raising=False)
+    monkeypatch.delenv("TSGRID_OUTPUT_DIR", raising=False)
+    data = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    write_sine(data[0], length=400)
+    write_sine(data[1], length=300, amplitude=5.0, period=21.0)
+    cfg = tmp_path / "extra.ini"
+    cfg.write_text("[generator]\nifftb_phase_range = -1,1\n[augment]\nperturb_scale_range = 1,2\nflip = no\n")
+    argv = {
+        "generate": ["generate", "-n", "3", "--seed", "4", "--length", "40", "--alpha", "0.3", "--noise-sigma", "0.2",
+                     "--augment-probability", "0.7", "--start-stream", "5", "--threads", "2", "--config", str(cfg)],
+        "encode": ["encode", *map(str, data), "--h", "64", "--ms", "2.5", "--normalize-lookback", "100"],
+        "solve-ms": ["solve-ms", "--h-list", "16,64", "--k-list", "1.5,3"],
+        "evaluate": ["evaluate", "--dataset", str(data[0]), "--model", "seasonal-naive-image", "--lookback", "48",
+                     "--horizons", "8,24", "--betas", "0.5,1.5", "--h", "32", "--ms", "3", "--seed", "6",
+                     "--perturb", "harmonic:0.5,0.02", "--perturb", "missing:0.2"],
+    }[command]
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(argv + ["-o", str(first)]) == 0
+    snapshot = first / f"resolved_{command}.ini"
+    assert main(_replay_argv(snapshot) + ["-o", str(second)]) == 0
+    assert files_identical(first, second)

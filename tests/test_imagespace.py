@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.ndimage import convolve1d
@@ -220,6 +220,11 @@ def test_soft_decode_rejects_unnormalized_columns():
     bad = SoftImageTensor(np.full((1, 4, 1), 0.3), params)
     with pytest.raises(InputError):
         soft_decode(bad)
+    # no columns: the same error as decoding an empty binary grid, as a series has at least one sample
+    empty = np.zeros((1, 4, 0))
+    for decoder, image in ((soft_decode, SoftImageTensor(empty, params)), (decode, BinaryImageTensor(empty, params))):
+        with pytest.raises(InputError, match="at least one channel and one sample"):
+            decoder(image)
 
 
 # ---------------------------------------------------------------- emd
@@ -517,9 +522,10 @@ def test_binary_binary_emd_is_row_distance_and_symmetric(a, seed):
 
 @settings(max_examples=100, deadline=None)
 @given(binary=binary_images())
+@example(binary=BinaryImageTensor(np.zeros((1, 4, 0), dtype=np.uint8), SpaceParams(4, 1.0)))
 def test_one_hot_soft_copy_scores_zero_against_binary_original(binary):
     soft = SoftImageTensor(binary.grid.astype(np.float64), binary.params)
-    for a, b in ((soft, binary), (binary, soft), (binary, binary)):
+    for a, b in ((soft, binary), (binary, soft), (binary, binary), (soft, soft)):
         assert emd(a, b) == 0.0
         assert kld(a, b) == 0.0
         assert loss(a, b) == 0.0
