@@ -266,17 +266,22 @@ def cmd_solve_ms(args) -> int:
 def _parse_perturbation(text: str) -> PerturbationSpec:
     kind, _, rest = text.partition(":")
     kind = kind.strip()
-    if kind == "gaussian_noise":
-        return PerturbationSpec(kind=kind, noise_std=float(rest) if rest else 0.1)
-    if kind == "missing":
-        return PerturbationSpec(kind=kind, missing_probability=float(rest) if rest else 0.3)
-    if kind == "harmonic":
-        if rest:
-            parts = [p.strip() for p in rest.split(",")]
-            amp = float(parts[0]) if parts[0] else None
-            freq = float(parts[1]) if len(parts) > 1 and parts[1] else None
-            return PerturbationSpec(kind=kind, harmonic_amplitude=amp, harmonic_frequency=freq)
-        return PerturbationSpec(kind=kind)
+    try:
+        if kind == "gaussian_noise":
+            return PerturbationSpec(kind=kind, noise_std=float(rest) if rest else 0.1)
+        if kind == "missing":
+            return PerturbationSpec(kind=kind, missing_probability=float(rest) if rest else 0.3)
+        if kind == "harmonic":
+            if rest:
+                parts = [p.strip() for p in rest.split(",")]
+                if len(parts) > 2:
+                    raise ValueError(f"harmonic takes at most two parameters (amp,freq), got {len(parts)}")
+                amp = float(parts[0]) if parts[0] else None
+                freq = float(parts[1]) if len(parts) > 1 and parts[1] else None
+                return PerturbationSpec(kind=kind, harmonic_amplitude=amp, harmonic_frequency=freq)
+            return PerturbationSpec(kind=kind)
+    except ValueError as exc:
+        raise TsgridError(f"--perturb {text!r}: {exc}") from exc
     raise TsgridError(f"unknown perturbation {text!r} (expected gaussian_noise[:std], harmonic[:amp,freq], missing[:p])")
 
 
@@ -346,8 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tsgrid", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, seeded: bool = False) -> None:
-        p.add_argument("--config", help="INI config file ([section] with key = value lines)")
+    def add_common(p: argparse.ArgumentParser, seeded: bool = False, configured: bool = True) -> None:
+        if configured:
+            p.add_argument("--config", help="INI config file ([section] with key = value lines)")
         p.add_argument("--output-dir", "-o", help=f"output directory (or ${OUTPUT_DIR_ENV})")
         if seeded:
             p.add_argument("--seed", type=int, help="random seed; auto-chosen and recorded if omitted")
@@ -375,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("decode", help="decode graymaps back into series CSVs")
-    add_common(p)
+    add_common(p, configured=False)
     p.add_argument("inputs", nargs="+", help=".meta files written by encode")
     p.add_argument("--allow-missing", action="store_true", help="treat all-zero columns as missing samples")
     p.set_defaults(func=cmd_decode)
@@ -407,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("perturb", help="write a perturbed copy of a dataset CSV")
-    add_common(p, seeded=True)
+    add_common(p, seeded=True, configured=False)
     p.add_argument("--dataset", required=True, help="input series CSV")
     p.add_argument("--kind", required=True, choices=["gaussian_noise", "harmonic", "missing"])
     p.add_argument("--noise-std", type=float, help="gaussian_noise std (default 0.1)")

@@ -15,12 +15,17 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, EvaluationError, InputError
 from .forecasters import ForecasterHandle, _predicted_rows
 from .imagespace import SpaceParams, decode_rows, denormalize, encode_rows, normalize
 from .rng import RngStream
 from .series import TimeSeries, carry_forward, linear_resample
+
+# Window samples (lookback + horizon, all channels) scored per block: bounds
+# the memory of a cell with many overlapping windows, e.g. at stride 1.
+WINDOW_BLOCK_SAMPLES = 2**18
 
 
 @dataclass(frozen=True)
@@ -73,13 +78,19 @@ class PerturbationSpec:
 
     def label(self) -> str:
         if self.kind == "gaussian_noise":
-            return f"gaussian_noise:{self.noise_std:g}"
+            return f"gaussian_noise:{_exact(self.noise_std)}"
         if self.kind == "missing":
-            return f"missing:{self.missing_probability:g}"
+            return f"missing:{_exact(self.missing_probability)}"
         if self.harmonic_amplitude is None and self.harmonic_frequency is None:
             return "harmonic"
-        amp, freq = ("" if v is None else f"{v:g}" for v in (self.harmonic_amplitude, self.harmonic_frequency))
+        amp, freq = ("" if v is None else _exact(v) for v in (self.harmonic_amplitude, self.harmonic_frequency))
         return f"harmonic:{amp},{freq}"
+
+
+def _exact(value: float) -> str:
+    """``%g`` when it parses back to the same float, else the exact ``repr``."""
+    short = f"{value:g}"
+    return short if float(short) == value else repr(float(value))
 
 
 @dataclass(frozen=True)
@@ -215,6 +226,51 @@ def _window_predictions(
     return denormalize(TimeSeries(z_pred), stats).values
 
 
+def _cell_errors(
+    model: ForecasterHandle, series: TimeSeries, lookback: int, horizon: int, stride: int, space: SpaceParams
+) -> tuple[float, float, int, int]:
+    """Squared and absolute error sums, scored targets and windows of one (beta, horizon) cell.
+
+    Every model is channel-independent, so windows are folded into the row
+    axis (window-major, one row per channel) and one ``_window_predictions``
+    call scores a block of up to ``WINDOW_BLOCK_SAMPLES`` window samples.
+    Each window's errors are summed on their own and accumulated in window
+    order, so the result is bit-identical to scoring window by window.
+    """
+    span = lookback + horizon
+    channels = series.channels
+    values = sliding_window_view(series.values, span, axis=1)[:, ::stride]  # (channels, windows, span)
+    missing = None if series.missing is None else sliding_window_view(series.missing, span, axis=1)[:, ::stride]
+    n_windows = values.shape[1]
+    per_block = max(1, WINDOW_BLOCK_SAMPLES // (channels * span))
+
+    sq_sum = 0.0
+    abs_sum = 0.0
+    count = 0
+    for first in range(0, n_windows, per_block):
+        block = values[:, first : first + per_block].swapaxes(0, 1).reshape(-1, span)
+        gaps = None if missing is None else missing[:, first : first + per_block].swapaxes(0, 1).reshape(-1, span)
+        target = block[:, lookback:]
+        look_missing = None if gaps is None else gaps[:, :lookback]
+        preds = _window_predictions(model, block[:, :lookback], look_missing, horizon, target, space)
+        diff = (preds - target).reshape(-1, channels * horizon)
+        if gaps is None:
+            sq = np.sum(diff * diff, axis=1)
+            ab = np.sum(np.abs(diff), axis=1)
+            count += diff.size
+        else:
+            # compressed errors per window: zero-filling masked cells would change the summation order
+            keep = ~gaps[:, lookback:].reshape(diff.shape)
+            kept = np.split(diff[keep], np.cumsum(keep.sum(axis=1))[:-1])
+            sq = [np.sum(d * d) for d in kept]
+            ab = [np.sum(np.abs(d)) for d in kept]
+            count += int(keep.sum())
+        for s, a in zip(sq, ab):
+            sq_sum += float(s)
+            abs_sum += float(a)
+    return sq_sum, abs_sum, count, n_windows
+
+
 def remetrics(
     truth: TimeSeries,
     model: ForecasterHandle,
@@ -229,8 +285,9 @@ def remetrics(
     """Score a forecaster over the full rescale set.
 
     For each factor the truth is rescaled (then perturbed, for robustness
-    scenarios), non-overlapping windows invoke the model on the lookback,
-    and squared/absolute errors against the window's future accumulate.
+    scenarios), windows every ``stride`` samples (non-overlapping by
+    default) invoke the model on the lookback, and squared/absolute errors
+    against the window's future accumulate.
     Multichannel series are handled channel-independently.  Rescale factors
     leaving no room for a single window are recorded with zero windows; if
     no factor yields a window for any horizon, the run is an error.
@@ -254,28 +311,7 @@ def remetrics(
                 rows.append(ReportRow(dataset, horizon, beta, scenario, None, None, 0))
                 continue
 
-            sq_sum = 0.0
-            abs_sum = 0.0
-            count = 0
-            n_windows = 0
-            last_start = rescaled.length - cfg.lookback - horizon
-            for start in range(0, last_start + 1, stride):
-                split = start + cfg.lookback
-                look_values = rescaled.values[:, start:split]
-                look_missing = None if rescaled.missing is None else rescaled.missing[:, start:split]
-                target_values = rescaled.values[:, split : split + horizon]
-                target_missing = None if rescaled.missing is None else rescaled.missing[:, split : split + horizon]
-
-                preds = _window_predictions(model, look_values, look_missing, horizon, target_values, space)
-                diff = preds - target_values
-                if target_missing is not None:
-                    keep = ~target_missing
-                    diff = diff[keep]
-                sq_sum += float(np.sum(diff * diff))
-                abs_sum += float(np.sum(np.abs(diff)))
-                count += diff.size
-                n_windows += 1
-
+            sq_sum, abs_sum, count, n_windows = _cell_errors(model, rescaled, cfg.lookback, horizon, stride, space)
             if count == 0:
                 rows.append(ReportRow(dataset, horizon, beta, scenario, None, None, n_windows))
             else:

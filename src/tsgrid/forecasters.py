@@ -213,7 +213,4 @@ def _predicted_rows(model: ForecasterHandle, lookback: TimeSeries, horizon: int,
     channel in value space, and the prediction is binned into the grid.
     """
     filled = carry_forward(lookback.values, lookback.missing)
-    rows = np.empty((lookback.channels, horizon), dtype=np.int64)
-    for i in range(lookback.channels):
-        rows[i] = value_to_row(model.predict(filled[i], horizon), params)
-    return rows
+    return value_to_row(np.stack([model.predict(row, horizon) for row in filled]), params)

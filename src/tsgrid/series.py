@@ -93,16 +93,14 @@ def carry_forward(values: np.ndarray, missing: np.ndarray | None) -> np.ndarray:
     Leading missing positions take the first observed value; an all-missing
     channel collapses to zeros.
     """
-    v = np.atleast_2d(np.asarray(values, dtype=np.float64)).copy()
+    v = np.atleast_2d(np.asarray(values, dtype=np.float64))
     if missing is None:
-        return v
-    m = np.atleast_2d(np.asarray(missing, dtype=bool))
-    for i in range(v.shape[0]):
-        obs = np.flatnonzero(~m[i])
-        if obs.size == 0:
-            v[i] = 0.0
-            continue
-        idx = np.searchsorted(obs, np.arange(v.shape[1]), side="right") - 1
-        idx = np.clip(idx, 0, obs.size - 1)
-        v[i] = v[i, obs[idx]]
+        return v.copy()
+    observed = ~np.atleast_2d(np.asarray(missing, dtype=bool))
+    # index of the last observed position so far (-1 before the first one)
+    idx = np.where(observed, np.arange(v.shape[1]), -1)
+    np.maximum.accumulate(idx, axis=1, out=idx)
+    idx = np.where(idx < 0, observed.argmax(axis=1)[:, None], idx)
+    v = np.take_along_axis(v, idx, axis=1)
+    v[~observed.any(axis=1)] = 0.0
     return v

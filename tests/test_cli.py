@@ -375,10 +375,32 @@ def test_evaluate_keeps_distinct_harmonic_scenarios_apart(tmp_path):
         PerturbationSpec("harmonic"),
         PerturbationSpec("gaussian_noise", noise_std=0.25),
         PerturbationSpec("missing", missing_probability=0.5),
+        PerturbationSpec("gaussian_noise", noise_std=0.1000001),
     ],
 )
 def test_perturbation_label_parses_back(spec):
     assert _parse_perturbation(spec.label()) == spec
+
+
+def test_evaluate_keeps_scenarios_apart_past_the_sixth_digit(tmp_path):
+    src = tmp_path / "data.csv"
+    write_sine(src, length=400)
+    args = ["evaluate", "--dataset", str(src), "--model", "persistence", "--lookback", "32", "--horizons", "16"]
+    args += ["--betas", "1", "--perturb", "gaussian_noise:0.1000001", "--perturb", "gaussian_noise:0.1000002"]
+    assert main(args + ["--seed", "2", "-o", str(tmp_path / "ev")]) == 0
+    with open(tmp_path / "ev" / "report.csv", newline="") as handle:
+        aggregates = {r["scenario"]: r for r in csv.DictReader(handle) if r["beta"] == "mean(U)"}
+    assert sorted(aggregates) == ["gaussian_noise:0.1000001", "gaussian_noise:0.1000002", "none"]
+    assert {r["windows"] for r in aggregates.values()} == {aggregates["none"]["windows"]}
+
+
+@pytest.mark.parametrize("spec", ["gaussian_noise:abc", "harmonic:1,2,3"])
+def test_evaluate_rejects_malformed_perturb_spec(tmp_path, capsys, spec):
+    src = tmp_path / "data.csv"
+    write_sine(src, length=400)
+    args = ["evaluate", "--dataset", str(src), "--model", "persistence", "--perturb", spec, "-o", str(tmp_path / "ev")]
+    assert main(args) == 1
+    assert f"--perturb {spec!r}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- perturb
@@ -423,6 +445,18 @@ def test_missing_config_file_errors(tmp_path, capsys):
     rc = main(["generate", "-n", "1", "--seed", "1", "--config", str(tmp_path / "none.ini"), "-o", str(tmp_path / "o")])
     assert rc == 1
     assert "config file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["perturb", "decode"])
+def test_config_flag_is_rejected_where_no_config_is_read(tmp_path, capsys, command):
+    argv = {
+        "perturb": ["perturb", "--dataset", str(tmp_path / "d.csv"), "--kind", "missing", "--seed", "1"],
+        "decode": ["decode", str(tmp_path / "d.meta")],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", str(tmp_path / "none.ini"), "-o", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
 
 
 def test_help_exits_zero_for_every_subcommand(capsys):

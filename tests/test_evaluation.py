@@ -19,9 +19,11 @@ from tsgrid import (
     remetrics,
     tsi_rescale,
 )
-from tsgrid.evaluation import _window_predictions
+from tsgrid import evaluation
+from tsgrid.evaluation import ReportRow, _window_predictions
 from tsgrid.forecasters import ForecasterHandle, forecast, make_mask
 from tsgrid.imagespace import SoftImageTensor, SpaceParams, denormalize, encode, normalize, soft_decode
+from tsgrid.series import carry_forward
 
 
 def walk(length, seed=0, scale=1.0):
@@ -350,3 +352,149 @@ def test_image_window_rejects_one_sample_lookback_for_linear_trend():
     model = get_model("linear-trend-image")
     with pytest.raises(InputError, match="at least 2 samples, got 1"):
         _window_predictions(model, np.array([[5.0], [-2.0]]), None, 3, np.zeros((2, 3)), SpaceParams())
+
+
+# ---------------------------------------------------------------- batched cells
+
+
+def window_loop_remetrics(truth, model, cfg, *, perturbation=None, rng=None, space=None):
+    """Reference: score every window of every cell on its own, accumulating in window order."""
+    space = space or SpaceParams()
+    rows = []
+    for b_idx, beta in enumerate(cfg.rescale_factors):
+        try:
+            rescaled = tsi_rescale(truth, beta)
+        except InputError:
+            rescaled = None
+        if rescaled is not None and perturbation is not None:
+            rescaled = perturb(rescaled, perturbation, rng.child(b_idx))
+
+        for horizon in cfg.horizons:
+            stride = cfg.stride if cfg.stride is not None else horizon
+            if rescaled is None or rescaled.length < cfg.lookback + horizon:
+                rows.append(ReportRow("series", horizon, beta, "none", None, None, 0))
+                continue
+
+            sq_sum = 0.0
+            abs_sum = 0.0
+            count = 0
+            n_windows = 0
+            last_start = rescaled.length - cfg.lookback - horizon
+            for start in range(0, last_start + 1, stride):
+                split = start + cfg.lookback
+                look_values = rescaled.values[:, start:split]
+                look_missing = None if rescaled.missing is None else rescaled.missing[:, start:split]
+                target_values = rescaled.values[:, split : split + horizon]
+                target_missing = None if rescaled.missing is None else rescaled.missing[:, split : split + horizon]
+
+                preds = _window_predictions(model, look_values, look_missing, horizon, target_values, space)
+                diff = preds - target_values
+                if target_missing is not None:
+                    diff = diff[~target_missing]
+                sq_sum += float(np.sum(diff * diff))
+                abs_sum += float(np.sum(np.abs(diff)))
+                count += diff.size
+                n_windows += 1
+
+            if count == 0:
+                rows.append(ReportRow("series", horizon, beta, "none", None, None, n_windows))
+            else:
+                rows.append(ReportRow("series", horizon, beta, "none", sq_sum / count, abs_sum / count, n_windows))
+    return rows
+
+
+@st.composite
+def evaluation_cases(draw):
+    channels = draw(st.integers(1, 3))
+    length = draw(st.integers(8, 120))
+    values = draw(arrays(np.float64, (channels, length), elements=st.floats(-1e3, 1e3)))
+    if draw(st.booleans()):
+        values[draw(st.integers(0, channels - 1))] = draw(st.floats(-1e3, 1e3))  # constant: floored std
+    missing = None
+    if draw(st.booleans()):
+        missing = draw(arrays(np.bool_, (channels, length)))
+        missing[0, : draw(st.integers(0, length))] = True  # leading gap, up to the whole channel
+        if draw(st.booleans()):
+            missing[-1] = True  # an all-missing channel
+        if draw(st.booleans()):
+            missing[:, draw(st.integers(0, length)) :] = True  # all-missing targets from here on
+    lookback = draw(st.integers(2, 24))
+    horizons = tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=2)))
+    # stride below, equal to and above the horizon
+    stride = draw(st.sampled_from([None, 1, 2, 5, 13]))
+    betas = tuple(draw(st.lists(st.sampled_from([0.5, 0.66, 1.0, 1.5, 2.0]), min_size=1, max_size=3)))
+    perturbation = draw(
+        st.sampled_from(
+            [
+                None,
+                PerturbationSpec(kind="gaussian_noise", noise_std=0.5),
+                PerturbationSpec(kind="harmonic"),
+                PerturbationSpec(kind="missing", missing_probability=0.4),
+            ]
+        )
+    )
+    space = SpaceParams(h=draw(st.sampled_from([2, 7, 128])), ms=draw(st.sampled_from([0.5, 3.5])))
+    model_id = draw(
+        st.sampled_from(
+            [
+                "persistence",
+                "seasonal-naive",
+                "linear-trend",
+                "persistence-image",
+                "seasonal-naive-image",
+                "linear-trend-image",
+                "oracle",
+            ]
+        )
+    )
+    block = draw(st.sampled_from([1, 40, 200, evaluation.WINDOW_BLOCK_SAMPLES]))
+    cfg = EvalConfig(lookback=lookback, horizons=horizons, rescale_factors=betas, stride=stride)
+    return TimeSeries(values, missing), get_model(model_id), cfg, perturbation, space, block
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=evaluation_cases())
+def test_remetrics_matches_window_by_window_loop(case):
+    truth, model, cfg, perturbation, space, block = case
+    expected = window_loop_remetrics(truth, model, cfg, perturbation=perturbation, rng=RngStream(3), space=space)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluation, "WINDOW_BLOCK_SAMPLES", block)  # small blocks split a cell
+        if not any(r.mse is not None for r in expected):
+            with pytest.raises(EvaluationError):
+                remetrics(truth, model, cfg, perturbation=perturbation, rng=RngStream(3), space=space)
+            return
+        report = remetrics(truth, model, cfg, perturbation=perturbation, rng=RngStream(3), space=space)
+    assert report.rows == expected
+
+
+def loop_carry_forward(values, missing):
+    """Reference: carry each channel forward with its own search over observed indices."""
+    v = np.atleast_2d(np.asarray(values, dtype=np.float64)).copy()
+    if missing is None:
+        return v
+    m = np.atleast_2d(np.asarray(missing, dtype=bool))
+    for i in range(v.shape[0]):
+        obs = np.flatnonzero(~m[i])
+        if obs.size == 0:
+            v[i] = 0.0
+            continue
+        idx = np.searchsorted(obs, np.arange(v.shape[1]), side="right") - 1
+        idx = np.clip(idx, 0, obs.size - 1)
+        v[i] = v[i, obs[idx]]
+    return v
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_carry_forward_matches_per_channel_loop(data):
+    channels = data.draw(st.integers(1, 4))
+    length = data.draw(st.integers(1, 40))
+    values = data.draw(arrays(np.float64, (channels, length), elements=st.floats(-1e6, 1e6)))
+    missing = data.draw(arrays(np.bool_, (channels, length)))
+    missing[0, : data.draw(st.integers(0, length))] = True  # leading gap, up to the whole channel
+    if data.draw(st.booleans()):
+        missing[-1] = True
+    missing = data.draw(st.sampled_from([None, missing]))
+    got = carry_forward(values, missing)
+    assert np.array_equal(got, loop_carry_forward(values, missing))
+    assert not np.shares_memory(got, values)
