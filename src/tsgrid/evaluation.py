@@ -42,8 +42,8 @@ class EvalConfig:
             raise ConfigurationError(f"lookback must be positive, got {self.lookback}")
         if not self.horizons or any(h < 1 for h in self.horizons):
             raise ConfigurationError(f"horizons must be positive, got {self.horizons}")
-        if not self.rescale_factors or any(b <= 0 for b in self.rescale_factors):
-            raise ConfigurationError(f"rescale factors must be positive, got {self.rescale_factors}")
+        if not self.rescale_factors or not all(b > 0 and math.isfinite(b) for b in self.rescale_factors):
+            raise ConfigurationError(f"rescale factors must be positive and finite, got {self.rescale_factors}")
         if self.stride is not None and self.stride < 1:
             raise ConfigurationError(f"stride must be positive, got {self.stride}")
 
@@ -67,14 +67,15 @@ class PerturbationSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("gaussian_noise", "harmonic", "missing"):
             raise ConfigurationError(f"unknown perturbation kind {self.kind!r}")
-        if self.noise_std < 0:
-            raise ConfigurationError(f"noise std must be nonnegative, got {self.noise_std}")
+        if not (self.noise_std >= 0 and math.isfinite(self.noise_std)):
+            raise ConfigurationError(f"noise std must be nonnegative and finite, got {self.noise_std}")
         if not 0.0 <= self.missing_probability <= 1.0:
             raise ConfigurationError(f"missing probability must be in [0, 1], got {self.missing_probability}")
-        if self.harmonic_amplitude is not None and self.harmonic_amplitude < 0:
-            raise ConfigurationError(f"harmonic amplitude must be nonnegative, got {self.harmonic_amplitude}")
-        if self.harmonic_frequency is not None and self.harmonic_frequency <= 0:
-            raise ConfigurationError(f"harmonic frequency must be positive, got {self.harmonic_frequency}")
+        amp, freq = self.harmonic_amplitude, self.harmonic_frequency
+        if amp is not None and not (amp >= 0 and math.isfinite(amp)):
+            raise ConfigurationError(f"harmonic amplitude must be nonnegative and finite, got {amp}")
+        if freq is not None and not (freq > 0 and math.isfinite(freq)):
+            raise ConfigurationError(f"harmonic frequency must be positive and finite, got {freq}")
 
     def label(self) -> str:
         if self.kind == "gaussian_noise":
@@ -290,7 +291,8 @@ def remetrics(
     against the window's future accumulate.
     Multichannel series are handled channel-independently.  Rescale factors
     leaving no room for a single window are recorded with zero windows; if
-    no factor yields a window for any horizon, the run is an error.
+    no cell scores a target (no window, or every target masked), the run is
+    an error.
     """
     if perturbation is not None and rng is None:
         raise ConfigurationError("a random stream is required for perturbation scenarios")
@@ -320,10 +322,11 @@ def remetrics(
                 )
 
     if not any(r.mse is not None for r in rows):
-        raise EvaluationError(
-            f"series too short for every (rescale factor, horizon) pair: length {truth.length}, "
-            f"lookback {cfg.lookback}, horizons {cfg.horizons}"
-        )
+        if any(r.windows for r in rows):
+            problem = "every target is masked in every (rescale factor, horizon) pair with a window"
+        else:
+            problem = "series too short for every (rescale factor, horizon) pair"
+        raise EvaluationError(f"{problem}: length {truth.length}, lookback {cfg.lookback}, horizons {cfg.horizons}")
     return EvalReport(rows)
 
 

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CapabilityError, InputError
-from .imagespace import BinaryImageTensor, SoftImageTensor, SpaceParams, decode, preprocess, value_to_row
+from .imagespace import BinaryImageTensor, SoftImageTensor, SpaceParams, _one_hot, decode, preprocess, value_to_row
 from .series import TimeSeries, carry_forward
 
 MAX_LOOKBACK = 8192
@@ -48,9 +48,9 @@ def apply_mask(image: BinaryImageTensor, mask: TemporalMask) -> BinaryImageTenso
     """Zero all columns at and beyond the mask's lookback."""
     if mask.length != image.length:
         raise InputError(f"mask length {mask.length} does not match image length {image.length}")
-    grid = image.grid.copy()
-    grid[:, :, mask.lookback :] = 0
-    return BinaryImageTensor(grid, image.params)
+    rows = image.rows.copy()
+    rows[:, mask.lookback :] = -1
+    return BinaryImageTensor._from_rows(rows, image.params)
 
 
 @dataclass(frozen=True)
@@ -186,7 +186,7 @@ def forecast(
         raise InputError("mask leaves nothing to predict")
     model.check_capability(mask.lookback, horizon)
 
-    visible = BinaryImageTensor(image.grid[:, :, : mask.lookback].copy(), image.params)
+    visible = BinaryImageTensor._from_rows(image.rows[:, : mask.lookback], image.params)
     decoded = decode(visible, allow_missing=True)
     if blur_kernel is not None:
         if decoded.missing is not None:
@@ -197,12 +197,9 @@ def forecast(
             )
         prefix = preprocess(visible, blur_kernel).grid
     else:
-        prefix = visible.grid.astype(np.float64)
+        prefix = _one_hot(visible.rows, image.params.h)
     rows = _predicted_rows(model, decoded, horizon, image.params)
-
-    out = np.zeros((image.channels, image.params.h, image.length))
-    out[:, :, : mask.lookback] = prefix
-    np.put_along_axis(out[:, :, mask.lookback :], rows[:, None, :], 1.0, axis=1)
+    out = np.concatenate([prefix, _one_hot(rows, image.params.h)], axis=2)
     return SoftImageTensor(out, image.params)
 
 

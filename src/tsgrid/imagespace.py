@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 from scipy.ndimage import convolve1d
@@ -55,21 +54,74 @@ class NormStats:
     floored: np.ndarray
 
 
+def _checked_grid(grid, dtype: type, params: SpaceParams) -> np.ndarray:
+    g = np.asarray(grid, dtype=dtype)
+    if g.ndim != 3:
+        raise InputError(f"grid must be 3-D (channels, h, length), got ndim={g.ndim}")
+    if g.shape[1] != params.h:
+        raise InputError(f"grid height {g.shape[1]} does not match params.h={params.h}")
+    return g
+
+
+# Row codes of columns a single active row cannot describe.
+_EMPTY, _ENTRY_ABOVE_ONE, _SEVERAL_ACTIVE = -1, -2, -3
+
+
+@dataclass(init=False)
+class BinaryImageTensor:
+    """One-hot-per-column grid of shape (channels, h, length), stored as the
+    active row of each column, shape (channels, length).
+
+    Columns encoding missing samples are empty (row -1); everything else has
+    exactly one active cell.  A dense grid given to the constructor is
+    turned into rows once; a column with an entry above 1 (row -2) or with
+    several active cells (row -3) is kept and rejected where it is used.
+    """
+
+    rows: np.ndarray
+    params: SpaceParams
+
+    def __init__(self, grid: np.ndarray, params: SpaceParams) -> None:
+        g = _checked_grid(grid, np.uint8, params)
+        colsums = g.sum(axis=1)
+        # on a one-hot column the row-weighted sum is the active row
+        weighted = np.einsum("chl,h->cl", g, np.arange(params.h))
+        self.rows = np.select(
+            [colsums == 1, colsums == 0, g.max(axis=1) > 1], [weighted, _EMPTY, _ENTRY_ABOVE_ONE], _SEVERAL_ACTIVE
+        )
+        self.params = params
+
+    @classmethod
+    def _from_rows(cls, rows: np.ndarray, params: SpaceParams) -> BinaryImageTensor:
+        """Wrap int64 rows (channels, length) with no dense grid; -1 marks an empty column."""
+        image = cls.__new__(cls)
+        image.rows, image.params = rows, params
+        return image
+
+    @property
+    def grid(self) -> np.ndarray:
+        """The dense uint8 grid, built on demand; a malformed column raises :class:`StructuralError`."""
+        _check_columns(self.rows, allow_missing=True)
+        return _one_hot(self.rows, self.params.h, np.uint8)
+
+    @property
+    def channels(self) -> int:
+        return self.rows.shape[0]
+
+    @property
+    def length(self) -> int:
+        return self.rows.shape[1]
+
+
 @dataclass
-class _GridTensor:
-    """Grid of shape (channels, h, length) stored with the subclass's dtype."""
+class SoftImageTensor:
+    """Column-normalized nonnegative grid of shape (channels, h, length)."""
 
     grid: np.ndarray
     params: SpaceParams
-    _dtype: ClassVar[type]
 
     def __post_init__(self) -> None:
-        g = np.asarray(self.grid, dtype=self._dtype)
-        if g.ndim != 3:
-            raise InputError(f"grid must be 3-D (channels, h, length), got ndim={g.ndim}")
-        if g.shape[1] != self.params.h:
-            raise InputError(f"grid height {g.shape[1]} does not match params.h={self.params.h}")
-        self.grid = g
+        self.grid = _checked_grid(self.grid, np.float64, self.params)
 
     @property
     def channels(self) -> int:
@@ -78,22 +130,6 @@ class _GridTensor:
     @property
     def length(self) -> int:
         return self.grid.shape[2]
-
-
-class BinaryImageTensor(_GridTensor):
-    """One-hot-per-column grid of shape (channels, h, length).
-
-    Columns encoding missing samples are all-zero; everything else has
-    exactly one active cell.
-    """
-
-    _dtype = np.uint8
-
-
-class SoftImageTensor(_GridTensor):
-    """Column-normalized nonnegative grid of shape (channels, h, length)."""
-
-    _dtype = np.float64
 
 
 def normalize(series: TimeSeries, lookback: int) -> tuple[TimeSeries, NormStats]:
@@ -161,11 +197,16 @@ def decode_rows(rows: np.ndarray, params: SpaceParams) -> TimeSeries:
 
 def encode(series: TimeSeries, params: SpaceParams) -> BinaryImageTensor:
     """Map a series onto the grid; missing samples become all-zero columns."""
-    rows = encode_rows(series, params)
-    grid = np.zeros((series.channels, params.h, series.length), dtype=np.uint8)
-    np.put_along_axis(grid, rows[:, None, :], 1, axis=1)
-    grid[:, -1][rows < 0] = 0  # row -1 (missing) wrapped around to the top cell
-    return BinaryImageTensor(grid, params)
+    return BinaryImageTensor._from_rows(encode_rows(series, params), params)
+
+
+def _check_columns(rows: np.ndarray, allow_missing: bool) -> None:
+    if np.any(rows == _ENTRY_ABOVE_ONE):
+        raise StructuralError("binary grid entries must be 0 or 1")
+    if np.any(rows == _SEVERAL_ACTIVE):
+        raise StructuralError("some columns have more than one active cell")
+    if not allow_missing and np.any(rows == _EMPTY):
+        raise StructuralError("some columns have no active cell (no missing markers expected)")
 
 
 def decode(image: BinaryImageTensor, allow_missing: bool = False) -> TimeSeries:
@@ -174,16 +215,8 @@ def decode(image: BinaryImageTensor, allow_missing: bool = False) -> TimeSeries:
     All-zero columns are a structural error unless ``allow_missing`` is set,
     in which case they surface in the result's missing mask (value 0.0).
     """
-    grid = image.grid
-    if grid.max(initial=0) > 1:
-        raise StructuralError("binary grid entries must be 0 or 1")
-    colsums = grid.sum(axis=1)
-    if np.any(colsums > 1):
-        raise StructuralError("some columns have more than one active cell")
-    empty = colsums == 0
-    if np.any(empty) and not allow_missing:
-        raise StructuralError("some columns have no active cell (no missing markers expected)")
-    return decode_rows(np.where(empty, -1, grid.argmax(axis=1)), image.params)
+    _check_columns(image.rows, allow_missing)
+    return decode_rows(image.rows, image.params)
 
 
 def soft_decode(image: SoftImageTensor) -> TimeSeries:
@@ -209,25 +242,13 @@ def _check_normalized(grid: np.ndarray, what: str) -> None:
         raise InputError(f"{what} columns must each sum to 1 within {_TOL}")
 
 
-def _active_rows(image: BinaryImageTensor, what: str) -> np.ndarray:
-    """Row of each column's active cell, shape (channels, length).
-
-    An integer column sums to 1 within the tolerance only when it is
-    one-hot, so this is the soft-grid column check made exact; on one-hot
-    columns the row-weighted sum is the active row.
-    """
-    grid = image.grid
-    if np.any(grid.sum(axis=1) != 1):
-        raise InputError(f"{what} columns must each sum to 1 within {_TOL}")
-    return np.einsum("chl,h->cl", grid, np.arange(grid.shape[1]))
-
-
 def _operands(a, b) -> tuple[np.ndarray, np.ndarray]:
     """Check that two grids are comparable and that their columns are
     distributions.  A binary operand comes back as its active rows
     (channels, length), a soft one as its float64 grid."""
-    if np.shape(a.grid) != np.shape(b.grid):
-        raise InputError(f"grid shapes differ: {np.shape(a.grid)} vs {np.shape(b.grid)}")
+    shape_a, shape_b = ((x.channels, x.params.h, x.length) for x in (a, b))
+    if shape_a != shape_b:
+        raise InputError(f"grid shapes differ: {shape_a} vs {shape_b}")
     if a.params != b.params:
         raise InputError("grid space parameters differ")
     return _operand(a, "left grid"), _operand(b, "right grid")
@@ -235,7 +256,10 @@ def _operands(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 def _operand(image, what: str) -> np.ndarray:
     if isinstance(image, BinaryImageTensor):
-        return _active_rows(image, what)
+        # a binary column sums to 1 exactly when it has one active row
+        if image.rows.min(initial=0) < 0:
+            raise InputError(f"{what} columns must each sum to 1 within {_TOL}")
+        return image.rows
     grid = np.asarray(image.grid, dtype=np.float64)
     _check_normalized(grid, what)
     return grid
@@ -248,6 +272,14 @@ def _columns(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     follows the memory layout.
     """
     return np.ascontiguousarray(np.take(table, rows, axis=1).swapaxes(0, 1))
+
+
+def _one_hot(rows: np.ndarray, h: int, dtype: type = np.float64) -> np.ndarray:
+    """Dense grid (channels, h, length) with a 1 at each column's row; a negative row leaves its column empty."""
+    grid = np.zeros((rows.shape[0], h, rows.shape[1]), dtype=dtype)
+    c, t = np.nonzero(rows >= 0)
+    grid[c, rows[c, t], t] = 1
+    return grid
 
 
 def _emd(x: np.ndarray, y: np.ndarray) -> float:
@@ -264,7 +296,7 @@ def _emd(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _kld(x: np.ndarray, y: np.ndarray, h: int, eps: float) -> float:
-    gp = _columns(np.eye(h), x) if x.ndim == 2 else x
+    gp = _one_hot(x, h) if x.ndim == 2 else x
     ps = gp + eps
     ps /= gp.sum(axis=1, keepdims=True) + h * eps
     if y.ndim == 2:
@@ -329,7 +361,7 @@ def preprocess(
     kh, kw = blur_kernel
     if kh < 1 or kw < 1 or kh % 2 == 0 or kw % 2 == 0:
         raise ConfigurationError(f"blur kernel dims must be odd positive integers, got {blur_kernel}")
-    rows = _active_rows(image, "preprocess input")
+    rows = _operand(image, "preprocess input")
 
     # blurring a one-hot column down the rows places the truncated kernel
     # at its active row: gather the blurred columns of the identity

@@ -223,6 +223,34 @@ def test_decode_structural_error_names_path(tmp_path, capsys):
     assert decoded.missing[0, 3]
 
 
+def test_decode_rejects_a_column_with_two_cells_in_its_graymap(tmp_path, capsys):
+    src = tmp_path / "sine.csv"
+    write_sine(src, length=16)
+    enc = tmp_path / "enc"
+    assert main(["encode", str(src), "--h", "8", "-o", str(enc)]) == 0
+    pgm = enc / "sine_ch0.pgm"
+    header, pixels = pgm.read_bytes().split(b"\n255\n", 1)
+    assert header == b"P5\n16 8"
+    plane = np.frombuffer(pixels, dtype=np.uint8).reshape(8, 16).copy()
+    active = int(np.flatnonzero(plane[:, 5])[0])
+    plane[(active + 3) % 8, 5] = 255  # a second active cell in column 5
+    pgm.write_bytes(header + b"\n255\n" + plane.tobytes())
+    assert main(["decode", str(enc / "sine.meta"), "-o", str(tmp_path / "dec")]) == 1
+    err = capsys.readouterr().err
+    assert str(enc / "sine.meta") in err
+    assert "more than one active cell" in err
+
+
+def test_readme_library_example_runs():
+    root = Path(__file__).resolve().parent.parent
+    block = (root / "README.md").read_text().split("## Library example", 1)[1]
+    code = block.split("```python\n", 1)[1].split("```", 1)[0]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[0].startswith("2.64")
+
+
 def test_encode_rejects_missing_input(tmp_path, capsys):
     assert main(["encode", str(tmp_path / "nope.csv"), "-o", str(tmp_path / "enc")]) == 1
     assert "nope.csv" in capsys.readouterr().err
@@ -394,7 +422,7 @@ def test_evaluate_keeps_scenarios_apart_past_the_sixth_digit(tmp_path):
     assert {r["windows"] for r in aggregates.values()} == {aggregates["none"]["windows"]}
 
 
-@pytest.mark.parametrize("spec", ["gaussian_noise:abc", "harmonic:1,2,3"])
+@pytest.mark.parametrize("spec", ["gaussian_noise:abc", "harmonic:1,2,3", "gaussian_noise:nan", "harmonic:inf"])
 def test_evaluate_rejects_malformed_perturb_spec(tmp_path, capsys, spec):
     src = tmp_path / "data.csv"
     write_sine(src, length=400)

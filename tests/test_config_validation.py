@@ -8,6 +8,7 @@ from tsgrid import (
     EvalConfig,
     GeneratorConfig,
     InputError,
+    PerturbationSpec,
     SpaceParams,
     SpectralPrior,
     TimeSeries,
@@ -94,6 +95,27 @@ def test_eval_config_validation():
         EvalConfig(rescale_factors=(1.0, -2.0))
     with pytest.raises(ConfigurationError):
         EvalConfig(stride=0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_eval_config_rejects_non_finite_rescale_factors(bad):
+    with pytest.raises(ConfigurationError, match=f"rescale factors must be positive and finite, got \\(1.0, {bad}\\)"):
+        EvalConfig(rescale_factors=(1.0, bad))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("noise_std", "noise std must be nonnegative and finite"),
+        ("harmonic_amplitude", "harmonic amplitude must be nonnegative and finite"),
+        ("harmonic_frequency", "harmonic frequency must be positive and finite"),
+    ],
+)
+def test_perturbation_spec_rejects_non_finite_parameters(field, message, bad):
+    kind = "gaussian_noise" if field == "noise_std" else "harmonic"
+    with pytest.raises(ConfigurationError, match=f"{message}, got {bad}"):
+        PerturbationSpec(kind=kind, **{field: bad})
 
 
 def test_time_series_validation():

@@ -195,6 +195,17 @@ def test_all_skipped_raises():
         remetrics(walk(18), get_model("persistence"), SMALL)
 
 
+def test_all_masked_targets_raise_with_their_own_reason():
+    missing = np.zeros((1, 200), dtype=bool)
+    missing[:, 32:] = True  # every cell has windows, but no observed target
+    truth = TimeSeries(walk(200).values, missing)
+    cfg = EvalConfig(lookback=32, horizons=(8,), rescale_factors=(1.0,))
+    with pytest.raises(EvaluationError, match=r"^every target is masked in every \(rescale factor, horizon\) pair"):
+        remetrics(truth, get_model("persistence"), cfg)
+    with pytest.raises(EvaluationError, match=r"^series too short for every \(rescale factor, horizon\) pair"):
+        remetrics(walk(18), get_model("persistence"), SMALL)
+
+
 def test_masked_targets_do_not_contribute():
     values = np.zeros(48)
     values[40] = 100.0  # the only nonzero target

@@ -16,6 +16,7 @@ from tsgrid import (
     SpaceParams,
     StructuralError,
     TimeSeries,
+    TsgridError,
     decode,
     emd,
     encode,
@@ -30,6 +31,7 @@ from tsgrid import (
     soft_decode,
     value_to_row,
 )
+from tsgrid.imagespace import _emd, _kld, decode_rows
 
 P128 = SpaceParams(h=128, ms=3.5)
 
@@ -553,6 +555,157 @@ def test_binary_operands_reject_bad_columns(defect):
                 metric(bad, other)
             with pytest.raises(InputError, match=f"right grid {message}"):
                 metric(other, bad)
+
+
+# ------------------------------------------- malformed grids vs the dense checks
+
+ENTRY_ABOVE_ONE = "binary grid entries must be 0 or 1"
+SEVERAL_ACTIVE = "some columns have more than one active cell"
+NO_ACTIVE = "some columns have no active cell (no missing markers expected)"
+
+
+def test_decode_names_the_first_structural_defect():
+    params = SpaceParams(h=8, ms=1.0)
+    good = np.zeros((1, 8, 3), dtype=np.uint8)
+    good[0, [1, 4, 6], [0, 1, 2]] = 1
+    value_two, two_active, both, apart = good.copy(), good.copy(), good.copy(), good.copy()
+    value_two[0, 4, 1] = 2
+    two_active[0, 0, 1] = 1
+    both[0, 4, 1] = 2  # one column with an entry above 1 and a second active cell
+    both[0, 0, 1] = 1
+    apart[0, 4, 1] = 2  # the two defects in different columns, plus an empty one
+    apart[0, 0, 2] = 1
+    apart[0, :, 0] = 0
+    emptied = two_active.copy()
+    emptied[0, :, 0] = 0
+    cases = [(value_two, ENTRY_ABOVE_ONE), (two_active, SEVERAL_ACTIVE), (both, ENTRY_ABOVE_ONE)]
+    cases += [(apart, ENTRY_ABOVE_ONE), (emptied, SEVERAL_ACTIVE)]
+    for grid, message in cases:
+        for allow_missing in (False, True):
+            with pytest.raises(StructuralError) as info:
+                decode(BinaryImageTensor(grid, params), allow_missing=allow_missing)
+            assert str(info.value) == message
+
+    empty = good.copy()
+    empty[0, :, 1] = 0
+    with pytest.raises(StructuralError) as info:
+        decode(BinaryImageTensor(empty, params))
+    assert str(info.value) == NO_ACTIVE
+    out = decode(BinaryImageTensor(empty, params), allow_missing=True)
+    assert out.missing.tolist() == [[False, True, False]]
+    assert out.values.tolist() == [[params.centers()[1], 0.0, params.centers()[6]]]
+
+
+def dense_decode(grid, params, allow_missing):
+    """Reference: decode checked and decoded on the dense grid (max, colsum, argmax)."""
+    if grid.max(initial=0) > 1:
+        raise StructuralError(ENTRY_ABOVE_ONE)
+    colsums = grid.sum(axis=1)
+    if np.any(colsums > 1):
+        raise StructuralError(SEVERAL_ACTIVE)
+    empty = colsums == 0
+    if np.any(empty) and not allow_missing:
+        raise StructuralError(NO_ACTIVE)
+    return decode_rows(np.where(empty, -1, grid.argmax(axis=1)), params)
+
+
+def dense_rows(grid, what):
+    """Reference: a binary operand's rows, checked on the dense grid.
+
+    An integer column sums to 1 only when it is one-hot; on one-hot columns
+    the row-weighted sum is the active row.
+    """
+    if np.any(grid.sum(axis=1) != 1):
+        raise InputError(f"{what} columns must each sum to 1 within 1e-09")
+    return np.einsum("chl,h->cl", grid, np.arange(grid.shape[1]))
+
+
+def dense_metric(name, a, b, h):
+    """Reference: a metric whose binary operands (uint8 arrays) are checked on the dense grid.
+
+    The transport and KL arithmetic on rows is shared with the library.
+    """
+    x, y = (
+        dense_rows(op, what) if isinstance(op, np.ndarray) else op.grid
+        for op, what in ((a, "left grid"), (b, "right grid"))
+    )
+    if name == "emd":
+        return _emd(x, y)
+    if name == "kld":
+        return _kld(x, y, h, 1e-8)
+    return _emd(x, y) + 0.2 * _kld(x, y, h, 1e-8)
+
+
+def outcome(fn, *args, **kwargs):
+    """A call's result, or the type and text of the package error it raised."""
+    try:
+        result = fn(*args, **kwargs)
+    except TsgridError as exc:
+        return type(exc), str(exc)
+    if isinstance(result, TimeSeries):
+        return result.values.tolist(), None if result.missing is None else result.missing.tolist()
+    if isinstance(result, SoftImageTensor):
+        return result.grid.tolist()
+    return result
+
+
+@st.composite
+def raw_grids(draw):
+    """uint8 grids with entries 0-3: one-hot columns, some overwritten by sparse noise."""
+    channels, h, length = draw(st.integers(1, 3)), draw(st.integers(2, 40)), draw(st.integers(0, 40))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = np.zeros((channels, h, length), dtype=np.uint8)
+    np.put_along_axis(grid, g.integers(0, h, (channels, 1, length)), 1, axis=1)
+    noisy = g.random((channels, 1, length)) < draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    density = draw(st.sampled_from([0.02, 0.1, 0.5, 1.0]))
+    noise = g.integers(0, 4, grid.shape) * (g.random(grid.shape) < density)
+    return np.where(noisy, noise, grid).astype(np.uint8), SpaceParams(h=h, ms=1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    values=arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 40)), elements=st.floats(-5.0, 5.0)),
+    data=st.data(),
+)
+def test_encoded_rows_survive_the_dense_grid(values, data):
+    missing = data.draw(st.one_of(st.none(), arrays(np.bool_, values.shape)))
+    params = SpaceParams(h=data.draw(st.integers(2, 40)), ms=1.0)
+    image = encode(TimeSeries(values, missing), params)
+    assert image.grid.shape == (values.shape[0], params.h, values.shape[1])
+    assert np.array_equal(BinaryImageTensor(image.grid, params).rows, image.rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=raw_grids(), seed=st.integers(0, 2**32 - 1))
+def test_malformed_grids_fail_as_the_dense_checks_do(case, seed):
+    grid, params = case
+    image = BinaryImageTensor(grid, params)
+    for allow_missing in (False, True):
+        assert outcome(decode, image, allow_missing=allow_missing) == outcome(dense_decode, grid, params, allow_missing)
+    if grid.max(initial=0) <= 1 and np.all(grid.sum(axis=1) <= 1):
+        assert np.array_equal(image.grid, grid)
+        assert np.array_equal(BinaryImageTensor(image.grid, params).rows, image.rows)
+    else:
+        with pytest.raises(StructuralError):
+            image.grid
+
+    def dense_preprocess():
+        dense_rows(grid, "preprocess input")
+        return SoftImageTensor(reference_preprocess(image, (31, 31)), params)
+
+    assert outcome(preprocess, image) == outcome(dense_preprocess)
+
+    g = np.random.default_rng(seed)
+    weights = g.random(grid.shape) + 0.01
+    soft = SoftImageTensor(weights / weights.sum(axis=1, keepdims=True), params)
+    one_hot = np.zeros_like(grid)
+    np.put_along_axis(one_hot, g.integers(0, params.h, (grid.shape[0], 1, grid.shape[2])), 1, axis=1)
+    # each operand as the library sees it and as the dense reference sees it
+    operands = [((soft, soft), (image, grid)), ((BinaryImageTensor(one_hot, params), one_hot), (image, grid))]
+    operands += [(right, left) for left, right in operands]
+    for name, metric in (("emd", emd), ("kld", kld), ("loss", loss)):
+        for (a, dense_a), (b, dense_b) in operands:
+            assert outcome(metric, a, b) == outcome(dense_metric, name, dense_a, dense_b, params.h)
 
 
 # ------------------------------------------------- geometric regularization
