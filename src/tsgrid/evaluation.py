@@ -212,16 +212,15 @@ def _window_predictions(
     target_values: np.ndarray,
     space: SpaceParams,
 ) -> np.ndarray:
-    """Channel-independent predictions, through the grid codec for image models."""
-    channels, lookback = look_values.shape
+    """Predictions for a block of channel-independent rows from one ``predict_rows`` call;
+    image models see the block through the grid codec."""
     if model.needs_future:
         return target_values.copy()
     if model.space == "numeric":
-        filled = carry_forward(look_values, look_missing)
-        return np.stack([model.predict(filled[i], horizon) for i in range(channels)])
+        return model.predict_rows(carry_forward(look_values, look_missing), horizon)
 
     # one active row per grid column: score on row indices, never on dense grids
-    z, stats = normalize(TimeSeries(look_values, look_missing), lookback)
+    z, stats = normalize(TimeSeries(look_values, look_missing), look_values.shape[1])
     visible = decode_rows(encode_rows(z, space), space)
     z_pred = space.centers()[_predicted_rows(model, visible, horizon, space)]
     return denormalize(TimeSeries(z_pred), stats).values
@@ -362,9 +361,12 @@ def evaluate_series(
 
     combined = EvalReport(rows)
     if verbose:
+        with_windows = {(r.dataset, r.horizon, r.scenario) for r in rows if r.windows}
         for agg in combined.aggregates():
             if agg.mse is None:
-                print(f"{agg.dataset} horizon={agg.horizon} scenario={agg.scenario}: skipped (series too short)")
+                masked = (agg.dataset, agg.horizon, agg.scenario) in with_windows
+                reason = "every target masked" if masked else "series too short"
+                print(f"{agg.dataset} horizon={agg.horizon} scenario={agg.scenario}: skipped ({reason})")
             else:
                 print(
                     f"{agg.dataset} horizon={agg.horizon} scenario={agg.scenario}: "

@@ -54,7 +54,7 @@ class NormStats:
     floored: np.ndarray
 
 
-def _checked_grid(grid, dtype: type, params: SpaceParams) -> np.ndarray:
+def _checked_grid(grid, dtype: type | None, params: SpaceParams) -> np.ndarray:
     g = np.asarray(grid, dtype=dtype)
     if g.ndim != 3:
         raise InputError(f"grid must be 3-D (channels, h, length), got ndim={g.ndim}")
@@ -64,7 +64,7 @@ def _checked_grid(grid, dtype: type, params: SpaceParams) -> np.ndarray:
 
 
 # Row codes of columns a single active row cannot describe.
-_EMPTY, _ENTRY_ABOVE_ONE, _SEVERAL_ACTIVE = -1, -2, -3
+_EMPTY, _BAD_ENTRY, _SEVERAL_ACTIVE = -1, -2, -3
 
 
 @dataclass(init=False)
@@ -74,20 +74,24 @@ class BinaryImageTensor:
 
     Columns encoding missing samples are empty (row -1); everything else has
     exactly one active cell.  A dense grid given to the constructor is
-    turned into rows once; a column with an entry above 1 (row -2) or with
-    several active cells (row -3) is kept and rejected where it is used.
+    turned into rows once; a column with an entry other than 0 or 1 (row
+    -2: above 1, negative, non-integer or NaN) or with several active cells
+    (row -3) is kept and rejected where it is used.
     """
 
     rows: np.ndarray
     params: SpaceParams
 
     def __init__(self, grid: np.ndarray, params: SpaceParams) -> None:
-        g = _checked_grid(grid, np.uint8, params)
+        raw = _checked_grid(grid, None, params)
+        with np.errstate(invalid="ignore"):  # NaN and inf fail the round trip below
+            g = raw.astype(np.uint8)
+        g[g != raw] = 2  # an entry the uint8 cast changed is bad, however it wrapped
         colsums = g.sum(axis=1)
         # on a one-hot column the row-weighted sum is the active row
         weighted = np.einsum("chl,h->cl", g, np.arange(params.h))
         self.rows = np.select(
-            [colsums == 1, colsums == 0, g.max(axis=1) > 1], [weighted, _EMPTY, _ENTRY_ABOVE_ONE], _SEVERAL_ACTIVE
+            [colsums == 1, colsums == 0, g.max(axis=1) > 1], [weighted, _EMPTY, _BAD_ENTRY], _SEVERAL_ACTIVE
         )
         self.params = params
 
@@ -201,7 +205,7 @@ def encode(series: TimeSeries, params: SpaceParams) -> BinaryImageTensor:
 
 
 def _check_columns(rows: np.ndarray, allow_missing: bool) -> None:
-    if np.any(rows == _ENTRY_ABOVE_ONE):
+    if np.any(rows == _BAD_ENTRY):
         raise StructuralError("binary grid entries must be 0 or 1")
     if np.any(rows == _SEVERAL_ACTIVE):
         raise StructuralError("some columns have more than one active cell")
@@ -361,6 +365,8 @@ def preprocess(
     kh, kw = blur_kernel
     if kh < 1 or kw < 1 or kh % 2 == 0 or kw % 2 == 0:
         raise ConfigurationError(f"blur kernel dims must be odd positive integers, got {blur_kernel}")
+    if not isinstance(image, BinaryImageTensor):
+        raise InputError(f"preprocess input must be a BinaryImageTensor, got {type(image).__name__}")
     rows = _operand(image, "preprocess input")
 
     # blurring a one-hot column down the rows places the truncated kernel

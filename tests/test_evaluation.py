@@ -206,6 +206,23 @@ def test_all_masked_targets_raise_with_their_own_reason():
         remetrics(walk(18), get_model("persistence"), SMALL)
 
 
+def test_verbose_names_why_an_aggregate_was_skipped(capsys):
+    missing = np.ones((1, 1000), dtype=bool)
+    missing[:, :40] = False
+    missing[:, 950:] = False
+    truth = TimeSeries(walk(1000).values, missing)
+    cfg = EvalConfig(lookback=100, horizons=(8, 500, 5000))
+    report = evaluate_series(truth, get_model("persistence"), cfg, verbose=True)
+    masked = [r for r in report.rows if r.horizon == 500]
+    assert sum(r.windows for r in masked) == 7 and all(r.mse is None for r in masked)
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("series horizon=8 scenario=none: ReMSE=")
+    assert out[1:] == [
+        "series horizon=500 scenario=none: skipped (every target masked)",
+        "series horizon=5000 scenario=none: skipped (series too short)",
+    ]
+
+
 def test_masked_targets_do_not_contribute():
     values = np.zeros(48)
     values[40] = 100.0  # the only nonzero target

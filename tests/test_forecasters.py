@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tsgrid import (
     CapabilityError,
+    ConfigurationError,
+    EvalConfig,
     ForecasterHandle,
     InputError,
+    PerturbationSpec,
     SpaceParams,
     TimeSeries,
     apply_mask,
     decode,
     detect_period,
     encode,
+    evaluate_series,
     forecast,
     from_1d,
     get_model,
@@ -18,6 +24,8 @@ from tsgrid import (
     register_baselines,
     soft_decode,
 )
+from tsgrid import forecasters
+from tsgrid.forecasters import _periods
 
 P64 = SpaceParams(h=64, ms=3.5)
 
@@ -135,6 +143,138 @@ def test_capability_limits_enforced():
         tiny.predict(np.zeros(9), 2)
     with pytest.raises(CapabilityError):
         tiny.predict(np.zeros(8), 5)
+
+
+# ---------------------------------------------------------------- batched predictions
+
+
+@st.composite
+def lookback_blocks(draw):
+    """Blocks of equal-length rows: noise, exactly periodic, constant, or cell centers."""
+    n = draw(st.integers(1, 600))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = np.arange(n)
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["noise", "sine", "saw", "tiled", "constant", "centers"]))
+        period = draw(st.integers(2, max(2, n // 2)))
+        scale = draw(st.sampled_from([1e-3, 1.0, 250.0]))
+        offset = draw(st.sampled_from([0.0, 1.0, -1e3]))
+        if kind == "noise":
+            row = g.standard_normal(n)
+        elif kind == "sine":
+            row = np.sin(2 * np.pi * t / period)
+        elif kind == "saw":
+            row = (t % period) / period
+        elif kind == "tiled":
+            row = np.tile(g.standard_normal(period), n // period + 1)[:n]
+        elif kind == "constant":
+            row = np.zeros(n)
+        else:
+            row = P64.centers()[g.integers(0, P64.h, n)]
+        rows.append(scale * row + offset)
+    return np.array(rows), draw(st.integers(1, 50))
+
+
+def per_series_baseline(model_id, x, horizon):
+    """Reference: the baselines as 1-D functions of one lookback."""
+    name = model_id.removesuffix("-image")
+    if name == "persistence":
+        return np.full(horizon, x[-1])
+    if name == "seasonal-naive":
+        period = detect_period(x)
+        return np.tile(x[-period:], int(np.ceil(horizon / period)))[:horizon]
+    slope, intercept = np.polyfit(np.arange(x.size, dtype=np.float64), x, 1)
+    return slope * np.arange(x.size, x.size + horizon, dtype=np.float64) + intercept
+
+
+@settings(max_examples=300, deadline=None)
+@given(block=lookback_blocks())
+@example(block=(np.ones((2, 1)), 3))  # rows too short for any lag degrade like detect_period
+@example(block=(np.array([[1.0, 2.0], [2.0, 2.0]]), 3))
+@example(block=(np.array([[1.0, 2.0, 4.0], [0.0, 0.0, 0.0]]), 3))
+def test_predict_rows_is_bit_equal_to_per_row_predict(block):
+    X, horizon = block
+    # the screen relies on the block mean being each row's own mean, bit for bit
+    assert np.array_equal(X.mean(axis=1), [x.mean() for x in X])
+    assert _periods(X).tolist() == [detect_period(x) for x in X]
+    future = np.linspace(-1.0, 1.0, X.shape[0] * (horizon + 3)).reshape(X.shape[0], -1)
+    for model in register_baselines():  # only the oracle reads the future
+        if model.id.startswith("linear-trend") and X.shape[1] < 2:
+            with pytest.raises(InputError, match="at least 2 samples, got 1"):
+                model.predict_rows(X, horizon)
+            continue
+        rows = model.predict_rows(X, horizon, future)
+        single = [model.predict(x, horizon, f) for x, f in zip(X, future)]
+        assert rows.shape == (X.shape[0], horizon)
+        assert np.array_equal(rows, np.stack(single))
+        if not model.needs_future:
+            assert np.array_equal(rows, np.stack([per_series_baseline(model.id, x, horizon) for x in X]))
+
+
+def test_periods_fall_back_to_detect_period_on_exact_ties(monkeypatch):
+    # lags 32, 64 and 96 of a period-32 sine have the same overlap-normalized autocorrelation
+    x = np.sin(2 * np.pi * np.arange(256) / 32.0)
+    calls = []
+
+    def counted(row, min_lag=2):
+        calls.append(row.size)
+        return detect_period(row, min_lag)
+
+    monkeypatch.setattr(forecasters, "detect_period", counted)
+    noise = np.random.default_rng(8).standard_normal(256)
+    assert _periods(np.stack([noise, x])).tolist() == [detect_period(noise), 32]
+    assert calls == [256]
+
+
+def test_predict_rows_validates_once_with_the_predict_texts():
+    tiny = ForecasterHandle(id="tiny", space="numeric", predict_fn=lambda x, n: np.zeros(n), max_lookback=8, max_horizon=4)
+    for model in (tiny, get_model("persistence")):
+        for bad in (np.zeros(4), np.zeros((1, 2, 3)), np.zeros((2, 0)), np.zeros((0, 4))):
+            with pytest.raises(InputError, match=r"^lookbacks must be a nonempty 2-D array$"):
+                model.predict_rows(bad, 2)
+        with pytest.raises(InputError, match=r"^horizon must be positive, got 0$"):
+            model.predict_rows(np.zeros((2, 4)), 0)
+    with pytest.raises(CapabilityError, match=r"^tiny: lookback 9 exceeds limit 8$"):
+        tiny.predict_rows(np.zeros((2, 9)), 2)
+    with pytest.raises(CapabilityError, match=r"^tiny: horizon 5 exceeds limit 4$"):
+        tiny.predict_rows(np.zeros((2, 8)), 5)
+    with pytest.raises(InputError, match=r"^oracle: this handle requires the true future$"):
+        get_model("oracle").predict_rows(np.zeros((2, 5)), 3)
+    future = np.arange(8.0).reshape(2, 4)
+    assert np.array_equal(get_model("oracle").predict_rows(np.zeros((2, 5)), 3, future=future), future[:, :3])
+
+
+def test_predict_rows_loops_a_one_dimensional_predict_fn():
+    seen = []
+
+    def last_plus_row(x, horizon):
+        seen.append(x.shape)
+        return np.full(horizon, x[-1] + len(seen))
+
+    handle = ForecasterHandle("loop", "numeric", last_plus_row)
+    out = handle.predict_rows(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]), 2)
+    assert seen == [(2,)] * 3
+    assert out.tolist() == [[3.0, 3.0], [6.0, 6.0], [9.0, 9.0]]
+
+
+def test_handle_needs_a_predict_function():
+    with pytest.raises(ConfigurationError, match="needs predict_fn or predict_rows_fn"):
+        ForecasterHandle(id="empty", space="numeric")
+
+
+@pytest.mark.parametrize("space", ["numeric", "image"])
+def test_one_dimensional_handle_scores_like_its_row_core(space):
+    suffix = "-image" if space == "image" else ""
+    looped = ForecasterHandle(id=f"loop{suffix}", space=space, predict_fn=lambda x, horizon: np.full(horizon, x[-1]))
+    g = np.random.default_rng(12)
+    truth = TimeSeries(np.cumsum(g.standard_normal((2, 160)), axis=1))
+    cfg = EvalConfig(lookback=32, horizons=(8, 24), rescale_factors=(0.66, 1.0, 1.5))
+    specs = [PerturbationSpec("missing", missing_probability=0.2), PerturbationSpec("harmonic")]
+    got = evaluate_series(truth, looped, cfg, specs, seed=4)
+    want = evaluate_series(truth, get_model(f"persistence{suffix}"), cfg, specs, seed=4)
+    assert got.rows == want.rows
+    assert all(r.mse is not None for r in got.rows)
 
 
 # ---------------------------------------------------------------- forecast

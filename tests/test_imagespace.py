@@ -596,6 +596,44 @@ def test_decode_names_the_first_structural_defect():
     assert out.values.tolist() == [[params.centers()[1], 0.0, params.centers()[6]]]
 
 
+@pytest.mark.parametrize(
+    "dtype, entry",
+    [(np.int64, 256), (np.int64, 257), (np.int64, -1), (np.float64, 0.5), (np.float64, 1.5), (np.float64, np.nan),
+     (np.float64, np.inf), (np.float64, -1.0)],
+)
+def test_entries_the_uint8_cast_would_change_are_bad_entries(dtype, entry):
+    # an entry that wraps or truncates to 0 or 1 in uint8 must not pass as an empty or one-hot column
+    params = SpaceParams(h=4, ms=1.0)
+    grid = np.zeros((1, 4, 2), dtype=dtype)
+    grid[0, 1, 0] = 1
+    grid[0, 2, 1] = entry
+    image = BinaryImageTensor(grid, params)
+    assert image.rows.tolist() == [[1, -2]]
+    for allow_missing in (False, True):
+        with pytest.raises(StructuralError, match=f"^{ENTRY_ABOVE_ONE}$"):
+            decode(image, allow_missing=allow_missing)
+    with pytest.raises(StructuralError, match=f"^{ENTRY_ABOVE_ONE}$"):
+        image.grid
+    good = BinaryImageTensor(np.eye(4, dtype=np.uint8)[None, :, :2], params)
+    with pytest.raises(InputError, match=r"^left grid columns must each sum to 1 within 1e-09$"):
+        emd(image, good)
+    with pytest.raises(InputError, match=r"^preprocess input columns must each sum to 1 within 1e-09$"):
+        preprocess(image)
+
+
+def test_wide_integer_grid_of_zeros_and_ones_converts():
+    grid = np.zeros((1, 4, 3), dtype=np.int64)
+    grid[0, [3, 0, 2], [0, 1, 2]] = 1
+    grid[0, 2, 2] = 1
+    assert BinaryImageTensor(grid, SpaceParams(h=4, ms=1.0)).rows.tolist() == [[3, 0, 2]]
+
+
+def test_preprocess_rejects_soft_input_by_name():
+    soft = SoftImageTensor(np.full((1, 4, 3), 0.25), SpaceParams(h=4, ms=1.0))
+    with pytest.raises(InputError, match=r"^preprocess input must be a BinaryImageTensor, got SoftImageTensor$"):
+        preprocess(soft)
+
+
 def dense_decode(grid, params, allow_missing):
     """Reference: decode checked and decoded on the dense grid (max, colsum, argmax)."""
     if grid.max(initial=0) > 1:
