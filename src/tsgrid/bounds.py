@@ -65,8 +65,7 @@ def se_bound(inp: SEBoundInput) -> float:
     """
     x = inp.ms / math.sqrt(inp.k)
     quant = (inp.ms / inp.h) * (_norm_cdf(x) - _norm_cdf(-x))
-    sat = math.sqrt(2.0 * inp.k / math.pi) * math.exp(-inp.ms**2 / (2.0 * inp.k)) - 2.0 * inp.ms * _norm_tail(x)
-    return inp.c * inp.t * (quant + sat)
+    return inp.c * inp.t * (quant + truncation_floor(inp.ms, inp.k))
 
 
 def truncation_floor(ms: float, k: float = 1.0) -> float:

@@ -26,7 +26,6 @@ from .imagespace import SpaceParams, decode, denormalize, encode, normalize
 from .rng import RngStream
 
 OUTPUT_DIR_ENV = "TSGRID_OUTPUT_DIR"
-THREADS_ENV = "TSGRID_THREADS"
 
 
 def _parse_value(tp, text: str):
@@ -106,24 +105,9 @@ def _output_dir(args) -> Path:
     return Path("tsgrid-out")
 
 
-def _threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
-        setting, value = "--threads", args.threads
-    elif os.environ.get(THREADS_ENV):
-        setting, value = THREADS_ENV, os.environ[THREADS_ENV]
-        try:
-            value = int(value)
-        except ValueError:
-            raise ConfigurationError(f"{setting} must be a positive integer, got {value!r}") from None
-    else:
-        return 1
-    if value < 1:
-        raise ConfigurationError(f"{setting} must be a positive integer, got {value}")
-    return value
-
-
 def _pick_seed(args) -> int:
     if getattr(args, "seed", None) is not None:
+        RngStream(args.seed)  # rejects a seed outside 64 bits before any output is written
         return args.seed
     return int.from_bytes(os.urandom(8), "big")
 
@@ -147,10 +131,13 @@ def cmd_generate(args) -> int:
     augment = _config_from(AugmentConfig, {"probability": args.augment_probability}, file_cfg, "augment")
     cfg = _config_from(GeneratorConfig, vars(args), file_cfg, "generator", augment=augment)
     seed = _pick_seed(args)
-    threads = _threads(args)  # validated and recorded only: generation runs on one thread
+    start = args.start_stream
+    if args.count < 0:
+        raise ConfigurationError(f"-n/--count must be nonnegative, got {args.count}")
+    if start < 0 or start + args.count > 2**64:
+        raise ConfigurationError(f"--start-stream must be nonnegative and leave -n streams below 2**64, got {start}")
     out_dir = _output_dir(args)
     out_dir.mkdir(parents=True, exist_ok=True)
-    start = args.start_stream
 
     def render(stream: int) -> dict:
         series = sample_series(cfg, RngStream(seed, stream))
@@ -171,7 +158,7 @@ def cmd_generate(args) -> int:
         out_dir,
         "generate",
         {
-            "run": {"command": "generate", "count": args.count, "seed": seed, "start_stream": start, "threads": threads},
+            "run": {"command": "generate", "count": args.count, "seed": seed, "start_stream": start},
             "generator": _snapshot(cfg),
             "augment": _snapshot(cfg.augment),
         },
@@ -369,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--augment-probability", type=float, help="per-augmentation firing probability")
     p.add_argument("--start-stream", type=int, default=0, help="first stream index (default 0)")
-    p.add_argument("--threads", type=int, help=f"accepted and recorded, no effect (or ${THREADS_ENV})")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("encode", help="encode series CSVs into per-channel graymaps")

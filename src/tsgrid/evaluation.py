@@ -213,11 +213,10 @@ def _window_predictions(
     space: SpaceParams,
 ) -> np.ndarray:
     """Predictions for a block of channel-independent rows from one ``predict_rows`` call;
-    image models see the block through the grid codec."""
-    if model.needs_future:
-        return target_values.copy()
+    image models see the block through the grid codec.  The targets go along
+    as ``future``, which only an oracle reads."""
     if model.space == "numeric":
-        return model.predict_rows(carry_forward(look_values, look_missing), horizon)
+        return model.predict_rows(carry_forward(look_values, look_missing), horizon, target_values)
 
     # one active row per grid column: score on row indices, never on dense grids
     z, stats = normalize(TimeSeries(look_values, look_missing), look_values.shape[1])

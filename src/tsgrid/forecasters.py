@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CapabilityError, ConfigurationError, InputError
+from .errors import CapabilityError, InputError
 from .imagespace import BinaryImageTensor, SoftImageTensor, SpaceParams, _one_hot, decode, preprocess, value_to_row
 from .series import TimeSeries, carry_forward
 
@@ -62,23 +62,17 @@ class ForecasterHandle:
     ``predict_rows`` is the batch contract: a block of lookbacks
     (rows, lookback) maps to predictions (rows, horizon), one row per
     series.  A handle implements it with ``predict_rows_fn``, which takes
-    the whole block, or with ``predict_fn``, which maps one 1-D lookback
-    to a 1-D prediction and is looped over the rows.  Handles with
-    ``needs_future`` are evaluation oracles: the harness hands them the
-    true future, which they return verbatim.
+    the whole block; its result must have that shape and finite values.
+    Handles with ``needs_future`` are evaluation oracles: the harness
+    hands them the true future, which they return verbatim.
     """
 
     id: str
     space: str  # "numeric" | "image"
-    predict_fn: Callable[[np.ndarray, int], np.ndarray] | None = None
+    predict_rows_fn: Callable[[np.ndarray, int], np.ndarray]
     max_lookback: int = MAX_LOOKBACK
     max_horizon: int = MAX_HORIZON
     needs_future: bool = False
-    predict_rows_fn: Callable[[np.ndarray, int], np.ndarray] | None = None
-
-    def __post_init__(self) -> None:
-        if self.predict_fn is None and self.predict_rows_fn is None:
-            raise ConfigurationError(f"{self.id}: a handle needs predict_fn or predict_rows_fn")
 
     def check_capability(self, lookback: int, horizon: int) -> None:
         if lookback > self.max_lookback:
@@ -106,9 +100,12 @@ class ForecasterHandle:
             if future is None:
                 raise InputError(f"{self.id}: this handle requires the true future")
             return np.asarray(future, dtype=np.float64)[:, :horizon].copy()
-        if self.predict_rows_fn is not None:
-            return self.predict_rows_fn(X, horizon)
-        return np.stack([self.predict_fn(x, horizon) for x in X])
+        out = np.asarray(self.predict_rows_fn(X, horizon), dtype=np.float64)
+        if out.shape != (X.shape[0], horizon):
+            raise InputError(f"{self.id}: predictions have shape {out.shape}, expected {(X.shape[0], horizon)}")
+        if not np.isfinite(out).all():
+            raise InputError(f"{self.id}: predictions must be finite (no NaN/Inf)")
+        return out
 
 
 def detect_period(x: np.ndarray, min_lag: int = 2) -> int:

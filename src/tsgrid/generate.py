@@ -148,8 +148,8 @@ class GeneratorConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigurationError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.length < 1:
-            raise ConfigurationError(f"length must be positive, got {self.length}")
+        if self.length < 2:
+            raise ConfigurationError(f"length must be at least 2, got {self.length}")
         for name in ("periodic_behaviors", "trend_behaviors"):
             pool = getattr(self, name)
             known = PERIODIC_BEHAVIORS if name == "periodic_behaviors" else TREND_BEHAVIORS

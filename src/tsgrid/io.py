@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import os
-import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -25,6 +24,12 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
+def _open_temp(path: Path) -> tuple[int, Path]:
+    """Create a fresh sibling temp file; the umask sets its mode, as for ``open(path, "w")``."""
+    tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}.tmp"
+    return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666), tmp
+
+
 @contextmanager
 def atomic_write(path: str | Path, mode: str = "w"):
     """Write to a sibling temp file and rename into place on success.
@@ -32,12 +37,11 @@ def atomic_write(path: str | Path, mode: str = "w"):
     A missing parent directory is created on the first failed attempt only.
     """
     path = Path(path)
-    temp_args = {"dir": path.parent, "prefix": f".{path.name}.", "suffix": ".tmp"}
     try:
-        fd, tmp = tempfile.mkstemp(**temp_args)
+        fd, tmp = _open_temp(path)
     except FileNotFoundError:
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(**temp_args)
+        fd, tmp = _open_temp(path)
     try:
         newline = "" if "b" not in mode else None
         with os.fdopen(fd, mode, newline=newline) as handle:
@@ -126,16 +130,16 @@ def read_manifest_csv(path: str | Path) -> list[dict]:
         return list(csv.DictReader(handle))
 
 
-def write_pgm(path: str | Path, rows: np.ndarray, maxval: int = 255) -> None:
-    """Binary (P5) graymap; file row 0 is grid row 0 (the lowest-value cell)."""
+def write_pgm(path: str | Path, rows: np.ndarray) -> None:
+    """Binary (P5) graymap with maxval 255; file row 0 is grid row 0 (the lowest-value cell)."""
     arr = np.asarray(rows)
     if arr.ndim != 2:
         raise InputError(f"graymap data must be 2-D, got ndim={arr.ndim}")
-    if arr.min(initial=0) < 0 or arr.max(initial=0) > maxval:
-        raise InputError(f"graymap values must lie in [0, {maxval}]")
+    if arr.min(initial=0) < 0 or arr.max(initial=0) > 255:
+        raise InputError("graymap values must lie in [0, 255]")
     height, width = arr.shape
     with atomic_write(path, "wb") as handle:
-        handle.write(f"P5\n{width} {height}\n{maxval}\n".encode("ascii"))
+        handle.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
         handle.write(arr.astype(np.uint8).tobytes())
 
 
@@ -261,27 +265,7 @@ def write_report_csv(path: str | Path, rows: Sequence, aggregates: Sequence = ()
     with atomic_write(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["dataset", "horizon", "beta", "scenario", "mse", "mae", "windows"])
-        for r in rows:
-            writer.writerow(
-                [
-                    r.dataset,
-                    r.horizon,
-                    "" if r.beta is None else _fmt(r.beta),
-                    r.scenario,
-                    "" if r.mse is None else _fmt(r.mse),
-                    "" if r.mae is None else _fmt(r.mae),
-                    r.windows,
-                ]
-            )
-        for r in aggregates:
-            writer.writerow(
-                [
-                    r.dataset,
-                    r.horizon,
-                    "mean(U)",
-                    r.scenario,
-                    "" if r.mse is None else _fmt(r.mse),
-                    "" if r.mae is None else _fmt(r.mae),
-                    r.windows,
-                ]
-            )
+        labelled = [(r, "" if r.beta is None else _fmt(r.beta)) for r in rows] + [(r, "mean(U)") for r in aggregates]
+        for r, beta in labelled:
+            mse, mae = ("" if v is None else _fmt(v) for v in (r.mse, r.mae))
+            writer.writerow([r.dataset, r.horizon, beta, r.scenario, mse, mae, r.windows])

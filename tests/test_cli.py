@@ -62,46 +62,57 @@ def test_generate_seed_changes_output(tmp_path):
     assert not files_identical(a, b)
 
 
-def test_generate_threads_do_not_change_results(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    main(["generate", "-n", "6", "--seed", "5", "--length", "48", "-o", str(a), "--threads", "1"])
-    main(["generate", "-n", "6", "--seed", "5", "--length", "48", "-o", str(b), "--threads", "4"])
-    # identical data; only the snapshot records the differing thread count
-    for name in [p.name for p in a.iterdir() if p.suffix == ".csv"]:
-        assert filecmp.cmp(a / name, b / name, shallow=False)
+def test_generate_has_no_threads_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "-n", "1", "--seed", "5", "--length", "16", "-o", str(tmp_path / "out"), "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
-def _recorded_threads(out: Path) -> str:
-    return next(line for line in (out / "resolved_generate.ini").read_text().splitlines() if line.startswith("threads"))
-
-
-def test_generate_records_valid_thread_counts(tmp_path, monkeypatch):
+def test_generate_ignores_the_old_threads_variable(tmp_path, monkeypatch):
+    args = ["generate", "-n", "3", "--seed", "5", "--length", "48"]
     monkeypatch.delenv("TSGRID_THREADS", raising=False)
-    args = ["generate", "-n", "1", "--seed", "5", "--length", "16"]
-    assert main(args + ["-o", str(tmp_path / "default")]) == 0
-    assert _recorded_threads(tmp_path / "default") == "threads = 1"
-    assert main(args + ["-o", str(tmp_path / "flag"), "--threads", "4"]) == 0
-    assert _recorded_threads(tmp_path / "flag") == "threads = 4"
-    monkeypatch.setenv("TSGRID_THREADS", "3")
-    assert main(args + ["-o", str(tmp_path / "env")]) == 0
-    assert _recorded_threads(tmp_path / "env") == "threads = 3"
-
-
-@pytest.mark.parametrize("count", ["0", "-5"])
-def test_generate_rejects_non_positive_threads_flag(tmp_path, capsys, monkeypatch, count):
-    monkeypatch.delenv("TSGRID_THREADS", raising=False)
-    out = tmp_path / "out"
-    assert main(["generate", "-n", "1", "--seed", "5", "--length", "16", "-o", str(out), "--threads", count]) == 1
-    assert capsys.readouterr().err == f"error: --threads must be a positive integer, got {count}\n"
-    assert not out.exists()
-
-
-def test_generate_rejects_non_integer_threads_env(tmp_path, capsys, monkeypatch):
+    assert main(args + ["-o", str(tmp_path / "a")]) == 0
     monkeypatch.setenv("TSGRID_THREADS", "abc")
+    assert main(args + ["-o", str(tmp_path / "b")]) == 0
+    assert files_identical(tmp_path / "a", tmp_path / "b")
+    assert "threads" not in (tmp_path / "a" / "resolved_generate.ini").read_text()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["-n", "-5"], "-n/--count must be nonnegative, got -5"),
+        (["-n", "1", "--start-stream", "-3"], "--start-stream must be nonnegative and leave -n streams below 2**64, got -3"),
+        (["-n", "2", "--start-stream", str(2**64 - 1)],
+         f"--start-stream must be nonnegative and leave -n streams below 2**64, got {2**64 - 1}"),
+        (["-n", "1", "--seed", "-1"], "seed must be a 64-bit unsigned integer, got -1"),
+        (["-n", "1", "--length", "1"], "length must be at least 2, got 1"),
+    ],
+)
+def test_generate_rejects_settings_before_writing(tmp_path, capsys, flags, message):
     out = tmp_path / "out"
-    assert main(["generate", "-n", "1", "--seed", "5", "--length", "16", "-o", str(out)]) == 1
-    assert capsys.readouterr().err == "error: TSGRID_THREADS must be a positive integer, got 'abc'\n"
+    assert main(["generate", "--seed", "5", "--length", "16", *flags, "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "perturb"])
+def test_seeded_commands_reject_a_bad_seed_before_writing(tmp_path, capsys, command):
+    data = tmp_path / "data.csv"
+    write_sine(data)
+    out = tmp_path / "out"
+    extra = ["--model", "persistence", "--lookback", "32"] if command == "evaluate" else ["--kind", "missing"]
+    assert main([command, "--dataset", str(data), *extra, "--seed", "-1", "-o", str(out)]) == 1
+    assert capsys.readouterr().err == "error: seed must be a 64-bit unsigned integer, got -1\n"
+    assert not out.exists()
+
+
+def test_generate_writes_the_last_stream_below_2_64(tmp_path):
+    out = tmp_path / "out"
+    assert main(["generate", "-n", "1", "--seed", "5", "--length", "16", "--start-stream", str(2**64 - 1), "-o", str(out)]) == 0
+    assert read_manifest_csv(out / "manifest.csv")[0]["stream"] == str(2**64 - 1)
 
 
 def test_generate_manifest_hypothesis_split(tmp_path):
@@ -249,6 +260,21 @@ def test_readme_library_example_runs():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[0].startswith("2.64")
+
+
+def test_readme_cli_walkthrough_runs_and_replays_byte_exactly(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    section = (root / "README.md").read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    blocks = [block.split("```", 1)[0] for block in section.split("```sh\n")[1:]]
+    script = "".join("\n" + block for block in blocks).replace("\ntsgrid ", f'\n"{sys.executable}" -m tsgrid.cli ')
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    env.pop("TSGRID_OUTPUT_DIR", None)
+    result = subprocess.run(
+        ["sh", "-ec", script + "\ndiff -r reports replay\n"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout[-2000:] + result.stderr
+    assert (tmp_path / "replay" / "report.csv").exists()
 
 
 def test_encode_rejects_missing_input(tmp_path, capsys):
@@ -518,7 +544,6 @@ def _replay_argv(snapshot: Path) -> list[str]:
 
 @pytest.mark.parametrize("command", ["generate", "encode", "solve-ms", "evaluate"])
 def test_snapshot_replays_byte_exactly(tmp_path, monkeypatch, command):
-    monkeypatch.delenv("TSGRID_THREADS", raising=False)
     monkeypatch.delenv("TSGRID_OUTPUT_DIR", raising=False)
     data = [tmp_path / "a.csv", tmp_path / "b.csv"]
     write_sine(data[0], length=400)
@@ -527,7 +552,7 @@ def test_snapshot_replays_byte_exactly(tmp_path, monkeypatch, command):
     cfg.write_text("[generator]\nifftb_phase_range = -1,1\n[augment]\nperturb_scale_range = 1,2\nflip = no\n")
     argv = {
         "generate": ["generate", "-n", "3", "--seed", "4", "--length", "40", "--alpha", "0.3", "--noise-sigma", "0.2",
-                     "--augment-probability", "0.7", "--start-stream", "5", "--threads", "2", "--config", str(cfg)],
+                     "--augment-probability", "0.7", "--start-stream", "5", "--config", str(cfg)],
         "encode": ["encode", *map(str, data), "--h", "64", "--ms", "2.5", "--normalize-lookback", "100"],
         "solve-ms": ["solve-ms", "--h-list", "16,64", "--k-list", "1.5,3"],
         "evaluate": ["evaluate", "--dataset", str(data[0]), "--model", "seasonal-naive-image", "--lookback", "48",

@@ -25,6 +25,8 @@ def test_generator_config_rejects_bad_alpha():
 def test_generator_config_rejects_bad_length_and_pools():
     with pytest.raises(ConfigurationError):
         GeneratorConfig(length=0)
+    with pytest.raises(ConfigurationError, match="length must be at least 2, got 1"):
+        GeneratorConfig(length=1)
     with pytest.raises(ConfigurationError):
         GeneratorConfig(periodic_behaviors=())
     with pytest.raises(ConfigurationError):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tsgrid import (
+    CapabilityError,
     ConfigurationError,
     EvalConfig,
     EvaluationError,
@@ -371,9 +372,32 @@ def test_image_window_predictions_match_dense_grid_path(model_id, window):
 
 
 def test_image_window_rejects_non_finite_prediction():
-    model = ForecasterHandle(id="nan-image", space="image", predict_fn=lambda x, horizon: np.full(horizon, np.nan))
+    model = ForecasterHandle("nan-image", "image", lambda X, horizon: np.full((len(X), horizon), np.nan))
     with pytest.raises(InputError):
         _window_predictions(model, np.arange(16.0)[None, :], None, 4, np.zeros((1, 4)), SpaceParams())
+
+
+@pytest.mark.parametrize("space", ["numeric", "image"])
+@pytest.mark.parametrize(
+    "core, message",
+    [
+        (lambda X, horizon: np.zeros((1, horizon)), r"^bad: predictions have shape \(1, 8\), expected \(\d+, 8\)$"),
+        (lambda X, horizon: np.full((len(X), horizon), np.nan), r"^bad: predictions must be finite \(no NaN/Inf\)$"),
+    ],
+    ids=["one-row", "nan"],
+)
+def test_scoring_rejects_a_row_core_result_of_the_wrong_shape_or_not_finite(space, core, message):
+    truth = TimeSeries(np.cumsum(np.random.default_rng(3).standard_normal((2, 160)), axis=1))
+    cfg = EvalConfig(lookback=32, horizons=(8,), rescale_factors=(1.0,))
+    with pytest.raises(InputError, match=message):
+        remetrics(truth, ForecasterHandle("bad", space, core), cfg)
+
+
+def test_oracle_scoring_enforces_its_capability_limits():
+    truth = TimeSeries(np.sin(np.arange(4200) / 7.0)[None, :])
+    assert remetrics(truth, get_model("oracle"), EvalConfig(lookback=8, horizons=(4096,), rescale_factors=(1.0,))).remse(4096) == 0.0
+    with pytest.raises(CapabilityError, match=r"^oracle: horizon 4097 exceeds limit 4096$"):
+        remetrics(truth, get_model("oracle"), EvalConfig(lookback=8, horizons=(4097,), rescale_factors=(1.0,)))
 
 
 def test_image_window_rejects_one_sample_lookback_for_linear_trend():

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from tsgrid import (
     CapabilityError,
-    ConfigurationError,
     EvalConfig,
     ForecasterHandle,
     InputError,
@@ -138,7 +137,7 @@ def test_oracle_requires_and_returns_future():
 
 
 def test_capability_limits_enforced():
-    tiny = ForecasterHandle(id="tiny", space="numeric", predict_fn=lambda x, n: np.zeros(n), max_lookback=8, max_horizon=4)
+    tiny = ForecasterHandle("tiny", "numeric", lambda X, n: np.zeros((len(X), n)), max_lookback=8, max_horizon=4)
     with pytest.raises(CapabilityError):
         tiny.predict(np.zeros(9), 2)
     with pytest.raises(CapabilityError):
@@ -228,7 +227,7 @@ def test_periods_fall_back_to_detect_period_on_exact_ties(monkeypatch):
 
 
 def test_predict_rows_validates_once_with_the_predict_texts():
-    tiny = ForecasterHandle(id="tiny", space="numeric", predict_fn=lambda x, n: np.zeros(n), max_lookback=8, max_horizon=4)
+    tiny = ForecasterHandle("tiny", "numeric", lambda X, n: np.zeros((len(X), n)), max_lookback=8, max_horizon=4)
     for model in (tiny, get_model("persistence")):
         for bad in (np.zeros(4), np.zeros((1, 2, 3)), np.zeros((2, 0)), np.zeros((0, 4))):
             with pytest.raises(InputError, match=r"^lookbacks must be a nonempty 2-D array$"):
@@ -245,33 +244,39 @@ def test_predict_rows_validates_once_with_the_predict_texts():
     assert np.array_equal(get_model("oracle").predict_rows(np.zeros((2, 5)), 3, future=future), future[:, :3])
 
 
-def test_predict_rows_loops_a_one_dimensional_predict_fn():
-    seen = []
+@pytest.mark.parametrize(
+    "core, message",
+    [
+        (lambda X, n: np.zeros((1, n)), r"^bad: predictions have shape \(1, 2\), expected \(3, 2\)$"),
+        (lambda X, n: np.zeros((len(X), n + 1)), r"^bad: predictions have shape \(3, 3\), expected \(3, 2\)$"),
+        (lambda X, n: np.zeros(n), r"^bad: predictions have shape \(2,\), expected \(3, 2\)$"),
+        (lambda X, n: np.full((len(X), n), np.nan), r"^bad: predictions must be finite \(no NaN/Inf\)$"),
+        (lambda X, n: np.full((len(X), n), -np.inf), r"^bad: predictions must be finite \(no NaN/Inf\)$"),
+    ],
+    ids=["one-row", "wide", "one-dimensional", "nan", "inf"],
+)
+@pytest.mark.parametrize("space", ["numeric", "image"])
+def test_predict_rows_checks_the_row_core_result(core, message, space):
+    bad = ForecasterHandle("bad", space, core)
+    with pytest.raises(InputError, match=message):
+        bad.predict_rows(np.zeros((3, 4)), 2)
 
-    def last_plus_row(x, horizon):
-        seen.append(x.shape)
-        return np.full(horizon, x[-1] + len(seen))
 
-    handle = ForecasterHandle("loop", "numeric", last_plus_row)
-    out = handle.predict_rows(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]), 2)
-    assert seen == [(2,)] * 3
-    assert out.tolist() == [[3.0, 3.0], [6.0, 6.0], [9.0, 9.0]]
-
-
-def test_handle_needs_a_predict_function():
-    with pytest.raises(ConfigurationError, match="needs predict_fn or predict_rows_fn"):
-        ForecasterHandle(id="empty", space="numeric")
+def test_predict_rows_returns_float_predictions_of_any_real_core():
+    ints = ForecasterHandle("ints", "numeric", lambda X, n: np.ones((len(X), n), dtype=np.int64))
+    out = ints.predict_rows(np.zeros((2, 3)), 4)
+    assert out.dtype == np.float64 and out.tolist() == [[1.0] * 4] * 2
 
 
 @pytest.mark.parametrize("space", ["numeric", "image"])
 def test_one_dimensional_handle_scores_like_its_row_core(space):
     suffix = "-image" if space == "image" else ""
-    looped = ForecasterHandle(id=f"loop{suffix}", space=space, predict_fn=lambda x, horizon: np.full(horizon, x[-1]))
+    plugged = ForecasterHandle(f"last{suffix}", space, lambda X, horizon: np.repeat(X[:, -1:], horizon, axis=1))
     g = np.random.default_rng(12)
     truth = TimeSeries(np.cumsum(g.standard_normal((2, 160)), axis=1))
     cfg = EvalConfig(lookback=32, horizons=(8, 24), rescale_factors=(0.66, 1.0, 1.5))
     specs = [PerturbationSpec("missing", missing_probability=0.2), PerturbationSpec("harmonic")]
-    got = evaluate_series(truth, looped, cfg, specs, seed=4)
+    got = evaluate_series(truth, plugged, cfg, specs, seed=4)
     want = evaluate_series(truth, get_model(f"persistence{suffix}"), cfg, specs, seed=4)
     assert got.rows == want.rows
     assert all(r.mse is not None for r in got.rows)

@@ -1,4 +1,6 @@
 import csv
+import os
+import stat
 import tempfile
 from pathlib import Path
 
@@ -239,6 +241,20 @@ def test_atomic_write_creates_missing_directories(tmp_path):
             handle.write("partial")
             raise RuntimeError("boom")
     assert list(failed.parent.iterdir()) == []
+
+
+@pytest.mark.parametrize("umask, expected", [(0o022, 0o644), (0o077, 0o600)])
+def test_written_files_take_their_mode_from_the_umask(tmp_path, umask, expected):
+    previous = os.umask(umask)
+    try:
+        write_series_csv(tmp_path / "series.csv", from_1d(np.arange(4.0)))
+        write_pgm(tmp_path / "plane.pgm", np.zeros((2, 3), dtype=np.uint8))
+        with atomic_write(tmp_path / "new" / "out.txt") as handle:
+            handle.write("done")
+    finally:
+        os.umask(previous)
+    for path in (tmp_path / "series.csv", tmp_path / "plane.pgm", tmp_path / "new" / "out.txt"):
+        assert stat.S_IMODE(path.stat().st_mode) == expected, path.name
 
 
 def test_read_image_flags_floored_channels(tmp_path):
