@@ -28,7 +28,6 @@ from .evaluation import (
     evaluate_series,
     perturb,
     remetrics,
-    run_benchmark,
     tsi_rescale,
 )
 from .forecasters import (

@@ -90,7 +90,7 @@ def mc_system_error(
     params: SpaceParams,
     k: float,
     n: int,
-    rng: RngStream | np.random.Generator,
+    rng: RngStream,
 ) -> tuple[float, float]:
     """Monte-Carlo estimate of the expected absolute roundtrip error.
 
@@ -101,7 +101,7 @@ def mc_system_error(
         raise ConfigurationError(f"sample count must be positive, got {n}")
     if k <= 0:
         raise ConfigurationError(f"k must be positive, got {k}")
-    g = rng.generator() if isinstance(rng, RngStream) else rng
+    g = rng.generator()
     total = 0.0
     total_sq = 0.0
     remaining = n
@@ -140,11 +140,12 @@ def ms_residual(ms: float, h: int, k: float = 1.0) -> float:
 
 
 def optimal_ms(h: int, k: float = 1.0) -> float:
-    """Unique root of :func:`ms_residual`, by bisection plus secant polish.
+    """Unique root of :func:`ms_residual`, by bisection down to adjacent floats.
 
     The residual is -2 at 0+ and grows without bound, and the underlying
     objective is convex then concave, so the bracket below always contains
-    exactly one root.  The result's residual magnitude is below 1e-10.
+    exactly one root.  Of the two final bracket ends, the one with the
+    smaller residual magnitude is returned.
     """
     if h < 2:
         raise ConfigurationError(f"h must be at least 2, got {h}")
@@ -155,36 +156,13 @@ def optimal_ms(h: int, k: float = 1.0) -> float:
     if not (flo < 0.0 < fhi):
         raise TsgridError(f"root not bracketed for h={h}, k={k}")  # cannot occur for valid input
 
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
         fmid = ms_residual(mid, h, k)
-        if fmid == 0.0:
-            return mid
         if fmid < 0.0:
             lo, flo = mid, fmid
         else:
             hi, fhi = mid, fmid
-        if hi - lo < 1e-9:
-            break
-
-    # secant refinement inside the bracket
-    a, fa, b, fb = lo, flo, hi, fhi
-    x, fx = b, fb
-    for _ in range(50):
-        if fb == fa:
-            break
-        x = b - fb * (b - a) / (fb - fa)
-        if not lo <= x <= hi:
-            x = 0.5 * (lo + hi)
-        fx = ms_residual(x, h, k)
-        if abs(fx) < 1e-12:
-            break
-        a, fa, b, fb = b, fb, x, fx
-        if fx < 0.0:
-            lo = x
-        else:
-            hi = x
-    return x
+    return lo if abs(flo) <= abs(fhi) else hi
 
 
 def solve_ms_table(h_list: Sequence[int], k_list: Sequence[float]) -> list[tuple[int, float, float, float]]:

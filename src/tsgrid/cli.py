@@ -20,7 +20,8 @@ from typing import get_args, get_type_hints
 from . import io
 from .bounds import solve_ms_table
 from .errors import ConfigurationError, TsgridError
-from .evaluation import EvalConfig, PerturbationSpec, perturb, run_benchmark
+from .evaluation import EvalConfig, PerturbationSpec, evaluate_series, perturb
+from .forecasters import get_model, register_baselines
 from .generate import AugmentConfig, GeneratorConfig, sample_series
 from .imagespace import SpaceParams, decode, denormalize, encode, normalize
 from .rng import RngStream
@@ -137,7 +138,6 @@ def cmd_generate(args) -> int:
     if start < 0 or start + args.count > 2**64:
         raise ConfigurationError(f"--start-stream must be nonnegative and leave -n streams below 2**64, got {start}")
     out_dir = _output_dir(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     def render(stream: int) -> dict:
         series = sample_series(cfg, RngStream(seed, stream))
@@ -170,10 +170,9 @@ def cmd_generate(args) -> int:
 def cmd_encode(args) -> int:
     space = _config_from(SpaceParams, vars(args), _load_config_file(args.config), "space")
     out_dir = _output_dir(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for input_path in args.inputs:
+        series = io.read_series_csv(input_path)
         try:
-            series = io.read_series_csv(input_path)
             stats = None
             if args.normalize_lookback is not None:
                 series, stats = normalize(series, args.normalize_lookback)
@@ -199,10 +198,9 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     out_dir = _output_dir(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for meta_path in args.inputs:
+        image, stats = io.read_image(meta_path)
         try:
-            image, stats = io.read_image(meta_path)
             series = decode(image, allow_missing=args.allow_missing)
             if stats is not None:
                 series = denormalize(series, stats)
@@ -239,7 +237,6 @@ def cmd_solve_ms(args) -> int:
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     out_dir = _output_dir(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
     with io.atomic_write(out_dir / "solve_ms.csv") as handle:
         handle.write(text)
     _write_snapshot(
@@ -278,20 +275,21 @@ def cmd_evaluate(args) -> int:
     space = _config_from(SpaceParams, vars(args), file_cfg, "space")
     perturbations = tuple(_parse_perturbation(p) for p in (args.perturb or ()))
     seed = _pick_seed(args)
+    model = get_model(args.model)
+    truth = io.read_series_csv(args.dataset)
+    report = evaluate_series(truth, model, cfg, perturbations, seed=seed, dataset=Path(args.dataset).stem, space=space)
+    aggregates = report.aggregates()
+    with_windows = {(r.dataset, r.horizon, r.scenario) for r in report.rows if r.windows}
+    for agg in aggregates:
+        prefix = f"{agg.dataset} horizon={agg.horizon} scenario={agg.scenario}"
+        if agg.mse is None:
+            masked = (agg.dataset, agg.horizon, agg.scenario) in with_windows
+            print(f"{prefix}: skipped ({'every target masked' if masked else 'series too short'})")
+        else:
+            print(f"{prefix}: ReMSE={agg.mse:.6f} ReMAE={agg.mae:.6f} windows={agg.windows}")
     out_dir = _output_dir(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "report.csv"
-
-    report = run_benchmark(
-        args.dataset,
-        args.model,
-        cfg,
-        perturbations,
-        seed=seed,
-        space=space,
-        report_path=report_path,
-        verbose=True,
-    )
+    io.write_report_csv(report_path, report.rows, aggregates)
     _write_snapshot(
         out_dir,
         "evaluate",
@@ -310,7 +308,6 @@ def cmd_perturb(args) -> int:
     spec = _config_from(PerturbationSpec, vars(args))
     seed = _pick_seed(args)
     out_dir = _output_dir(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
     series = io.read_series_csv(args.dataset)
     result = perturb(series, spec, RngStream(seed))
     target = out_dir / f"{Path(args.dataset).stem}.perturbed.csv"
@@ -325,8 +322,6 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_list_models(args) -> int:
-    from .forecasters import register_baselines
-
     handles = register_baselines()
     print(f"{'id':<24}{'space':<10}{'max_lookback':>14}{'max_horizon':>13}{'needs_future':>14}")
     for h in handles:
@@ -419,10 +414,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TsgridError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (TsgridError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

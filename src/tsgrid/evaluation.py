@@ -177,9 +177,9 @@ def _dominant_frequency(x: np.ndarray) -> float:
     return (int(np.argmax(spectrum[1:])) + 1) / x.size
 
 
-def perturb(series: TimeSeries, spec: PerturbationSpec, rng: RngStream | np.random.Generator) -> TimeSeries:
+def perturb(series: TimeSeries, spec: PerturbationSpec, rng: RngStream) -> TimeSeries:
     """Apply one perturbation scenario; missing data only grows the mask."""
-    g = rng.generator() if isinstance(rng, RngStream) else rng
+    g = rng.generator()
     values = series.values.copy()
     missing = None if series.missing is None else series.missing.copy()
 
@@ -337,9 +337,8 @@ def evaluate_series(
     seed: int = 0,
     dataset: str = "series",
     space: SpaceParams | None = None,
-    verbose: bool = False,
 ) -> EvalReport:
-    """Sweep horizons x rescale factors x scenarios; deterministic per seed."""
+    """Sweep horizons x rescale factors x scenarios; deterministic per seed.  Prints nothing."""
     rng = RngStream(seed)
     scenarios: list[tuple[str, PerturbationSpec | None]] = [("none", None)]
     scenarios += [(spec.label(), spec) for spec in perturbations]
@@ -357,57 +356,4 @@ def evaluate_series(
             space=space,
         )
         rows.extend(report.rows)
-
-    combined = EvalReport(rows)
-    if verbose:
-        with_windows = {(r.dataset, r.horizon, r.scenario) for r in rows if r.windows}
-        for agg in combined.aggregates():
-            if agg.mse is None:
-                masked = (agg.dataset, agg.horizon, agg.scenario) in with_windows
-                reason = "every target masked" if masked else "series too short"
-                print(f"{agg.dataset} horizon={agg.horizon} scenario={agg.scenario}: skipped ({reason})")
-            else:
-                print(
-                    f"{agg.dataset} horizon={agg.horizon} scenario={agg.scenario}: "
-                    f"ReMSE={agg.mse:.6f} ReMAE={agg.mae:.6f} windows={agg.windows}"
-                )
-    return combined
-
-
-def run_benchmark(
-    dataset_path,
-    model_id: str,
-    cfg: EvalConfig,
-    perturbations: Sequence[PerturbationSpec] = (),
-    *,
-    seed: int = 0,
-    space: SpaceParams | None = None,
-    report_path=None,
-    verbose: bool = True,
-) -> EvalReport:
-    """Load a dataset CSV, resolve the model by id, and run the full sweep.
-
-    Writes the report CSV (per-factor rows plus an aggregate block) when
-    ``report_path`` is given.  Unknown model ids and malformed dataset
-    files raise before any work happens.
-    """
-    from pathlib import Path
-
-    from .forecasters import get_model
-    from .io import read_series_csv, write_report_csv
-
-    model = get_model(model_id)
-    truth = read_series_csv(dataset_path)
-    report = evaluate_series(
-        truth,
-        model,
-        cfg,
-        perturbations,
-        seed=seed,
-        dataset=Path(dataset_path).stem,
-        space=space,
-        verbose=verbose,
-    )
-    if report_path is not None:
-        write_report_csv(report_path, report.rows, report.aggregates())
-    return report
+    return EvalReport(rows)

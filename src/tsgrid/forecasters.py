@@ -28,22 +28,16 @@ MAX_HORIZON = 4096
 
 @dataclass(frozen=True)
 class TemporalMask:
-    """Prefix-visible mask: bits[k] = 1 for k < lookback, 0 afterwards."""
+    """Prefix-visible mask: columns k < lookback are visible, the rest are masked."""
 
-    bits: np.ndarray
+    length: int
     lookback: int
-
-    @property
-    def length(self) -> int:
-        return self.bits.size
 
 
 def make_mask(length: int, lookback: int) -> TemporalMask:
     if not 1 <= lookback <= length:
         raise InputError(f"lookback must be in [1, {length}], got {lookback}")
-    bits = np.zeros(length, dtype=np.uint8)
-    bits[:lookback] = 1
-    return TemporalMask(bits, lookback)
+    return TemporalMask(length, lookback)
 
 
 def apply_mask(image: BinaryImageTensor, mask: TemporalMask) -> BinaryImageTensor:

@@ -239,6 +239,8 @@ def read_image(meta_path: str | Path) -> tuple[BinaryImageTensor, NormStats | No
         params = SpaceParams(h=int(meta["h"]), ms=float(meta["ms"]))
         channels = int(meta["channels"])
         length = int(meta["length"])
+        if channels < 1:
+            raise ValueError(f"channels = {channels}")
     except (KeyError, ValueError) as exc:
         raise InputError(f"{meta_path}: incomplete or malformed metadata") from exc
     planes = []

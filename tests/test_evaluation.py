@@ -207,23 +207,6 @@ def test_all_masked_targets_raise_with_their_own_reason():
         remetrics(walk(18), get_model("persistence"), SMALL)
 
 
-def test_verbose_names_why_an_aggregate_was_skipped(capsys):
-    missing = np.ones((1, 1000), dtype=bool)
-    missing[:, :40] = False
-    missing[:, 950:] = False
-    truth = TimeSeries(walk(1000).values, missing)
-    cfg = EvalConfig(lookback=100, horizons=(8, 500, 5000))
-    report = evaluate_series(truth, get_model("persistence"), cfg, verbose=True)
-    masked = [r for r in report.rows if r.horizon == 500]
-    assert sum(r.windows for r in masked) == 7 and all(r.mse is None for r in masked)
-    out = capsys.readouterr().out.splitlines()
-    assert out[0].startswith("series horizon=8 scenario=none: ReMSE=")
-    assert out[1:] == [
-        "series horizon=500 scenario=none: skipped (every target masked)",
-        "series horizon=5000 scenario=none: skipped (series too short)",
-    ]
-
-
 def test_masked_targets_do_not_contribute():
     values = np.zeros(48)
     values[40] = 100.0  # the only nonzero target
@@ -304,27 +287,6 @@ def test_rescale_set_order_does_not_matter():
     b = remetrics(truth, get_model("persistence"), shuffled)
     assert a.remse(8) == b.remse(8)
     assert a.remae(8) == b.remae(8)
-
-
-def test_run_benchmark_from_file(tmp_path):
-    from tsgrid import run_benchmark
-    from tsgrid.io import write_series_csv
-
-    t = np.arange(300)
-    write_series_csv(tmp_path / "pwb.csv", from_1d(np.sin(2 * np.pi * t / 25.0) + 0.3 * np.sin(2 * np.pi * t / 7.0)))
-    report_a = tmp_path / "a.csv"
-    report_b = tmp_path / "b.csv"
-    cfg = EvalConfig(lookback=50, horizons=(10,), rescale_factors=(1.0, 2.0))
-    report = run_benchmark(str(tmp_path / "pwb.csv"), "seasonal-naive", cfg, seed=4, report_path=report_a, verbose=False)
-    assert np.isfinite(report.remae(10))
-    assert report.remae(10) > 0.0
-    run_benchmark(str(tmp_path / "pwb.csv"), "seasonal-naive", cfg, seed=4, report_path=report_b, verbose=False)
-    assert report_a.read_bytes() == report_b.read_bytes()
-
-    with pytest.raises(InputError):
-        run_benchmark(str(tmp_path / "pwb.csv"), "not-a-model", cfg)
-    with pytest.raises(InputError):
-        run_benchmark(str(tmp_path / "missing.csv"), "persistence", cfg)
 
 
 # ---------------------------------------------------------------- grid-space windows

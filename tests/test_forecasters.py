@@ -42,8 +42,10 @@ def masked_image(values, lookback, params=P64):
 
 def test_make_mask_prefix():
     mask = make_mask(4, 2)
-    assert mask.bits.tolist() == [1, 1, 0, 0]
-    assert make_mask(4, 4).bits.tolist() == [1, 1, 1, 1]
+    assert (mask.length, mask.lookback) == (4, 2)
+    assert (make_mask(4, 4).length, make_mask(4, 4).lookback) == (4, 4)
+    visible = apply_mask(encode(from_1d(np.zeros(4)), P64), mask).rows[0] >= 0
+    assert visible.tolist() == [True, True, False, False]
 
 
 def test_make_mask_rejects_bad_lookback():
