@@ -170,15 +170,17 @@ def cmd_generate(args) -> int:
 def cmd_encode(args) -> int:
     space = _config_from(SpaceParams, vars(args), _load_config_file(args.config), "space")
     out_dir = _output_dir(args)
+    encoded = []  # every input is read and encoded before the first write
     for input_path in args.inputs:
         series = io.read_series_csv(input_path)
         try:
             stats = None
             if args.normalize_lookback is not None:
                 series, stats = normalize(series, args.normalize_lookback)
-            image = encode(series, space)
+            encoded.append((input_path, encode(series, space), stats))
         except TsgridError as exc:
             raise TsgridError(f"{input_path}: {exc}") from exc
+    for input_path, image, stats in encoded:
         meta = io.write_image(out_dir / Path(input_path).stem, image, stats)
         print(f"encoded {input_path} -> {meta}")
     _write_snapshot(
@@ -198,14 +200,15 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     out_dir = _output_dir(args)
+    decoded = []  # every input is read and decoded before the first write
     for meta_path in args.inputs:
         image, stats = io.read_image(meta_path)
         try:
             series = decode(image, allow_missing=args.allow_missing)
-            if stats is not None:
-                series = denormalize(series, stats)
+            decoded.append((meta_path, series if stats is None else denormalize(series, stats)))
         except TsgridError as exc:
             raise TsgridError(f"{meta_path}: {exc}") from exc
+    for meta_path, series in decoded:
         target = out_dir / f"{Path(meta_path).stem}.decoded.csv"
         io.write_series_csv(target, series)
         print(f"decoded {meta_path} -> {target}")

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigurationError, InputError
 from .rng import RngStream
@@ -306,6 +305,28 @@ def gen_rwb(sigma: float, length: int, rng: RngStream) -> TimeSeries:
     return TimeSeries(values[None, :], tags={"hypothesis": "trend", "behavior": "rwb", "sigma": sigma})
 
 
+def _exp(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+def _expit(x: np.ndarray) -> np.ndarray:
+    """The logistic 1 / (1 + exp(-x)), with libm's ``exp`` through ``math``.
+
+    This is bit-identical to ``scipy.special.expit`` (the same formula and
+    the same ``exp``) without loading scipy, which costs ~0.3 s per
+    process; numpy's vector ``exp`` differs in the last bit on ~2% of inputs.
+    """
+    z = (-x).tolist()
+    try:
+        e = np.fromiter(map(math.exp, z), dtype=np.float64, count=len(z))
+    except OverflowError:  # exp(v) past the largest float is inf, as in C, and the logistic 0
+        e = np.fromiter(map(_exp, z), dtype=np.float64, count=len(z))
+    return 1.0 / (1.0 + e)
+
+
 def gen_lgb(cfg: GeneratorConfig, length: int, rng: RngStream) -> TimeSeries:
     """Logistic growth K / (1 + exp(-r (t - t0))), plus observation noise."""
     if length < 2:
@@ -315,7 +336,7 @@ def gen_lgb(cfg: GeneratorConfig, length: int, rng: RngStream) -> TimeSeries:
     rate = math.exp(g.uniform(*cfg.lgb_logr_range))
     midpoint = length * g.uniform(*cfg.lgb_mid_frac_range)
     t = np.arange(length, dtype=np.float64)
-    clean = capacity * expit(rate * (t - midpoint))
+    clean = capacity * _expit(rate * (t - midpoint))
     values = clean + _noise(cfg, clean, rng.child(CHILD_NOISE).generator())
     return TimeSeries(
         values[None, :],

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import convolve1d
 
 from .errors import ConfigurationError, InputError, StructuralError
 from .series import TimeSeries, linear_resample
@@ -67,6 +66,12 @@ def _checked_grid(grid, dtype: type | None, params: SpaceParams) -> np.ndarray:
 _EMPTY, _BAD_ENTRY, _SEVERAL_ACTIVE = -1, -2, -3
 
 
+def _rows_of_active(active: np.ndarray) -> np.ndarray:
+    """Row codes of a boolean (channels, h, length) grid of active cells."""
+    counts = active.sum(axis=1)
+    return np.select([counts == 1, counts == 0], [active.argmax(axis=1), _EMPTY], _SEVERAL_ACTIVE)
+
+
 @dataclass(init=False)
 class BinaryImageTensor:
     """One-hot-per-column grid of shape (channels, h, length), stored as the
@@ -87,17 +92,18 @@ class BinaryImageTensor:
         with np.errstate(invalid="ignore"):  # NaN and inf fail the round trip below
             g = raw.astype(np.uint8)
         g[g != raw] = 2  # an entry the uint8 cast changed is bad, however it wrapped
-        colsums = g.sum(axis=1)
-        # on a one-hot column the row-weighted sum is the active row
-        weighted = np.einsum("chl,h->cl", g, np.arange(params.h))
-        self.rows = np.select(
-            [colsums == 1, colsums == 0, g.max(axis=1) > 1], [weighted, _EMPTY, _BAD_ENTRY], _SEVERAL_ACTIVE
-        )
+        self.rows = _rows_of_active(g == 1)
+        self.rows[g.max(axis=1) > 1] = _BAD_ENTRY
         self.params = params
 
     @classmethod
+    def _from_active(cls, active: np.ndarray, params: SpaceParams) -> BinaryImageTensor:
+        """Wrap a boolean (channels, h, length) grid of active cells, which must be valid for ``params``."""
+        return cls._from_rows(_rows_of_active(active), params)
+
+    @classmethod
     def _from_rows(cls, rows: np.ndarray, params: SpaceParams) -> BinaryImageTensor:
-        """Wrap int64 rows (channels, length) with no dense grid; -1 marks an empty column."""
+        """Wrap int64 rows (channels, length) with no dense grid, in the row codes above."""
         image = cls.__new__(cls)
         image.rows, image.params = rows, params
         return image
@@ -362,6 +368,9 @@ def preprocess(
     no probability mass leaks outside.  ``blur_sigma`` of ``None`` uses
     kernel_extent / 6 per axis.
     """
+    # the codec's only scipy use: imported here so that `import tsgrid` stays numpy-only
+    from scipy.ndimage import convolve1d
+
     kh, kw = blur_kernel
     if kh < 1 or kw < 1 or kh % 2 == 0 or kw % 2 == 0:
         raise ConfigurationError(f"blur kernel dims must be odd positive integers, got {blur_kernel}")

@@ -88,32 +88,40 @@ def read_series_csv(path: str | Path) -> TimeSeries:
             header = next(reader, None)
             if header is None or len(header) < 2:
                 raise InputError(f"{path}: expected a header with an index column and at least one channel")
-            n_channels = len(header) - 1
-            columns: list[list[float]] = [[] for _ in range(n_channels)]
-            missing: list[list[bool]] = [[] for _ in range(n_channels)]
+            width = len(header)
+            # row-major cells: holding every row's list instead would have the
+            # cyclic garbage collector rescan them (1.5-1.8 ms per 4096-row file)
+            cells: list[str] = []
+            lines: list[int] = []
             for row in reader:
-                if not row:
-                    continue
-                if len(row) != n_channels + 1:
-                    raise InputError(f"{path}: row has {len(row)} fields, expected {n_channels + 1}")
-                for i, field in enumerate(row[1:]):
-                    field = field.strip()
-                    if field == "":
-                        columns[i].append(0.0)
-                        missing[i].append(True)
-                    else:
-                        try:
-                            columns[i].append(float(field))
-                        except ValueError as exc:
-                            raise InputError(f"{path}: non-numeric value {field!r}") from exc
-                        missing[i].append(False)
+                if row:
+                    if len(row) != width:
+                        raise InputError(f"{path}:{reader.line_num}: row has {len(row)} fields, expected {width}")
+                    cells += row
+                    lines.append(reader.line_num)
     except OSError as exc:
         raise InputError(f"{path}: {exc}") from exc
-    if not columns[0]:
+    if not lines:
         raise InputError(f"{path}: no data rows")
-    values = np.asarray(columns, dtype=np.float64)
-    mask = np.asarray(missing, dtype=bool)
-    return TimeSeries(values, mask if mask.any() else None)
+    values = np.empty((width - 1, len(lines)))
+    missing = np.zeros(values.shape, dtype=bool)
+    for i in range(width - 1):
+        column = cells[i + 1 :: width]
+        try:  # one pass per channel; a gap or a bad cell takes the per-cell path
+            values[i] = np.fromiter(map(float, column), dtype=np.float64, count=len(lines))
+        except ValueError:
+            values[i], missing[i] = zip(*(_parse_cell(path, line, cell) for line, cell in zip(lines, column)))
+    return TimeSeries(values, missing if missing.any() else None)
+
+
+def _parse_cell(path: Path, line: int, cell: str) -> tuple[float, bool]:
+    """(value, missing) of one CSV cell; an empty cell is a missing sample."""
+    if not cell.strip():
+        return 0.0, True
+    try:
+        return float(cell), False
+    except ValueError as exc:
+        raise InputError(f"{path}:{line}: non-numeric value {cell.strip()!r}") from exc
 
 
 def write_manifest_csv(path: str | Path, records: Iterable[dict]) -> None:
@@ -183,8 +191,12 @@ def write_meta(path: str | Path, entries: dict[str, str]) -> None:
 
 
 def read_meta(path: str | Path) -> dict[str, str]:
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise InputError(f"{path}: {exc}") from exc
     entries: dict[str, str] = {}
-    for line in Path(path).read_text().splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -248,18 +260,20 @@ def read_image(meta_path: str | Path) -> tuple[BinaryImageTensor, NormStats | No
         name = meta.get(f"file_ch{i}")
         if name is None:
             raise InputError(f"{meta_path}: missing file entry for channel {i}")
-        plane = read_pgm(meta_path.parent / name)
+        try:
+            plane = read_pgm(meta_path.parent / name)
+        except OSError as exc:
+            raise InputError(f"{meta_path}: {exc}") from exc
         if plane.shape != (params.h, length):
             raise InputError(f"{meta_path}: channel {i} has shape {plane.shape}, expected {(params.h, length)}")
-        planes.append((plane >= 128).astype(np.uint8))
-    grid = np.stack(planes)
+        planes.append(plane >= 128)
     stats = None
     if "norm_mean" in meta and "norm_std" in meta:
         mean = np.array([float(v) for v in meta["norm_mean"].split(",")])
         std = np.array([float(v) for v in meta["norm_std"].split(",")])
         # normalize stores a floored std as exactly STD_FLOOR, hence <= rather than <
         stats = NormStats(mean=mean, std=std, floored=std <= STD_FLOOR)
-    return BinaryImageTensor(grid, params), stats
+    return BinaryImageTensor._from_active(np.stack(planes), params), stats
 
 
 def write_report_csv(path: str | Path, rows: Sequence, aggregates: Sequence = ()) -> None:

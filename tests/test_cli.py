@@ -281,7 +281,7 @@ def test_readme_cli_walkthrough_runs_and_replays_byte_exactly(tmp_path):
     "argv, message",
     [
         (["encode", "nope.csv"], "nope.csv: [Errno 2] No such file or directory: 'nope.csv'"),
-        (["decode", "nope.meta"], "[Errno 2] No such file or directory: 'nope.meta'"),
+        (["decode", "nope.meta"], "nope.meta: [Errno 2] No such file or directory: 'nope.meta'"),
         (["evaluate", "--dataset", "nope.csv", "--model", "persistence"],
          "nope.csv: [Errno 2] No such file or directory: 'nope.csv'"),
         (["evaluate", "--dataset", "data.csv", "--model", "nope"],
@@ -301,6 +301,23 @@ def test_a_failed_command_leaves_no_output_dir(tmp_path, capsys, monkeypatch, ar
     assert main(argv + seed + ["-o", "out"]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["encode", "decode"])
+def test_a_bad_later_input_leaves_no_output_dir(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    write_sine(tmp_path / "clean.csv", length=16)
+    if command == "encode":
+        argv, bad = ["encode", "clean.csv", "nope.csv"], "nope.csv"
+    else:
+        assert main(["encode", "clean.csv", "--h", "8", "-o", "enc"]) == 0
+        argv, bad = ["decode", "enc/clean.meta", "nope.meta"], "nope.meta"
+    capsys.readouterr()
+    assert main(argv + ["-o", "pe"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: [Errno 2] No such file or directory: '{bad}'\n"
+    assert not (tmp_path / "pe").exists()
 
 
 def _encoded_meta(tmp_path, monkeypatch) -> Path:

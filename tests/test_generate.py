@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
+from scipy.special import expit
 
 from tsgrid import (
     AugmentConfig,
@@ -22,7 +25,7 @@ from tsgrid import (
     synthesize_from_spectrum,
     wave_sum,
 )
-from tsgrid.generate import CHILD_WAVES
+from tsgrid.generate import CHILD_WAVES, _expit
 
 NO_AUG = AugmentConfig(probability=0.0)
 
@@ -177,6 +180,19 @@ def test_rwb_rejects_bad_sigma():
 
 
 # ---------------------------------------------------------------- lgb
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    xs=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=50),
+    scale=st.sampled_from([1.0, 6.0, 30.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(xs=[710.0, -710.0, 1e308, -1e308, math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324], scale=1.0, seed=0)
+def test_expit_matches_scipy_bit_for_bit(xs, scale, seed):
+    draws = scale * np.random.default_rng(seed).standard_normal(200)
+    x = np.concatenate([np.array(xs, dtype=np.float64), draws])
+    assert np.array_equal(_expit(x), expit(x), equal_nan=True)
 
 
 def test_lgb_midpoint_value_and_monotonicity():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsgrid import InputError, SpaceParams, TimeSeries, encode, from_1d, normalize, preprocess
+from tsgrid import BinaryImageTensor, InputError, SpaceParams, TimeSeries, encode, from_1d, normalize, preprocess
 from tsgrid.evaluation import ReportRow
 from tsgrid.io import (
     _fmt,
@@ -72,6 +72,33 @@ def test_series_csv_rejects_garbage(tmp_path):
     empty.write_text("t,ch0\n")
     with pytest.raises(InputError):
         read_series_csv(empty)
+
+
+def test_series_csv_names_the_line_of_a_bad_cell(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("t,ch0,ch1\n0,1,2\n\n1,,3\n2, x ,4\n")
+    with pytest.raises(InputError) as info:
+        read_series_csv(path)
+    assert str(info.value) == f"{path}:5: non-numeric value 'x'"
+    path.write_text("t,ch0\n0,1\n1,2,3\n")
+    with pytest.raises(InputError) as info:
+        read_series_csv(path)
+    assert str(info.value) == f"{path}:3: row has 3 fields, expected 2"
+
+
+def test_series_csv_parses_padded_and_blank_cells_like_the_cell_parser(tmp_path):
+    cells = [" 1.5", "2.25 ", "\t-3e-5", "1e308", "-0.0", "5e-324", "1_000"]
+    for column in (cells, cells + ["  "], cells + [""]):
+        path = tmp_path / "padded.csv"
+        path.write_text("t,ch0\n" + "".join(f"{t},{c}\n" for t, c in enumerate(column)))
+        back = read_series_csv(path)
+        gap = [not c.strip() for c in column]
+        expected = np.array([0.0 if g else float(c) for c, g in zip(column, gap)])
+        assert np.array_equal(back.values[0], expected)
+        assert np.array_equal(np.signbit(back.values[0]), np.signbit(expected))
+        assert (back.missing is None) == (not any(gap))
+        if back.missing is not None:
+            assert back.missing[0].tolist() == gap
 
 
 def reference_write_series_csv(path, series):
@@ -182,6 +209,46 @@ def test_image_roundtrip_binary(tmp_path):
     assert stats is None
     assert back.params == params
     assert np.array_equal(back.grid, image.grid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    channels=st.integers(1, 3),
+    h=st.integers(2, 9),
+    length=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_read_image_rows_match_the_dense_constructor(channels, h, length, seed):
+    g = np.random.default_rng(seed)
+    # mostly dark cells, so empty, one-hot and multi-active columns all occur
+    levels = np.array([0, 1, 127, 128, 200, 255], dtype=np.uint8)
+    planes = levels[g.choice(6, size=(channels, h, length), p=[0.5, 0.1, 0.15, 0.1, 0.05, 0.1])]
+    planes[:, :, :2] = 0  # at least one empty column where the length allows
+    with tempfile.TemporaryDirectory() as tmp:
+        entries = {"format": "binary", "h": str(h), "ms": "1", "length": str(length), "channels": str(channels)}
+        for i in range(channels):
+            write_pgm(Path(tmp) / f"g_ch{i}.pgm", planes[i])
+            entries[f"file_ch{i}"] = f"g_ch{i}.pgm"
+        write_meta(Path(tmp) / "g.meta", entries)
+        back, _ = read_image(Path(tmp) / "g.meta")
+    dense = BinaryImageTensor((planes >= 128).astype(np.uint8), SpaceParams(h=h, ms=1.0))
+    assert back.rows.dtype == dense.rows.dtype
+    assert np.array_equal(back.rows, dense.rows)
+    assert back.params == dense.params
+    for (c, t), row in np.ndenumerate(back.rows):  # -1: no active cell, -3: several
+        hits = np.flatnonzero(planes[c, :, t] >= 128)
+        assert row == (hits[0] if len(hits) == 1 else -1 if len(hits) == 0 else -3)
+
+
+def test_missing_meta_and_graymap_are_named_by_the_meta(tmp_path):
+    with pytest.raises(InputError) as info:
+        read_meta(tmp_path / "nope.meta")
+    assert str(info.value).startswith(f"{tmp_path / 'nope.meta'}: [Errno 2] ")
+    meta = write_image(tmp_path / "img", encode(from_1d(np.zeros(4)), SpaceParams(h=8)))
+    (tmp_path / "img_ch0.pgm").unlink()
+    with pytest.raises(InputError) as info:
+        read_image(meta)
+    assert str(info.value) == f"{meta}: [Errno 2] No such file or directory: '{tmp_path / 'img_ch0.pgm'}'"
 
 
 def test_image_roundtrip_with_stats(tmp_path):
