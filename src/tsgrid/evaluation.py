@@ -24,8 +24,8 @@ from .rng import RngStream
 from .series import TimeSeries, carry_forward, linear_resample
 
 # Window samples (lookback + horizon, all channels) scored per block: bounds
-# the memory of a cell with many overlapping windows, e.g. at stride 1.
-WINDOW_BLOCK_SAMPLES = 2**18
+# the memory of a horizon with many overlapping windows, e.g. at stride 1.
+WINDOW_BLOCK_SAMPLES = 2**16
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,9 @@ class EvalConfig:
             raise ConfigurationError(f"horizons must be positive, got {self.horizons}")
         if not self.rescale_factors or not all(b > 0 and math.isfinite(b) for b in self.rescale_factors):
             raise ConfigurationError(f"rescale factors must be positive and finite, got {self.rescale_factors}")
+        for name, values in (("horizons", self.horizons), ("rescale factors", self.rescale_factors)):
+            if len(set(values)) != len(values):
+                raise ConfigurationError(f"{name} must be distinct, got {values}")
         if self.stride is not None and self.stride < 1:
             raise ConfigurationError(f"stride must be positive, got {self.stride}")
 
@@ -225,49 +228,71 @@ def _window_predictions(
     return denormalize(TimeSeries(z_pred), stats).values
 
 
-def _cell_errors(
-    model: ForecasterHandle, series: TimeSeries, lookback: int, horizon: int, stride: int, space: SpaceParams
-) -> tuple[float, float, int, int]:
-    """Squared and absolute error sums, scored targets and windows of one (beta, horizon) cell.
+def _stream_rows(views: list[np.ndarray], offsets: list[int], first: int, last: int) -> np.ndarray:
+    """Windows ``first:last`` of the stream that runs through each (channels, windows, span)
+    view in turn, cell-major, as rows: window-major, one row per channel."""
+    parts = [v[:, max(first - o, 0) : last - o] for v, o in zip(views, offsets) if o < last and first < o + v.shape[1]]
+    block = np.concatenate(parts, axis=1)
+    return block.swapaxes(0, 1).reshape(-1, block.shape[2])
 
-    Every model is channel-independent, so windows are folded into the row
-    axis (window-major, one row per channel) and one ``_window_predictions``
-    call scores a block of up to ``WINDOW_BLOCK_SAMPLES`` window samples.
-    Each window's errors are summed on their own and accumulated in window
-    order, so the result is bit-identical to scoring window by window.
+
+def _horizon_errors(
+    model: ForecasterHandle, cells: list[TimeSeries], lookback: int, horizon: int, stride: int, space: SpaceParams
+) -> list[tuple[float, float, int, int]]:
+    """Squared and absolute error sums, scored targets and windows of each cell of one horizon.
+
+    ``cells`` are the rescaled series of the (beta, horizon) cells with at
+    least one window; they share their channels, and all or none carry a
+    missing mask.  Every model is channel-independent, so the windows of
+    all cells are folded into the row axis as one stream (cell-major, then
+    window-major, one row per channel), and one ``_window_predictions``
+    call scores a block of up to ``WINDOW_BLOCK_SAMPLES`` window samples,
+    which may span cells.  Each window's errors are summed on their own and
+    accumulated into its cell in window order, so the result is
+    bit-identical to scoring window by window.
     """
     span = lookback + horizon
-    channels = series.channels
-    values = sliding_window_view(series.values, span, axis=1)[:, ::stride]  # (channels, windows, span)
-    missing = None if series.missing is None else sliding_window_view(series.missing, span, axis=1)[:, ::stride]
-    n_windows = values.shape[1]
+    channels = cells[0].channels
+    values = [sliding_window_view(s.values, span, axis=1)[:, ::stride] for s in cells]  # (channels, windows, span)
+    missing = None
+    if cells[0].missing is not None:
+        missing = [sliding_window_view(s.missing, span, axis=1)[:, ::stride] for s in cells]
+    counts = [v.shape[1] for v in values]
+    offsets = np.cumsum([0] + counts).tolist()
     per_block = max(1, WINDOW_BLOCK_SAMPLES // (channels * span))
 
-    sq_sum = 0.0
-    abs_sum = 0.0
-    count = 0
-    for first in range(0, n_windows, per_block):
-        block = values[:, first : first + per_block].swapaxes(0, 1).reshape(-1, span)
-        gaps = None if missing is None else missing[:, first : first + per_block].swapaxes(0, 1).reshape(-1, span)
+    sq = np.empty(offsets[-1])
+    ab = np.empty(offsets[-1])
+    scored = np.empty(offsets[-1], dtype=np.int64)
+    for first in range(0, offsets[-1], per_block):
+        last = min(first + per_block, offsets[-1])
+        block = _stream_rows(values, offsets, first, last)
+        gaps = None if missing is None else _stream_rows(missing, offsets, first, last)
         target = block[:, lookback:]
         look_missing = None if gaps is None else gaps[:, :lookback]
         preds = _window_predictions(model, block[:, :lookback], look_missing, horizon, target, space)
         diff = (preds - target).reshape(-1, channels * horizon)
         if gaps is None:
-            sq = np.sum(diff * diff, axis=1)
-            ab = np.sum(np.abs(diff), axis=1)
-            count += diff.size
+            sq[first:last] = np.sum(diff * diff, axis=1)
+            ab[first:last] = np.sum(np.abs(diff), axis=1)
+            scored[first:last] = diff.shape[1]
         else:
             # compressed errors per window: zero-filling masked cells would change the summation order
             keep = ~gaps[:, lookback:].reshape(diff.shape)
-            kept = np.split(diff[keep], np.cumsum(keep.sum(axis=1))[:-1])
-            sq = [np.sum(d * d) for d in kept]
-            ab = [np.sum(np.abs(d)) for d in kept]
-            count += int(keep.sum())
-        for s, a in zip(sq, ab):
-            sq_sum += float(s)
-            abs_sum += float(a)
-    return sq_sum, abs_sum, count, n_windows
+            scored[first:last] = keep.sum(axis=1)
+            kept = np.split(diff[keep], np.cumsum(scored[first:last])[:-1])
+            sq[first:last] = [np.sum(d * d) for d in kept]
+            ab[first:last] = [np.sum(np.abs(d)) for d in kept]
+
+    errors = []
+    for lo, hi in zip(offsets, offsets[1:]):
+        sq_sum = 0.0
+        abs_sum = 0.0
+        for s, a in zip(sq[lo:hi].tolist(), ab[lo:hi].tolist()):
+            sq_sum += s
+            abs_sum += a
+        errors.append((sq_sum, abs_sum, int(scored[lo:hi].sum()), hi - lo))
+    return errors
 
 
 def remetrics(
@@ -286,7 +311,8 @@ def remetrics(
     For each factor the truth is rescaled (then perturbed, for robustness
     scenarios), windows every ``stride`` samples (non-overlapping by
     default) invoke the model on the lookback, and squared/absolute errors
-    against the window's future accumulate.
+    against the window's future accumulate.  Each horizon scores the
+    windows of every factor together, in shared blocks.
     Multichannel series are handled channel-independently.  Rescale factors
     leaving no room for a single window are recorded with zero windows; if
     no cell scores a target (no window, or every target masked), the run is
@@ -295,29 +321,34 @@ def remetrics(
     if perturbation is not None and rng is None:
         raise ConfigurationError("a random stream is required for perturbation scenarios")
     space = space or SpaceParams()
-    rows: list[ReportRow] = []
 
+    rescaled: list[TimeSeries | None] = []
     for b_idx, beta in enumerate(cfg.rescale_factors):
         try:
-            rescaled = tsi_rescale(truth, beta)
+            series = tsi_rescale(truth, beta)
         except InputError:
-            rescaled = None
-        if rescaled is not None and perturbation is not None:
-            rescaled = perturb(rescaled, perturbation, rng.child(b_idx))
+            series = None
+        if series is not None and perturbation is not None:
+            series = perturb(series, perturbation, rng.child(b_idx))
+        rescaled.append(series)
 
+    cells: dict[tuple[float, int], tuple[float, float, int, int]] = {}
+    for horizon in cfg.horizons:
+        stride = cfg.stride if cfg.stride is not None else horizon
+        span = cfg.lookback + horizon
+        fit = [(b, s) for b, s in zip(cfg.rescale_factors, rescaled) if s is not None and s.length >= span]
+        if fit:
+            errors = _horizon_errors(model, [s for _, s in fit], cfg.lookback, horizon, stride, space)
+            cells.update(((beta, horizon), e) for (beta, _), e in zip(fit, errors))
+
+    rows: list[ReportRow] = []
+    for beta in cfg.rescale_factors:
         for horizon in cfg.horizons:
-            stride = cfg.stride if cfg.stride is not None else horizon
-            if rescaled is None or rescaled.length < cfg.lookback + horizon:
-                rows.append(ReportRow(dataset, horizon, beta, scenario, None, None, 0))
-                continue
-
-            sq_sum, abs_sum, count, n_windows = _cell_errors(model, rescaled, cfg.lookback, horizon, stride, space)
+            sq_sum, abs_sum, count, n_windows = cells.get((beta, horizon), (0.0, 0.0, 0, 0))
             if count == 0:
                 rows.append(ReportRow(dataset, horizon, beta, scenario, None, None, n_windows))
             else:
-                rows.append(
-                    ReportRow(dataset, horizon, beta, scenario, sq_sum / count, abs_sum / count, n_windows)
-                )
+                rows.append(ReportRow(dataset, horizon, beta, scenario, sq_sum / count, abs_sum / count, n_windows))
 
     if not any(r.mse is not None for r in rows):
         if any(r.windows for r in rows):

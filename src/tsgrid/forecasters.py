@@ -131,12 +131,30 @@ def detect_period(x: np.ndarray, min_lag: int = 2) -> int:
     return int(np.clip(best, min_lag, max_lag))
 
 
+def _fft_length(m: int) -> int:
+    """The smallest 2**a * 3**b * 5**c >= m: a length numpy's FFT handles fast (numpy has no ``next_fast_len``)."""
+    best = 1 << max(m - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            q = p35
+            while q < m:
+                q *= 2
+            best = min(best, q)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _periods(X: np.ndarray, min_lag: int = 2) -> np.ndarray:
     """``[detect_period(x, min_lag) for x in X]``, from one FFT screen of the block.
 
     The autocorrelation of every row comes from one ``rfft``/``irfft``
-    pair.  Its argmax is the period unless a rounding error could have
-    changed it; those rows go through :func:`detect_period`.
+    pair of length ``_fft_length(n + n // 2)``, the shortest 2**a * 3**b *
+    5**c length with no circular wrap up to lag n // 2 (768 for n = 512).
+    Its argmax is the period unless a rounding error could have changed
+    it; those rows go through :func:`detect_period`.
 
     Why a clear argmax is exact.  Both paths center with the same floats
     (``X.mean(axis=1)`` is bit-equal to each row's mean), so they differ
@@ -144,9 +162,11 @@ def _periods(X: np.ndarray, min_lag: int = 2) -> np.ndarray:
     is at most S by Cauchy-Schwarz, so ``np.correlate`` in any summation
     order is within (n - k) * eps * S of the exact lag-k sum.  For the FFT
     the bound is stated, not proven per element: c * log2(nfft) * eps * S,
-    because a radix-2 FFT's error grows as log2 of its size times eps times
-    the norm, and c = 8 is about twenty times the largest ratio seen on
-    noise, periodic, quantized and random-walk rows.  Divided by the
+    because an FFT's error grows as log2 of its size times eps times the
+    norm.  On 3000 noise, periodic, cell-center and random-walk rows the
+    largest ratio of the error to log2(nfft) * eps * S was 0.39 at n = 512
+    (nfft = 768) and 0.62 at n = 96 (nfft = 144), the largest over lookbacks
+    4 to 4096, so c = 8 leaves 12x headroom or more.  Divided by the
     overlap (n - k), plus one eps * S for the two divisions, this is
     ``margin[k]``, a bound on the gap between the two computed values at
     lag k.  If every other lag k lies more than margin[best] + margin[k]
@@ -163,7 +183,7 @@ def _periods(X: np.ndarray, min_lag: int = 2) -> np.ndarray:
     max_lag = n // 2
     if max_lag < min_lag:
         return np.full(rows, max(1, max_lag), dtype=np.int64)
-    nfft = 1 << (n + max_lag - 1).bit_length()  # no circular wrap up to max_lag
+    nfft = _fft_length(n + max_lag)  # no circular wrap up to max_lag
     lags = np.arange(min_lag, max_lag + 1)
     with np.errstate(all="ignore"):  # non-finite rows are flagged and rerun below
         xc = X - X.mean(axis=1)[:, None]

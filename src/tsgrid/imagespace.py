@@ -172,15 +172,20 @@ def value_to_row(values: np.ndarray, params: SpaceParams) -> np.ndarray:
     Interior cells cover half-open value intervals (lower, upper], so the
     cell center is never farther than half a cell from the value; s >= MS
     saturates into the top cell and s <= -MS into the bottom cell.
+
+    The saturation comes from the clip alone.  For s >= MS, fl(s + MS) >= 2MS
+    and 2MS / fl(2MS / h) >= h(1 - 2**-53) > h - 1, so the ceiling of the
+    clipped quotient is h; for s <= -MS the quotient is <= 0, so it is 1.
+    The clip runs on the float quotient, because the int64 cast of a huge
+    one is undefined.
     """
     v = np.asarray(values, dtype=np.float64)
     if not np.all(np.isfinite(v)):
         raise InputError("cannot encode non-finite values")
-    flat = np.atleast_1d(v)
-    rows = np.ceil((flat + params.ms) / params.bin_width).astype(np.int64) - 1
-    np.clip(rows, 0, params.h - 1, out=rows)
-    rows[flat >= params.ms] = params.h - 1
-    rows[flat <= -params.ms] = 0
+    q = (np.atleast_1d(v) + params.ms) / params.bin_width
+    np.clip(q, 1, params.h, out=q)
+    rows = np.ceil(q, out=q).astype(np.int64)
+    rows -= 1
     return rows.reshape(v.shape)
 
 

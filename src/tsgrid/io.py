@@ -8,6 +8,7 @@ significant digits.  Missing samples are empty CSV fields.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -79,7 +80,8 @@ def read_series_csv(path: str | Path) -> TimeSeries:
     """Read a delimited series; the first column is treated as the index.
 
     Empty fields become missing samples (placeholder value 0.0); a
-    non-numeric first column (e.g. timestamps) is accepted and dropped.
+    non-numeric first column (e.g. timestamps) is accepted and dropped.  A
+    non-numeric or non-finite cell is an error that names its line.
     """
     path = Path(path)
     try:
@@ -107,21 +109,31 @@ def read_series_csv(path: str | Path) -> TimeSeries:
     missing = np.zeros(values.shape, dtype=bool)
     for i in range(width - 1):
         column = cells[i + 1 :: width]
-        try:  # one pass per channel; a gap or a bad cell takes the per-cell path
+        try:  # one pass per channel; a gap, a bad or a non-finite cell takes the per-cell path
             values[i] = np.fromiter(map(float, column), dtype=np.float64, count=len(lines))
+            if np.isfinite(values[i]).all():
+                continue
         except ValueError:
-            values[i], missing[i] = zip(*(_parse_cell(path, line, cell) for line, cell in zip(lines, column)))
+            pass
+        values[i], missing[i] = zip(*(_parse_cell(path, line, cell) for line, cell in zip(lines, column)))
     return TimeSeries(values, missing if missing.any() else None)
 
 
 def _parse_cell(path: Path, line: int, cell: str) -> tuple[float, bool]:
-    """(value, missing) of one CSV cell; an empty cell is a missing sample."""
+    """(value, missing) of one CSV cell; an empty cell is a missing sample.
+
+    A NaN, an infinity or a number too large for a float is an error, not a
+    missing sample.
+    """
     if not cell.strip():
         return 0.0, True
     try:
-        return float(cell), False
+        value = float(cell)
     except ValueError as exc:
         raise InputError(f"{path}:{line}: non-numeric value {cell.strip()!r}") from exc
+    if not math.isfinite(value):
+        raise InputError(f"{path}:{line}: non-finite value {cell.strip()!r}")
+    return value, False
 
 
 def write_manifest_csv(path: str | Path, records: Iterable[dict]) -> None:

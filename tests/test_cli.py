@@ -289,10 +289,17 @@ def test_readme_cli_walkthrough_runs_and_replays_byte_exactly(tmp_path):
          "seasonal-naive-image, linear-trend-image, oracle"),
         (["evaluate", "--dataset", "data.csv", "--model", "persistence", "--lookback", "32", "--horizons", "5000"],
          "persistence: horizon 5000 exceeds limit 4096"),
+        (["evaluate", "--dataset", "data.csv", "--model", "persistence", "--horizons", "96,96"],
+         "horizons must be distinct, got (96, 96)"),
+        (["evaluate", "--dataset", "data.csv", "--model", "persistence", "--betas", "0.5,1,1"],
+         "rescale factors must be distinct, got (0.5, 1.0, 1.0)"),
         (["perturb", "--dataset", "nope.csv", "--kind", "missing"],
          "nope.csv: [Errno 2] No such file or directory: 'nope.csv'"),
     ],
-    ids=["encode", "decode", "evaluate-dataset", "evaluate-model", "evaluate-horizon", "perturb"],
+    ids=[
+        "encode", "decode", "evaluate-dataset", "evaluate-model", "evaluate-horizon",
+        "evaluate-duplicate-horizons", "evaluate-duplicate-betas", "perturb",
+    ],
 )
 def test_a_failed_command_leaves_no_output_dir(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)

@@ -97,6 +97,10 @@ def test_eval_config_validation():
         EvalConfig(rescale_factors=(1.0, -2.0))
     with pytest.raises(ConfigurationError):
         EvalConfig(stride=0)
+    with pytest.raises(ConfigurationError, match=r"horizons must be distinct, got \(96, 192, 96\)"):
+        EvalConfig(horizons=(96, 192, 96))
+    with pytest.raises(ConfigurationError, match=r"rescale factors must be distinct, got \(1.0, 1\)"):
+        EvalConfig(rescale_factors=(1.0, 1))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])

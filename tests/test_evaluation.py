@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -433,10 +433,10 @@ def evaluation_cases(draw):
         if draw(st.booleans()):
             missing[:, draw(st.integers(0, length)) :] = True  # all-missing targets from here on
     lookback = draw(st.integers(2, 24))
-    horizons = tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=2)))
+    horizons = tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=2, unique=True)))
     # stride below, equal to and above the horizon
     stride = draw(st.sampled_from([None, 1, 2, 5, 13]))
-    betas = tuple(draw(st.lists(st.sampled_from([0.5, 0.66, 1.0, 1.5, 2.0]), min_size=1, max_size=3)))
+    betas = tuple(draw(st.lists(st.sampled_from([0.5, 0.66, 1.0, 1.5, 2.0]), min_size=1, max_size=3, unique=True)))
     perturbation = draw(
         st.sampled_from(
             [
@@ -466,8 +466,27 @@ def evaluation_cases(draw):
     return TimeSeries(values, missing), get_model(model_id), cfg, perturbation, space, block
 
 
+# 200-sample blocks (8 windows at horizon 4, 5 at horizon 9) span the beta = 1.5 and beta = 1
+# series; beta = 0.2 has no window
+SPANNING = (
+    TimeSeries(np.stack([np.sin(np.arange(40) / 3.0), np.cos(np.arange(40) / 5.0) * np.arange(40)])),
+    EvalConfig(lookback=8, horizons=(4, 9), rescale_factors=(1.5, 0.2, 1.0), stride=1),
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=evaluation_cases())
+@example(case=(SPANNING[0], get_model("seasonal-naive"), SPANNING[1], None, SpaceParams(), 200))
+@example(
+    case=(
+        SPANNING[0],
+        get_model("seasonal-naive-image"),
+        SPANNING[1],
+        PerturbationSpec(kind="missing", missing_probability=0.4),
+        SpaceParams(h=7, ms=3.5),
+        200,
+    )
+)
 def test_remetrics_matches_window_by_window_loop(case):
     truth, model, cfg, perturbation, space, block = case
     expected = window_loop_remetrics(truth, model, cfg, perturbation=perturbation, rng=RngStream(3), space=space)

@@ -24,7 +24,7 @@ from tsgrid import (
     soft_decode,
 )
 from tsgrid import forecasters
-from tsgrid.forecasters import _periods
+from tsgrid.forecasters import _fft_length, _periods
 
 P64 = SpaceParams(h=64, ms=3.5)
 
@@ -211,6 +211,20 @@ def test_predict_rows_is_bit_equal_to_per_row_predict(block):
         assert np.array_equal(rows, np.stack(single))
         if not model.needs_future:
             assert np.array_equal(rows, np.stack([per_series_baseline(model.id, x, horizon) for x in X]))
+
+
+def test_fft_length_is_the_smallest_5_smooth_length_not_below_m():
+    limit = 8192  # past the answer for every m tested
+    smooth = sorted(
+        2**a * 3**b * 5**c
+        for a in range(14)
+        for b in range(9)
+        for c in range(6)
+        if 2**a * 3**b * 5**c <= limit
+    )
+    for m in range(1, 5001):
+        assert _fft_length(m) == next(k for k in smooth if k >= m), m
+    assert _fft_length(512 + 256) == 768
 
 
 def test_periods_fall_back_to_detect_period_on_exact_ties(monkeypatch):

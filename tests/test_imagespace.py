@@ -114,6 +114,33 @@ def test_encode_is_monotone():
     assert np.all(np.diff(rows) >= 0)
 
 
+def masked_value_to_row(values, params):
+    """Reference: the cell quotient's ceiling, clipped as int64 rows, with both edges assigned by mask."""
+    flat = np.atleast_1d(np.asarray(values, dtype=np.float64))
+    with np.errstate(invalid="ignore"):  # a huge quotient's cast is undefined; the masks overwrite it
+        rows = np.ceil((flat + params.ms) / params.bin_width).astype(np.int64) - 1
+    np.clip(rows, 0, params.h - 1, out=rows)
+    rows[flat >= params.ms] = params.h - 1
+    rows[flat <= -params.ms] = 0
+    return rows.reshape(np.shape(values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+@example(data=None)
+def test_value_to_row_matches_the_masked_reference(data):
+    if data is None:  # huge values, whose int64 cast the clip must come before
+        params, values = P128, np.array([1e30, -1e30, 1e300, -1e300, 3.5, -3.5, 0.0])
+    else:
+        h = data.draw(st.sampled_from([2, 3, 7, 128, 255, 1000]))
+        params = SpaceParams(h=h, ms=data.draw(st.floats(1e-3, 1e3)))
+        edges = np.arange(params.h + 1) * params.bin_width - params.ms
+        special = st.sampled_from([params.ms, -params.ms, *edges, *params.centers()])
+        near = special.flatmap(lambda x: st.sampled_from([x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)]))
+        values = np.array(data.draw(st.lists(st.one_of(near, st.floats(-1e300, 1e300)), min_size=1, max_size=40)))
+    assert np.array_equal(value_to_row(values, params), masked_value_to_row(values, params))
+
+
 def test_encode_columns_are_one_hot():
     series = from_1d(np.linspace(-4, 4, 200))
     image = encode(series, P128)

@@ -86,6 +86,16 @@ def test_series_csv_names_the_line_of_a_bad_cell(tmp_path):
     assert str(info.value) == f"{path}:3: row has 3 fields, expected 2"
 
 
+@pytest.mark.parametrize("cell", ["nan", "NaN", " inf", "-inf", "1e400", "-Infinity"])
+@pytest.mark.parametrize("gappy", [False, True], ids=["gap-free", "gappy"])
+def test_series_csv_names_the_line_of_a_non_finite_cell(tmp_path, cell, gappy):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"t,ch0,ch1\n0,1,2\n1,{'' if gappy else 5},3\n2,{cell},4\n")
+    with pytest.raises(InputError) as info:
+        read_series_csv(path)
+    assert str(info.value) == f"{path}:4: non-finite value {cell.strip()!r}"
+
+
 def test_series_csv_parses_padded_and_blank_cells_like_the_cell_parser(tmp_path):
     cells = [" 1.5", "2.25 ", "\t-3e-5", "1e308", "-0.0", "5e-324", "1_000"]
     for column in (cells, cells + ["  "], cells + [""]):
