@@ -17,6 +17,7 @@ from .errors import (
     ConfigurationError,
     EvaluationError,
     InputError,
+    LookbackOverflow,
     StructuralError,
     TsgridError,
 )

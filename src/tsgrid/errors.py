@@ -13,6 +13,14 @@ class InputError(TsgridError, ValueError):
     """Input data violates a precondition (shape, range, finiteness)."""
 
 
+class LookbackOverflow(InputError):
+    """The lookback mean or standard deviation of ``channel`` overflows float64."""
+
+    def __init__(self, channel: int) -> None:
+        super().__init__(f"channel {channel}: lookback statistics overflow float64")
+        self.channel = channel
+
+
 class StructuralError(TsgridError, ValueError):
     """A grid violates the one-active-cell-per-column structure."""
 

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigurationError, EvaluationError, InputError
+from .errors import ConfigurationError, EvaluationError, InputError, LookbackOverflow
 from .forecasters import ForecasterHandle, _predicted_rows
 from .imagespace import SpaceParams, decode_rows, denormalize, encode_rows, normalize
 from .rng import RngStream
@@ -228,70 +228,104 @@ def _window_predictions(
     return denormalize(TimeSeries(z_pred), stats).values
 
 
-def _stream_rows(views: list[np.ndarray], offsets: list[int], first: int, last: int) -> np.ndarray:
-    """Windows ``first:last`` of the stream that runs through each (channels, windows, span)
-    view in turn, cell-major, as rows: window-major, one row per channel."""
-    parts = [v[:, max(first - o, 0) : last - o] for v, o in zip(views, offsets) if o < last and first < o + v.shape[1]]
-    block = np.concatenate(parts, axis=1)
-    return block.swapaxes(0, 1).reshape(-1, block.shape[2])
+def _cell_errors(
+    model: ForecasterHandle, rescaled: list[TimeSeries | None], cfg: EvalConfig, space: SpaceParams
+) -> dict[tuple[int, int], tuple[float, float, int, int]]:
+    """Squared and absolute error sums, scored targets and windows of each (rescale index, horizon) cell with a window.
 
-
-def _horizon_errors(
-    model: ForecasterHandle, cells: list[TimeSeries], lookback: int, horizon: int, stride: int, space: SpaceParams
-) -> list[tuple[float, float, int, int]]:
-    """Squared and absolute error sums, scored targets and windows of each cell of one horizon.
-
-    ``cells`` are the rescaled series of the (beta, horizon) cells with at
-    least one window; they share their channels, and all or none carry a
-    missing mask.  Every model is channel-independent, so the windows of
-    all cells are folded into the row axis as one stream (cell-major, then
-    window-major, one row per channel), and one ``_window_predictions``
-    call scores a block of up to ``WINDOW_BLOCK_SAMPLES`` window samples,
-    which may span cells.  Each window's errors are summed on their own and
-    accumulated into its cell in window order, so the result is
-    bit-identical to scoring window by window.
+    ``rescaled`` holds one series per rescale factor (None: not rescalable);
+    they share their channels, and all or none carry a missing mask.  A
+    horizon's windows start every ``stride`` samples, so horizons share
+    lookbacks: at the default strides every 192-window starts where a
+    96-window does.  Each distinct (series, start) lookback is forecast
+    once, at H, the longest horizon with a window there, and each horizon
+    h <= H is scored from the first h columns of that forecast: every
+    handle's ``predict_rows`` is prefix-consistent.  The lookbacks of one H
+    are folded into the row axis as one stream (series by series, start by
+    start, one row per channel), because every model is channel-independent,
+    and one ``_window_predictions`` call scores a block of up to
+    ``WINDOW_BLOCK_SAMPLES`` samples (rows x (lookback + H)).  Each window's
+    errors are summed on their own and accumulated into its cell in window
+    order, so the result is bit-identical to scoring window by window.
     """
-    span = lookback + horizon
-    channels = cells[0].channels
-    values = [sliding_window_view(s.values, span, axis=1)[:, ::stride] for s in cells]  # (channels, windows, span)
-    missing = None
-    if cells[0].missing is not None:
-        missing = [sliding_window_view(s.missing, span, axis=1)[:, ::stride] for s in cells]
-    counts = [v.shape[1] for v in values]
-    offsets = np.cumsum([0] + counts).tolist()
-    per_block = max(1, WINDOW_BLOCK_SAMPLES // (channels * span))
+    lookback = cfg.lookback
+    fit = [(b, s) for b, s in enumerate(rescaled) if s is not None and s.length > lookback]
+    if not fit:
+        return {}
+    strides = {h: cfg.stride or h for h in cfg.horizons}
+    # the series one after another on one time axis: a block of windows is one gather from it
+    first_sample = np.cumsum([0] + [s.length for _, s in fit])
+    joined = np.concatenate([s.values for _, s in fit], axis=1).T  # (samples, channels)
+    gaps = None if fit[0][1].missing is None else np.concatenate([s.missing for _, s in fit], axis=1).T
+    channels = joined.shape[1]
 
-    sq = np.empty(offsets[-1])
-    ab = np.empty(offsets[-1])
-    scored = np.empty(offsets[-1], dtype=np.int64)
-    for first in range(0, offsets[-1], per_block):
-        last = min(first + per_block, offsets[-1])
-        block = _stream_rows(values, offsets, first, last)
-        gaps = None if missing is None else _stream_rows(missing, offsets, first, last)
-        target = block[:, lookback:]
-        look_missing = None if gaps is None else gaps[:, :lookback]
-        preds = _window_predictions(model, block[:, :lookback], look_missing, horizon, target, space)
-        diff = (preds - target).reshape(-1, channels * horizon)
-        if gaps is None:
-            sq[first:last] = np.sum(diff * diff, axis=1)
-            ab[first:last] = np.sum(np.abs(diff), axis=1)
-            scored[first:last] = diff.shape[1]
-        else:
-            # compressed errors per window: zero-filling masked cells would change the summation order
-            keep = ~gaps[:, lookback:].reshape(diff.shape)
-            scored[first:last] = keep.sum(axis=1)
-            kept = np.split(diff[keep], np.cumsum(scored[first:last])[:-1])
-            sq[first:last] = [np.sum(d * d) for d in kept]
-            ab[first:last] = [np.sum(np.abs(d)) for d in kept]
+    windows: dict[tuple[int, int], int] = {}  # per (series k of fit, horizon)
+    longest = np.zeros(joined.shape[0], dtype=np.int64)  # the longest horizon with a window at each start
+    for k, (_, s) in enumerate(fit):
+        for h in cfg.horizons:
+            if s.length >= lookback + h:
+                at = first_sample[k] + np.arange(0, s.length - lookback - h + 1, strides[h])
+                windows[k, h] = at.size
+                longest[at] = np.maximum(longest[at], h)
+    for h in cfg.horizons:
+        if any(key[1] == h for key in windows):
+            model.check_capability(lookback, h)  # in horizon order, before the first forecast
 
-    errors = []
-    for lo, hi in zip(offsets, offsets[1:]):
+    # per horizon, its cells' windows one cell after another; cell k's first window is first_window[h][k]
+    first_window = {h: np.cumsum([0] + [windows.get((k, h), 0) for k in range(len(fit))]) for h in cfg.horizons}
+    sq = {h: np.empty(f[-1]) for h, f in first_window.items()}
+    ab = {h: np.empty(f[-1]) for h, f in first_window.items()}
+    scored = {h: np.empty(f[-1], dtype=np.int64) for h, f in first_window.items()}
+    for H in cfg.horizons:
+        starts = np.flatnonzero(longest == H)
+        if not starts.size:
+            continue
+        span = lookback + H
+        value_windows = sliding_window_view(joined, span, axis=0)  # (starts, channels, span)
+        gap_windows = None if gaps is None else sliding_window_view(gaps, span, axis=0)
+        per_block = max(1, WINDOW_BLOCK_SAMPLES // (channels * span))
+        for lo in range(0, starts.size, per_block):
+            at = starts[lo : lo + per_block]
+            cell = np.searchsorted(first_sample, at, side="right") - 1
+            local = at - first_sample[cell]
+            block = value_windows[at]  # (windows, channels, span)
+            rows = block.reshape(-1, span)
+            gap = None if gap_windows is None else gap_windows[at]
+            look_missing = None if gap is None else gap.reshape(-1, span)[:, :lookback]
+            try:
+                preds = _window_predictions(model, rows[:, :lookback], look_missing, H, rows[:, lookback:], space)
+            except LookbackOverflow as exc:  # name the series' channel, not the block's row
+                raise LookbackOverflow(exc.channel % channels) from None
+            errs = preds.reshape(block.shape[0], channels, H) - block[:, :, lookback:]
+            for h in cfg.horizons:
+                if h > H:
+                    continue
+                sel = local % strides[h] == 0
+                idx = first_window[h][cell[sel]] + local[sel] // strides[h]
+                # every start forecast at H has an H-window: that horizon needs no gather
+                diff = (errs if h == H else errs[sel, :, :h]).reshape(-1, channels * h)
+                if gap is None:
+                    sq[h][idx] = np.sum(diff * diff, axis=1)
+                    ab[h][idx] = np.sum(np.abs(diff), axis=1)
+                    scored[h][idx] = diff.shape[1]
+                else:
+                    # compressed errors per window: zero-filling masked cells would change the summation order
+                    keep = ~gap[sel, :, lookback : lookback + h].reshape(diff.shape)
+                    counts = keep.sum(axis=1)
+                    kept = np.split(diff[keep], np.cumsum(counts)[:-1])
+                    scored[h][idx] = counts
+                    sq[h][idx] = [np.sum(d * d) for d in kept]
+                    ab[h][idx] = [np.sum(np.abs(d)) for d in kept]
+
+    errors = {}
+    for (k, h), n in windows.items():
+        lo = first_window[h][k]
         sq_sum = 0.0
         abs_sum = 0.0
-        for s, a in zip(sq[lo:hi].tolist(), ab[lo:hi].tolist()):
+        for s, a in zip(sq[h][lo : lo + n].tolist(), ab[h][lo : lo + n].tolist()):
             sq_sum += s
             abs_sum += a
-        errors.append((sq_sum, abs_sum, int(scored[lo:hi].sum()), hi - lo))
+        errors[fit[k][0], h] = (sq_sum, abs_sum, int(scored[h][lo : lo + n].sum()), n)
     return errors
 
 
@@ -311,8 +345,9 @@ def remetrics(
     For each factor the truth is rescaled (then perturbed, for robustness
     scenarios), windows every ``stride`` samples (non-overlapping by
     default) invoke the model on the lookback, and squared/absolute errors
-    against the window's future accumulate.  Each horizon scores the
-    windows of every factor together, in shared blocks.
+    against the window's future accumulate.  Windows of several horizons
+    that start at one sample share one forecast, made at the longest of
+    them (see ``_cell_errors``).
     Multichannel series are handled channel-independently.  Rescale factors
     leaving no room for a single window are recorded with zero windows; if
     no cell scores a target (no window, or every target masked), the run is
@@ -332,19 +367,12 @@ def remetrics(
             series = perturb(series, perturbation, rng.child(b_idx))
         rescaled.append(series)
 
-    cells: dict[tuple[float, int], tuple[float, float, int, int]] = {}
-    for horizon in cfg.horizons:
-        stride = cfg.stride if cfg.stride is not None else horizon
-        span = cfg.lookback + horizon
-        fit = [(b, s) for b, s in zip(cfg.rescale_factors, rescaled) if s is not None and s.length >= span]
-        if fit:
-            errors = _horizon_errors(model, [s for _, s in fit], cfg.lookback, horizon, stride, space)
-            cells.update(((beta, horizon), e) for (beta, _), e in zip(fit, errors))
+    errors = _cell_errors(model, rescaled, cfg, space)
 
     rows: list[ReportRow] = []
-    for beta in cfg.rescale_factors:
+    for b_idx, beta in enumerate(cfg.rescale_factors):
         for horizon in cfg.horizons:
-            sq_sum, abs_sum, count, n_windows = cells.get((beta, horizon), (0.0, 0.0, 0, 0))
+            sq_sum, abs_sum, count, n_windows = errors.get((b_idx, horizon), (0.0, 0.0, 0, 0))
             if count == 0:
                 rows.append(ReportRow(dataset, horizon, beta, scenario, None, None, n_windows))
             else:

@@ -57,6 +57,13 @@ class ForecasterHandle:
     (rows, lookback) maps to predictions (rows, horizon), one row per
     series.  A handle implements it with ``predict_rows_fn``, which takes
     the whole block; its result must have that shape and finite values.
+    It must also be prefix-consistent: ``predict_rows(X, h)`` equals
+    ``predict_rows(X, H)[:, :h]`` for every h <= H, because the harness
+    forecasts each lookback once, at the longest horizon it scores there.
+    The built-ins meet it: persistence repeats the last value,
+    seasonal-naive the last period, linear-trend evaluates its fit at
+    n, n+1, ..., the ``-image`` twins bin each value on its own, and the
+    oracle returns a prefix of the future.
     Handles with ``needs_future`` are evaluation oracles: the harness
     hands them the true future, which they return verbatim.
     """

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, StructuralError
+from .errors import ConfigurationError, InputError, LookbackOverflow, StructuralError
 from .series import TimeSeries, linear_resample
 
 STD_FLOOR = 1e-8
@@ -148,12 +148,18 @@ def normalize(series: TimeSeries, lookback: int) -> tuple[TimeSeries, NormStats]
     The whole series is transformed with the lookback statistics so the
     transformation can be inverted after forecasting.  A constant lookback
     gets its standard deviation floored at ``STD_FLOOR`` and is flagged.
+    Statistics that overflow (finite values of about 1e154 or more square
+    to inf) raise ``LookbackOverflow`` for the first such channel.
     """
     if not 1 <= lookback <= series.length:
         raise InputError(f"lookback must be in [1, {series.length}], got {lookback}")
     window = series.values[:, :lookback]
-    mean = window.mean(axis=1)
-    std = window.std(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # finite values near 1e154 or more: caught below
+        mean = window.mean(axis=1)
+        std = window.std(axis=1)
+    overflow = ~(np.isfinite(mean) & np.isfinite(std))
+    if overflow.any():
+        raise LookbackOverflow(int(np.argmax(overflow)))
     floored = std < STD_FLOOR
     std = np.where(floored, STD_FLOOR, std)
     values = (series.values - mean[:, None]) / std[:, None]
@@ -182,7 +188,8 @@ def value_to_row(values: np.ndarray, params: SpaceParams) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64)
     if not np.all(np.isfinite(v)):
         raise InputError("cannot encode non-finite values")
-    q = (np.atleast_1d(v) + params.ms) / params.bin_width
+    with np.errstate(over="ignore"):  # |v| near 1.7e308: an inf quotient clips like a huge one
+        q = (np.atleast_1d(v) + params.ms) / params.bin_width
     np.clip(q, 1, params.h, out=q)
     rows = np.ceil(q, out=q).astype(np.int64)
     rows -= 1

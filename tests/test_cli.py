@@ -355,6 +355,28 @@ def test_codec_errors_that_do_not_name_the_file_get_its_path(tmp_path, capsys, m
     assert capsys.readouterr().err == "error: e/h1.meta: some columns have no active cell (no missing markers expected)\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["evaluate", "--dataset", "big.csv", "--model", "persistence-image", "--lookback", "512"]
+         + ["--horizons", "20", "--betas", "1", "--seed", "1"],
+         "channel 1: lookback statistics overflow float64"),
+        (["encode", "big.csv", "--normalize-lookback", "560"],
+         "big.csv: channel 1: lookback statistics overflow float64"),
+    ],
+    ids=["evaluate", "encode"],
+)
+def test_overflowing_lookback_statistics_name_the_channel(tmp_path, capsys, monkeypatch, argv, message):
+    # finite values of 1e300 square to inf in the lookback's standard deviation
+    monkeypatch.chdir(tmp_path)
+    values = np.full((2, 600), 5.0)
+    values[1, 550:] = 1e300
+    write_series_csv(tmp_path / "big.csv", TimeSeries(values))
+    assert main(argv + ["-o", "out"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------- solve-ms
 
 

@@ -20,7 +20,7 @@ from tsgrid import (
     remetrics,
     tsi_rescale,
 )
-from tsgrid import evaluation
+from tsgrid import evaluation, forecasters
 from tsgrid.evaluation import ReportRow, _window_predictions
 from tsgrid.forecasters import ForecasterHandle, forecast, make_mask
 from tsgrid.imagespace import SoftImageTensor, SpaceParams, denormalize, encode, normalize, soft_decode
@@ -433,7 +433,7 @@ def evaluation_cases(draw):
         if draw(st.booleans()):
             missing[:, draw(st.integers(0, length)) :] = True  # all-missing targets from here on
     lookback = draw(st.integers(2, 24))
-    horizons = tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=2, unique=True)))
+    horizons = tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=3, unique=True)))
     # stride below, equal to and above the horizon
     stride = draw(st.sampled_from([None, 1, 2, 5, 13]))
     betas = tuple(draw(st.lists(st.sampled_from([0.5, 0.66, 1.0, 1.5, 2.0]), min_size=1, max_size=3, unique=True)))
@@ -474,8 +474,28 @@ SPANNING = (
 )
 
 
+# horizons that do not nest share some lookbacks; beta = 0.3 (12 samples) fits only horizon 3;
+# a 40-sample block holds 2 or 3 lookbacks of one channel, so a run of shared lookbacks is split
+NESTLESS = (
+    TimeSeries(SPANNING[0].values[:1]),
+    EvalConfig(lookback=8, horizons=(5, 3, 6), rescale_factors=(1.0, 0.3, 1.5)),
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=evaluation_cases())
+@example(case=(NESTLESS[0], get_model("seasonal-naive"), NESTLESS[1], None, SpaceParams(), 40))
+@example(
+    case=(
+        NESTLESS[0],
+        get_model("seasonal-naive-image"),
+        NESTLESS[1],
+        PerturbationSpec(kind="missing", missing_probability=0.4),
+        SpaceParams(h=7, ms=3.5),
+        40,
+    )
+)
+@example(case=(SPANNING[0], get_model("oracle"), NESTLESS[1], None, SpaceParams(), 40))
 @example(case=(SPANNING[0], get_model("seasonal-naive"), SPANNING[1], None, SpaceParams(), 200))
 @example(
     case=(
@@ -498,6 +518,35 @@ def test_remetrics_matches_window_by_window_loop(case):
             return
         report = remetrics(truth, model, cfg, perturbation=perturbation, rng=RngStream(3), space=space)
     assert report.rows == expected
+
+
+def counting_seasonal_naive(seen):
+    """The seasonal-naive row core behind a handle that records how many lookback rows it is given."""
+
+    def core(lookbacks, horizon):
+        seen.append(lookbacks.shape[0])
+        return forecasters._seasonal_naive_rows(lookbacks, horizon)
+
+    return ForecasterHandle("counting", "numeric", core)
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+def test_each_distinct_lookback_is_forecast_once(channels):
+    # the benchmark's shape: 403 windows per scenario start at 253 distinct lookbacks
+    t = np.arange(4096)
+    truth = TimeSeries(np.stack([np.sin(t / (7.0 + c)) for c in range(channels)]))
+    seen = []
+    scenarios = (PerturbationSpec(kind="missing"),)
+    report = evaluate_series(truth, counting_seasonal_naive(seen), EvalConfig(lookback=512), scenarios, seed=1)
+    assert sum(r.windows for r in report.rows) == 2 * 403
+    assert sum(seen) == 2 * 253 * channels
+
+
+def test_a_fixed_stride_forecasts_only_the_shortest_horizons_lookbacks():
+    # with one stride every horizon's windows start where the shortest horizon's do
+    seen = []
+    report = remetrics(walk(4096), counting_seasonal_naive(seen), EvalConfig(lookback=512, stride=37))
+    assert sum(seen) == sum(r.windows for r in report.rows if r.horizon == 96)
 
 
 def loop_carry_forward(values, missing):

@@ -24,6 +24,7 @@ from tsgrid import (
     soft_decode,
 )
 from tsgrid import forecasters
+from tsgrid.evaluation import _window_predictions
 from tsgrid.forecasters import _fft_length, _periods
 
 P64 = SpaceParams(h=64, ms=3.5)
@@ -211,6 +212,36 @@ def test_predict_rows_is_bit_equal_to_per_row_predict(block):
         assert np.array_equal(rows, np.stack(single))
         if not model.needs_future:
             assert np.array_equal(rows, np.stack([per_series_baseline(model.id, x, horizon) for x in X]))
+
+
+@st.composite
+def prefix_cases(draw):
+    """A block of lookbacks, a longest horizon, a shorter one, and maybe a lookback mask."""
+    X, longest = draw(lookback_blocks())
+    missing = None
+    if draw(st.booleans()):
+        missing = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(size=X.shape) < 0.3
+    return X, longest, draw(st.integers(1, longest)), missing
+
+
+TIE = np.sin(2 * np.pi * np.arange(256) / 32.0)[None]  # lags 32, 64, 96 tie: the detect_period fallback
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=prefix_cases())
+@example(case=(TIE, 100, 37, None))
+@example(case=(TIE, 100, 1, TIE > 0.9))
+def test_every_handle_forecasts_a_prefix_of_its_longer_forecast(case):
+    X, longest, horizon, missing = case
+    future = np.linspace(-1.0, 1.0, X.shape[0] * longest).reshape(X.shape[0], longest)  # only the oracle reads it
+    for model in register_baselines():
+        if model.id.startswith("linear-trend") and X.shape[1] < 2:
+            continue
+        full = model.predict_rows(X, longest, future)
+        assert np.array_equal(model.predict_rows(X, horizon, future), full[:, :horizon])
+        # and as the harness scores a block: carried forward, or through the codec for image handles
+        full = _window_predictions(model, X, missing, longest, future, P64)
+        assert np.array_equal(_window_predictions(model, X, missing, horizon, future, P64), full[:, :horizon])
 
 
 def test_fft_length_is_the_smallest_5_smooth_length_not_below_m():

@@ -28,6 +28,9 @@ RUNS = {
     # overlapping windows, a rescale set of its own, a factor too short for horizon 50
     "stride": ["--lookback", "320", "--horizons", "7,50", "--stride", "37", "--betas", "0.3,1,2.5"]
     + ["--perturb", "missing:0.5"],
+    # horizons that do not nest, and a factor (180 samples) too short for horizon 100 only
+    "prefix": ["--lookback", "96", "--horizons", "24,36,60,100", "--betas", "0.15,1,1.7"]
+    + ["--perturb", "missing:0.3"],
 }
 
 

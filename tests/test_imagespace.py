@@ -11,6 +11,7 @@ from tsgrid import (
     ConfigurationError,
     GeneratorConfig,
     InputError,
+    LookbackOverflow,
     RngStream,
     SoftImageTensor,
     SpaceParams,
@@ -84,6 +85,17 @@ def test_normalize_uses_lookback_stats_only():
     assert out.values[0, -1] == pytest.approx((100.0 - stats.mean[0]) / stats.std[0])
 
 
+def test_normalize_names_the_channel_whose_lookback_statistics_overflow():
+    values = np.full((3, 20), 5.0)
+    values[1, 12:] = 1e300  # inside the lookback: its square overflows
+    values[2, 16:] = -1e200  # would overflow too, but lies past the lookback
+    with pytest.raises(LookbackOverflow, match=r"^channel 1: lookback statistics overflow float64$") as info:
+        normalize(TimeSeries(values), 16)
+    assert info.value.channel == 1
+    assert isinstance(info.value, InputError)
+    normalize(TimeSeries(values[[0, 2]]), 16)
+
+
 def test_normalize_rejects_bad_lookback():
     with pytest.raises(InputError):
         normalize(from_1d([1.0, 2.0]), 3)
@@ -139,6 +151,15 @@ def test_value_to_row_matches_the_masked_reference(data):
         near = special.flatmap(lambda x: st.sampled_from([x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)]))
         values = np.array(data.draw(st.lists(st.one_of(near, st.floats(-1e300, 1e300)), min_size=1, max_size=40)))
     assert np.array_equal(value_to_row(values, params), masked_value_to_row(values, params))
+
+
+@pytest.mark.parametrize("h", [2, 128])
+def test_value_to_row_saturates_the_largest_floats_without_a_warning(h):
+    # runs under the suite's error::RuntimeWarning filter: an overflowing quotient must not warn
+    params = SpaceParams(h=h, ms=3.5)
+    top = np.finfo(np.float64).max
+    rows = value_to_row(np.array([1.7e308, top, -1.7e308, -top]), params)
+    assert rows.tolist() == [h - 1, h - 1, 0, 0]
 
 
 def test_encode_columns_are_one_hot():
