@@ -79,7 +79,7 @@ def _ini_fields(cls) -> dict[str, object]:
     return {f.name: hints[f.name] for f in fields(cls) if plain(hints[f.name])}
 
 
-def _config_from(cls, flags: dict, file_cfg: configparser.ConfigParser | None = None, section: str = "", **nested):
+def _config_from(cls, flags: dict, file_cfg: configparser.ConfigParser, section: str, **nested):
     """Build config dataclass ``cls`` from INI ``[section]``.  A flag whose
     dest is the field name wins when it is not None; fields given neither
     way keep the dataclass default.  ``nested`` passes dataclass fields."""
@@ -87,7 +87,7 @@ def _config_from(cls, flags: dict, file_cfg: configparser.ConfigParser | None = 
     for name, tp in _ini_fields(cls).items():
         if flags.get(name) is not None:
             kwargs[name] = flags[name]
-        elif file_cfg is not None and file_cfg.has_option(section, name):
+        elif file_cfg.has_option(section, name):
             kwargs[name] = _parse_value(tp, file_cfg.get(section, name))
     return cls(**kwargs)
 
@@ -251,25 +251,10 @@ def cmd_solve_ms(args) -> int:
 
 
 def _parse_perturbation(text: str) -> PerturbationSpec:
-    kind, _, rest = text.partition(":")
-    kind = kind.strip()
     try:
-        if kind == "gaussian_noise":
-            return PerturbationSpec(kind=kind, noise_std=float(rest) if rest else 0.1)
-        if kind == "missing":
-            return PerturbationSpec(kind=kind, missing_probability=float(rest) if rest else 0.3)
-        if kind == "harmonic":
-            if rest:
-                parts = [p.strip() for p in rest.split(",")]
-                if len(parts) > 2:
-                    raise ValueError(f"harmonic takes at most two parameters (amp,freq), got {len(parts)}")
-                amp = float(parts[0]) if parts[0] else None
-                freq = float(parts[1]) if len(parts) > 1 and parts[1] else None
-                return PerturbationSpec(kind=kind, harmonic_amplitude=amp, harmonic_frequency=freq)
-            return PerturbationSpec(kind=kind)
+        return PerturbationSpec.parse(text)
     except ValueError as exc:
         raise TsgridError(f"--perturb {text!r}: {exc}") from exc
-    raise TsgridError(f"unknown perturbation {text!r} (expected gaussian_noise[:std], harmonic[:amp,freq], missing[:p])")
 
 
 def cmd_evaluate(args) -> int:
@@ -308,7 +293,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_perturb(args) -> int:
-    spec = _config_from(PerturbationSpec, vars(args))
+    spec = _parse_perturbation(args.perturb)
     seed = _pick_seed(args)
     out_dir = _output_dir(args)
     series = io.read_series_csv(args.dataset)
@@ -318,7 +303,7 @@ def cmd_perturb(args) -> int:
     _write_snapshot(
         out_dir,
         "perturb",
-        {"run": {"command": "perturb", "dataset": args.dataset, "spec": spec.label(), "seed": seed}},
+        {"run": {"command": "perturb", "dataset": args.dataset, "perturb": spec.label(), "seed": seed}},
     )
     print(f"perturbed {args.dataset} -> {target}")
     return 0
@@ -390,20 +375,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=int, help="grid resolution for image-space models (default 128)")
     p.add_argument("--ms", type=float, help="grid maximum scale (default 3.5)")
     p.add_argument(
-        "--perturb",
-        action="append",
-        help="scenario gaussian_noise[:std] | harmonic[:amp,freq] | missing[:p]; repeatable",
+        "--perturb", action="append", metavar="SPEC", help=f"scenario {PerturbationSpec.forms()}; repeatable"
     )
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("perturb", help="write a perturbed copy of a dataset CSV")
     add_common(p, seeded=True, configured=False)
     p.add_argument("--dataset", required=True, help="input series CSV")
-    p.add_argument("--kind", required=True, choices=["gaussian_noise", "harmonic", "missing"])
-    p.add_argument("--noise-std", type=float, help="gaussian_noise std (default 0.1)")
-    p.add_argument("--harmonic-amplitude", type=float, help="harmonic amplitude (default 0.3 x std)")
-    p.add_argument("--harmonic-frequency", type=float, help="harmonic frequency in cycles/sample")
-    p.add_argument("--missing-probability", type=float, help="missing probability (default 0.3)")
+    p.add_argument("--perturb", required=True, metavar="SPEC", help=f"scenario {PerturbationSpec.forms()}")
     p.set_defaults(func=cmd_perturb)
 
     p = sub.add_parser("list-models", help="list registered forecasters")

@@ -11,15 +11,15 @@ perturbed copy of the series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, EvaluationError, InputError, LookbackOverflow
-from .forecasters import ForecasterHandle, _predicted_rows
-from .imagespace import SpaceParams, decode_rows, denormalize, encode_rows, normalize
+from .forecasters import ForecasterHandle
+from .imagespace import SpaceParams, denormalize, normalize, quantize_values
 from .rng import RngStream
 from .series import TimeSeries, carry_forward, linear_resample
 
@@ -51,6 +51,14 @@ class EvalConfig:
             raise ConfigurationError(f"stride must be positive, got {self.stride}")
 
 
+# each perturbation kind's parameter fields, in the order its text form lists them
+_PARAMETERS = {
+    "gaussian_noise": ("noise_std",),
+    "harmonic": ("harmonic_amplitude", "harmonic_frequency"),
+    "missing": ("missing_probability",),
+}
+
+
 @dataclass(frozen=True)
 class PerturbationSpec:
     """One robustness scenario.
@@ -59,6 +67,9 @@ class PerturbationSpec:
     sinusoid (amplitude defaults to 0.3x the channel's std, frequency to
     twice the channel's dominant frequency, random phase); ``missing`` marks
     each point missing independently with ``missing_probability``.
+
+    Its text form is ``kind[:p1,p2,...]``, the kind's own parameters in
+    ``forms()`` order: ``label`` writes it and ``parse`` reads it back.
     """
 
     kind: str
@@ -68,8 +79,8 @@ class PerturbationSpec:
     missing_probability: float = 0.3
 
     def __post_init__(self) -> None:
-        if self.kind not in ("gaussian_noise", "harmonic", "missing"):
-            raise ConfigurationError(f"unknown perturbation kind {self.kind!r}")
+        if self.kind not in _PARAMETERS:
+            raise ConfigurationError(f"unknown perturbation kind {self.kind!r} (expected {self.forms()})")
         if not (self.noise_std >= 0 and math.isfinite(self.noise_std)):
             raise ConfigurationError(f"noise std must be nonnegative and finite, got {self.noise_std}")
         if not 0.0 <= self.missing_probability <= 1.0:
@@ -80,15 +91,30 @@ class PerturbationSpec:
         if freq is not None and not (freq > 0 and math.isfinite(freq)):
             raise ConfigurationError(f"harmonic frequency must be positive and finite, got {freq}")
 
+    @staticmethod
+    def forms() -> str:
+        """Every kind's text form, e.g. ``missing[:missing_probability]``."""
+        return " | ".join(f"{kind}[:{','.join(names)}]" for kind, names in _PARAMETERS.items())
+
+    @classmethod
+    def parse(cls, text: str) -> PerturbationSpec:
+        """The spec ``text`` names; a parameter left out or empty keeps its field's default."""
+        kind, _, rest = text.partition(":")
+        spec = cls(kind.strip())
+        names = _PARAMETERS[spec.kind]
+        parts = [part.strip() for part in rest.split(",")] if rest else []
+        if len(parts) > len(names):
+            raise ConfigurationError(
+                f"{spec.kind} takes at most {len(names)} parameter(s) ({','.join(names)}), got {len(parts)}"
+            )
+        return replace(spec, **{name: float(part) for name, part in zip(names, parts) if part})
+
     def label(self) -> str:
-        if self.kind == "gaussian_noise":
-            return f"gaussian_noise:{_exact(self.noise_std)}"
-        if self.kind == "missing":
-            return f"missing:{_exact(self.missing_probability)}"
-        if self.harmonic_amplitude is None and self.harmonic_frequency is None:
-            return "harmonic"
-        amp, freq = ("" if v is None else _exact(v) for v in (self.harmonic_amplitude, self.harmonic_frequency))
-        return f"harmonic:{amp},{freq}"
+        """The text form: the kind alone when every parameter is None, else each parameter, empty for None."""
+        values = [getattr(self, name) for name in _PARAMETERS[self.kind]]
+        if all(v is None for v in values):
+            return self.kind
+        return f"{self.kind}:" + ",".join("" if v is None else _exact(v) for v in values)
 
 
 def _exact(value: float) -> str:
@@ -114,21 +140,17 @@ class EvalReport:
 
     rows: list[ReportRow]
 
-    def _mean(self, horizon: int, scenario: str, metric: str) -> float:
-        values = [
-            getattr(r, metric)
-            for r in self.rows
-            if r.horizon == horizon and r.scenario == scenario and r.beta is not None and r.mse is not None
-        ]
-        if not values:
-            raise EvaluationError(f"no usable rows for horizon={horizon}, scenario={scenario!r}")
-        return float(np.mean(values))
+    def _aggregate(self, horizon: int, scenario: str) -> ReportRow:
+        for agg in self.aggregates():
+            if agg.horizon == horizon and agg.scenario == scenario and agg.mse is not None:
+                return agg
+        raise EvaluationError(f"no usable rows for horizon={horizon}, scenario={scenario!r}")
 
     def remse(self, horizon: int, scenario: str = "none") -> float:
-        return self._mean(horizon, scenario, "mse")
+        return self._aggregate(horizon, scenario).mse
 
     def remae(self, horizon: int, scenario: str = "none") -> float:
-        return self._mean(horizon, scenario, "mae")
+        return self._aggregate(horizon, scenario).mae
 
     def aggregates(self) -> list[ReportRow]:
         """One row per (dataset, horizon, scenario): means over the rescale set."""
@@ -221,10 +243,10 @@ def _window_predictions(
     if model.space == "numeric":
         return model.predict_rows(carry_forward(look_values, look_missing), horizon, target_values)
 
-    # one active row per grid column: score on row indices, never on dense grids
+    # the codec round trip is quantize_values; carry_forward overwrites every masked placeholder
     z, stats = normalize(TimeSeries(look_values, look_missing), look_values.shape[1])
-    visible = decode_rows(encode_rows(z, space), space)
-    z_pred = space.centers()[_predicted_rows(model, visible, horizon, space)]
+    visible = carry_forward(quantize_values(z.values, space), look_missing)
+    z_pred = quantize_values(model.predict_rows(visible, horizon), space)
     return denormalize(TimeSeries(z_pred), stats).values
 
 
@@ -296,26 +318,27 @@ def _cell_errors(
                 preds = _window_predictions(model, rows[:, :lookback], look_missing, H, rows[:, lookback:], space)
             except LookbackOverflow as exc:  # name the series' channel, not the block's row
                 raise LookbackOverflow(exc.channel % channels) from None
-            errs = preds.reshape(block.shape[0], channels, H) - block[:, :, lookback:]
-            for h in cfg.horizons:
-                if h > H:
-                    continue
-                sel = local % strides[h] == 0
-                idx = first_window[h][cell[sel]] + local[sel] // strides[h]
-                # every start forecast at H has an H-window: that horizon needs no gather
-                diff = (errs if h == H else errs[sel, :, :h]).reshape(-1, channels * h)
-                if gap is None:
-                    sq[h][idx] = np.sum(diff * diff, axis=1)
-                    ab[h][idx] = np.sum(np.abs(diff), axis=1)
-                    scored[h][idx] = diff.shape[1]
-                else:
-                    # compressed errors per window: zero-filling masked cells would change the summation order
-                    keep = ~gap[sel, :, lookback : lookback + h].reshape(diff.shape)
-                    counts = keep.sum(axis=1)
-                    kept = np.split(diff[keep], np.cumsum(counts)[:-1])
-                    scored[h][idx] = counts
-                    sq[h][idx] = [np.sum(d * d) for d in kept]
-                    ab[h][idx] = [np.sum(np.abs(d)) for d in kept]
+            with np.errstate(over="ignore"):  # huge values: an overflowing cell fails by name below
+                errs = preds.reshape(block.shape[0], channels, H) - block[:, :, lookback:]
+                for h in cfg.horizons:
+                    if h > H:
+                        continue
+                    sel = local % strides[h] == 0
+                    idx = first_window[h][cell[sel]] + local[sel] // strides[h]
+                    # every start forecast at H has an H-window: that horizon needs no gather
+                    diff = (errs if h == H else errs[sel, :, :h]).reshape(-1, channels * h)
+                    if gap is None:
+                        sq[h][idx] = np.sum(diff * diff, axis=1)
+                        ab[h][idx] = np.sum(np.abs(diff), axis=1)
+                        scored[h][idx] = diff.shape[1]
+                    else:
+                        # compressed errors per window: zero-filling masked cells would change the summation order
+                        keep = ~gap[sel, :, lookback : lookback + h].reshape(diff.shape)
+                        counts = keep.sum(axis=1)
+                        kept = np.split(diff[keep], np.cumsum(counts)[:-1])
+                        scored[h][idx] = counts
+                        sq[h][idx] = [np.sum(d * d) for d in kept]
+                        ab[h][idx] = [np.sum(np.abs(d)) for d in kept]
 
     errors = {}
     for (k, h), n in windows.items():
@@ -325,6 +348,9 @@ def _cell_errors(
         for s, a in zip(sq[h][lo : lo + n].tolist(), ab[h][lo : lo + n].tolist()):
             sq_sum += s
             abs_sum += a
+        if not (math.isfinite(sq_sum) and math.isfinite(abs_sum)):
+            beta = _exact(cfg.rescale_factors[fit[k][0]])
+            raise InputError(f"beta={beta} horizon={h}: error sums overflow float64")
         errors[fit[k][0], h] = (sq_sum, abs_sum, int(scored[h][lo : lo + n].sum()), n)
     return errors
 
@@ -335,7 +361,6 @@ def remetrics(
     cfg: EvalConfig,
     *,
     dataset: str = "series",
-    scenario: str = "none",
     perturbation: PerturbationSpec | None = None,
     rng: RngStream | None = None,
     space: SpaceParams | None = None,
@@ -351,11 +376,13 @@ def remetrics(
     Multichannel series are handled channel-independently.  Rescale factors
     leaving no room for a single window are recorded with zero windows; if
     no cell scores a target (no window, or every target masked), the run is
-    an error.
+    an error.  Rows name their scenario ``perturbation.label()``, or
+    ``none`` without a perturbation.
     """
     if perturbation is not None and rng is None:
         raise ConfigurationError("a random stream is required for perturbation scenarios")
     space = space or SpaceParams()
+    scenario = "none" if perturbation is None else perturbation.label()
 
     rescaled: list[TimeSeries | None] = []
     for b_idx, beta in enumerate(cfg.rescale_factors):
@@ -399,20 +426,8 @@ def evaluate_series(
 ) -> EvalReport:
     """Sweep horizons x rescale factors x scenarios; deterministic per seed.  Prints nothing."""
     rng = RngStream(seed)
-    scenarios: list[tuple[str, PerturbationSpec | None]] = [("none", None)]
-    scenarios += [(spec.label(), spec) for spec in perturbations]
-
     rows: list[ReportRow] = []
-    for s_idx, (name, spec) in enumerate(scenarios):
-        report = remetrics(
-            truth,
-            model,
-            cfg,
-            dataset=dataset,
-            scenario=name,
-            perturbation=spec,
-            rng=rng.child(s_idx),
-            space=space,
-        )
+    for s_idx, spec in enumerate((None, *perturbations)):
+        report = remetrics(truth, model, cfg, dataset=dataset, perturbation=spec, rng=rng.child(s_idx), space=space)
         rows.extend(report.rows)
     return EvalReport(rows)

@@ -149,7 +149,8 @@ def normalize(series: TimeSeries, lookback: int) -> tuple[TimeSeries, NormStats]
     transformation can be inverted after forecasting.  A constant lookback
     gets its standard deviation floored at ``STD_FLOOR`` and is flagged.
     Statistics that overflow (finite values of about 1e154 or more square
-    to inf) raise ``LookbackOverflow`` for the first such channel.
+    to inf) raise ``LookbackOverflow`` for the first such channel, and a
+    later value whose standardized form overflows raises ``InputError``.
     """
     if not 1 <= lookback <= series.length:
         raise InputError(f"lookback must be in [1, {series.length}], got {lookback}")
@@ -162,7 +163,11 @@ def normalize(series: TimeSeries, lookback: int) -> tuple[TimeSeries, NormStats]
         raise LookbackOverflow(int(np.argmax(overflow)))
     floored = std < STD_FLOOR
     std = np.where(floored, STD_FLOOR, std)
-    values = (series.values - mean[:, None]) / std[:, None]
+    with np.errstate(over="ignore"):  # a value far past the lookback's scale: caught below
+        values = (series.values - mean[:, None]) / std[:, None]
+    overflow = ~np.isfinite(values).all(axis=1)
+    if overflow.any():
+        raise InputError(f"channel {int(np.argmax(overflow))}: standardized values overflow float64")
     out = TimeSeries(values, None if series.missing is None else series.missing.copy(), dict(series.tags))
     return out, NormStats(mean=mean, std=std, floored=floored)
 

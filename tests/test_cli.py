@@ -11,7 +11,7 @@ import pytest
 
 import tsgrid
 from tsgrid import PerturbationSpec, SpaceParams, TimeSeries, from_1d
-from tsgrid.cli import _parse_perturbation, main
+from tsgrid.cli import main
 from tsgrid.io import read_manifest_csv, read_series_csv, write_series_csv
 
 
@@ -103,7 +103,7 @@ def test_seeded_commands_reject_a_bad_seed_before_writing(tmp_path, capsys, comm
     data = tmp_path / "data.csv"
     write_sine(data)
     out = tmp_path / "out"
-    extra = ["--model", "persistence", "--lookback", "32"] if command == "evaluate" else ["--kind", "missing"]
+    extra = ["--model", "persistence", "--lookback", "32"] if command == "evaluate" else ["--perturb", "missing"]
     assert main([command, "--dataset", str(data), *extra, "--seed", "-1", "-o", str(out)]) == 1
     assert capsys.readouterr().err == "error: seed must be a 64-bit unsigned integer, got -1\n"
     assert not out.exists()
@@ -293,17 +293,28 @@ def test_readme_cli_walkthrough_runs_and_replays_byte_exactly(tmp_path):
          "horizons must be distinct, got (96, 96)"),
         (["evaluate", "--dataset", "data.csv", "--model", "persistence", "--betas", "0.5,1,1"],
          "rescale factors must be distinct, got (0.5, 1.0, 1.0)"),
-        (["perturb", "--dataset", "nope.csv", "--kind", "missing"],
+        (["perturb", "--dataset", "nope.csv", "--perturb", "missing"],
          "nope.csv: [Errno 2] No such file or directory: 'nope.csv'"),
+        (["evaluate", "--dataset", "huge.csv", "--model", "persistence", "--lookback", "512", "--horizons", "20",
+          "--betas", "1"],
+         "beta=1 horizon=20: error sums overflow float64"),
+        (["encode", "tail.csv", "--normalize-lookback", "20"],
+         "tail.csv: channel 0: standardized values overflow float64"),
     ],
     ids=[
         "encode", "decode", "evaluate-dataset", "evaluate-model", "evaluate-horizon",
-        "evaluate-duplicate-horizons", "evaluate-duplicate-betas", "perturb",
+        "evaluate-duplicate-horizons", "evaluate-duplicate-betas", "perturb", "evaluate-error-overflow",
+        "encode-standardized-overflow",
     ],
 )
 def test_a_failed_command_leaves_no_output_dir(tmp_path, capsys, monkeypatch, argv, message):
+    # an overflow that warned instead of failing fails the suite: RuntimeWarning is an error here
     monkeypatch.chdir(tmp_path)
     write_sine(tmp_path / "data.csv", length=2600)  # at beta 2 a horizon-5000 window fits
+    # 5.0 and then 1e300: the persistence forecast of a window that reaches row 550 misses by 1e300
+    write_series_csv(tmp_path / "huge.csv", from_1d(np.where(np.arange(600) < 550, 5.0, 1e300)))
+    # a lookback of 1s and 2s, then 1e308: finite statistics, standardized 2e308
+    write_series_csv(tmp_path / "tail.csv", from_1d(np.where(np.arange(30) < 20, 1.0 + np.arange(30) % 2, 1e308)))
     seed = ["--seed", "1"] if argv[0] in ("evaluate", "perturb") else []
     assert main(argv + seed + ["-o", "out"]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -563,7 +574,7 @@ def test_evaluate_keeps_distinct_harmonic_scenarios_apart(tmp_path):
     ],
 )
 def test_perturbation_label_parses_back(spec):
-    assert _parse_perturbation(spec.label()) == spec
+    assert PerturbationSpec.parse(spec.label()) == spec
 
 
 def test_evaluate_keeps_scenarios_apart_past_the_sixth_digit(tmp_path):
@@ -578,7 +589,9 @@ def test_evaluate_keeps_scenarios_apart_past_the_sixth_digit(tmp_path):
     assert {r["windows"] for r in aggregates.values()} == {aggregates["none"]["windows"]}
 
 
-@pytest.mark.parametrize("spec", ["gaussian_noise:abc", "harmonic:1,2,3", "gaussian_noise:nan", "harmonic:inf"])
+@pytest.mark.parametrize(
+    "spec", ["gaussian_noise:abc", "harmonic:1,2,3", "gaussian_noise:nan", "harmonic:inf", "bogus:1"]
+)
 def test_evaluate_rejects_malformed_perturb_spec(tmp_path, capsys, spec):
     src = tmp_path / "data.csv"
     write_sine(src, length=400)
@@ -594,9 +607,7 @@ def test_perturb_missing_writes_empty_fields(tmp_path):
     src = tmp_path / "data.csv"
     write_sine(src, length=1000)
     out = tmp_path / "out"
-    rc = main(
-        ["perturb", "--dataset", str(src), "--kind", "missing", "--missing-probability", "0.3", "--seed", "2", "-o", str(out)]
-    )
+    rc = main(["perturb", "--dataset", str(src), "--perturb", "missing:0.3", "--seed", "2", "-o", str(out)])
     assert rc == 0
     back = read_series_csv(out / "data.perturbed.csv")
     density = back.missing.mean()
@@ -607,7 +618,7 @@ def test_perturb_noise_changes_values(tmp_path):
     src = tmp_path / "data.csv"
     write_sine(src, length=200)
     out = tmp_path / "out"
-    rc = main(["perturb", "--dataset", str(src), "--kind", "gaussian_noise", "--noise-std", "0.5", "--seed", "3", "-o", str(out)])
+    rc = main(["perturb", "--dataset", str(src), "--perturb", "gaussian_noise:0.5", "--seed", "3", "-o", str(out)])
     assert rc == 0
     original = read_series_csv(src)
     noisy = read_series_csv(out / "data.perturbed.csv")
@@ -634,7 +645,7 @@ def test_missing_config_file_errors(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["perturb", "decode"])
 def test_config_flag_is_rejected_where_no_config_is_read(tmp_path, capsys, command):
     argv = {
-        "perturb": ["perturb", "--dataset", str(tmp_path / "d.csv"), "--kind", "missing", "--seed", "1"],
+        "perturb": ["perturb", "--dataset", str(tmp_path / "d.csv"), "--perturb", "missing", "--seed", "1"],
         "decode": ["decode", str(tmp_path / "d.meta")],
     }[command]
     with pytest.raises(SystemExit) as exc:
@@ -655,12 +666,14 @@ def test_help_exits_zero_for_every_subcommand(capsys):
 
 
 def _replay_argv(snapshot: Path) -> list[str]:
-    """The command a snapshot records: --config <snapshot> plus its [run]
-    values as flags (and evaluate's recorded scenarios as --perturb)."""
+    """The command a snapshot records: its [run] values as flags, --config
+    <snapshot> where the command reads one, and evaluate's recorded
+    scenarios as --perturb."""
     parser = configparser.ConfigParser()
     parser.read(snapshot)
     run = dict(parser["run"])
-    argv = [run.pop("command"), "--config", str(snapshot)]
+    command = run.pop("command")
+    argv = [command] if command in ("perturb", "decode") else [command, "--config", str(snapshot)]
     if "inputs" in run:
         argv += run.pop("inputs").split(",")
     for key, value in run.items():
@@ -672,7 +685,7 @@ def _replay_argv(snapshot: Path) -> list[str]:
     return argv
 
 
-@pytest.mark.parametrize("command", ["generate", "encode", "solve-ms", "evaluate"])
+@pytest.mark.parametrize("command", ["generate", "encode", "solve-ms", "evaluate", "perturb"])
 def test_snapshot_replays_byte_exactly(tmp_path, monkeypatch, command):
     monkeypatch.delenv("TSGRID_OUTPUT_DIR", raising=False)
     data = [tmp_path / "a.csv", tmp_path / "b.csv"]
@@ -688,6 +701,7 @@ def test_snapshot_replays_byte_exactly(tmp_path, monkeypatch, command):
         "evaluate": ["evaluate", "--dataset", str(data[0]), "--model", "seasonal-naive-image", "--lookback", "48",
                      "--horizons", "8,24", "--betas", "0.5,1.5", "--h", "32", "--ms", "3", "--seed", "6",
                      "--perturb", "harmonic:0.5,0.02", "--perturb", "missing:0.2"],
+        "perturb": ["perturb", "--dataset", str(data[1]), "--perturb", "harmonic:,0.125", "--seed", "8"],
     }[command]
     first, second = tmp_path / "first", tmp_path / "second"
     assert main(argv + ["-o", str(first)]) == 0

@@ -143,6 +143,52 @@ def test_perturbation_spec_validation():
         PerturbationSpec(kind="missing", missing_probability=1.5)
 
 
+FINITE = {"allow_nan": False, "allow_infinity": False}
+
+
+# each kind with only its own parameters: the text form carries no other field
+@given(
+    st.one_of(
+        st.builds(PerturbationSpec, st.just("gaussian_noise"), noise_std=st.floats(min_value=0, **FINITE)),
+        st.builds(
+            PerturbationSpec,
+            st.just("harmonic"),
+            harmonic_amplitude=st.none() | st.floats(min_value=0, **FINITE),
+            harmonic_frequency=st.none() | st.floats(min_value=0, exclude_min=True, **FINITE),
+        ),
+        st.builds(PerturbationSpec, st.just("missing"), missing_probability=st.floats(0, 1)),
+    )
+)
+def test_any_perturbation_label_parses_back(spec):
+    assert PerturbationSpec.parse(spec.label()) == spec
+
+
+@pytest.mark.parametrize(
+    "text, spec",
+    [
+        ("gaussian_noise", PerturbationSpec("gaussian_noise")),
+        (" missing:", PerturbationSpec("missing")),
+        ("harmonic: 2.5 ,", PerturbationSpec("harmonic", harmonic_amplitude=2.5)),
+    ],
+)
+def test_perturbation_parse_keeps_the_default_of_a_left_out_parameter(text, spec):
+    assert PerturbationSpec.parse(text) == spec
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("bogus", "unknown perturbation kind 'bogus' (expected gaussian_noise[:noise_std] | "),
+        ("missing:0.1,0.2", "missing takes at most 1 parameter(s) (missing_probability), got 2"),
+        ("harmonic:abc", "could not convert string to float: 'abc'"),
+    ],
+)
+def test_perturbation_parse_rejects_malformed_text(text, message):
+    with pytest.raises(ValueError) as exc:
+        PerturbationSpec.parse(text)
+    assert str(exc.value).startswith(message)
+
+
 # ---------------------------------------------------------------- remetrics
 
 
@@ -374,6 +420,7 @@ def test_image_window_rejects_one_sample_lookback_for_linear_trend():
 def window_loop_remetrics(truth, model, cfg, *, perturbation=None, rng=None, space=None):
     """Reference: score every window of every cell on its own, accumulating in window order."""
     space = space or SpaceParams()
+    scenario = "none" if perturbation is None else perturbation.label()
     rows = []
     for b_idx, beta in enumerate(cfg.rescale_factors):
         try:
@@ -386,7 +433,7 @@ def window_loop_remetrics(truth, model, cfg, *, perturbation=None, rng=None, spa
         for horizon in cfg.horizons:
             stride = cfg.stride if cfg.stride is not None else horizon
             if rescaled is None or rescaled.length < cfg.lookback + horizon:
-                rows.append(ReportRow("series", horizon, beta, "none", None, None, 0))
+                rows.append(ReportRow("series", horizon, beta, scenario, None, None, 0))
                 continue
 
             sq_sum = 0.0
@@ -411,9 +458,9 @@ def window_loop_remetrics(truth, model, cfg, *, perturbation=None, rng=None, spa
                 n_windows += 1
 
             if count == 0:
-                rows.append(ReportRow("series", horizon, beta, "none", None, None, n_windows))
+                rows.append(ReportRow("series", horizon, beta, scenario, None, None, n_windows))
             else:
-                rows.append(ReportRow("series", horizon, beta, "none", sq_sum / count, abs_sum / count, n_windows))
+                rows.append(ReportRow("series", horizon, beta, scenario, sq_sum / count, abs_sum / count, n_windows))
     return rows
 
 

@@ -1,10 +1,13 @@
-"""Pinned report bytes: the sha256 of ``report.csv`` from fixed ``evaluate`` runs.
+"""Pinned output bytes: the sha256 of the files fixed CLI runs write.
 
-The digests live in ``golden_digests.json``.  A change that moves report
-bytes updates that file and names the moved runs.  ``linear-trend*`` is left
-out because ``polyfit`` goes through LAPACK, whose last bits can depend on
-the BLAS build; ``resolved_evaluate.ini`` is left out because it records
-absolute paths.
+The digests live in ``golden_digests.json``: ``reports`` holds ``report.csv``
+of ``evaluate`` runs, ``commands`` every file the other commands write.  A
+change that moves output bytes updates that file and names the moved runs.
+A failure names the run key and the numpy version, so a digest that moves
+only under another numpy can be told from a code change.  ``linear-trend*``
+is left out because ``polyfit`` goes through LAPACK, whose last bits can
+depend on the BLAS build; the ``resolved_*.ini`` snapshots are left out
+because they record absolute paths.
 """
 
 import hashlib
@@ -32,6 +35,8 @@ RUNS = {
     "prefix": ["--lookback", "96", "--horizons", "24,36,60,100", "--betas", "0.15,1,1.7"]
     + ["--perturb", "missing:0.3"],
 }
+# each kind, with its default parameters and with one parameter set
+PERTURB_SPECS = ("gaussian_noise:0.25", "harmonic", "harmonic:,0.125", "missing:0.3")
 
 
 def golden_series(gappy: bool, length: int = 1200) -> TimeSeries:
@@ -48,6 +53,22 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def output_digest(out: Path) -> str:
+    """sha256 of the sorted ``<name> <sha256>`` lines of the files in ``out``, snapshots left out."""
+    files = sorted(p for p in out.iterdir() if not p.name.startswith("resolved_"))
+    return hashlib.sha256("".join(f"{p.name} {sha256(p)}\n" for p in files).encode()).hexdigest()
+
+
+def assert_golden(section: str, key: str, got: str) -> None:
+    want = DIGESTS[section][key]
+    assert got == want, f"{section} run {key!r} moved under numpy {np.__version__}: {got}, pinned {want}"
+
+
+def run(argv: list[str], out: Path) -> Path:
+    assert main([*argv, "-o", str(out)]) == 0
+    return out
+
+
 def write_datasets(root: Path) -> dict[str, Path]:
     paths = {name: root / f"{name}.csv" for name in DATASETS}
     for name, path in paths.items():
@@ -55,10 +76,9 @@ def write_datasets(root: Path) -> dict[str, Path]:
     return paths
 
 
-def report_digest(dataset: Path, model: str, run: str, out: Path) -> str:
-    argv = ["evaluate", "--dataset", str(dataset), "--model", model, "--seed", "5", *RUNS[run], "-o", str(out)]
-    assert main(argv) == 0
-    return sha256(out / "report.csv")
+def report_digest(dataset: Path, model: str, run_key: str, out: Path) -> str:
+    argv = ["evaluate", "--dataset", str(dataset), "--model", model, "--seed", "5", *RUNS[run_key]]
+    return sha256(run(argv, out) / "report.csv")
 
 
 @pytest.fixture(scope="module")
@@ -68,12 +88,36 @@ def datasets(tmp_path_factory):
 
 def test_golden_inputs_are_unchanged(datasets):
     # a moved input digest means the data moved, not the evaluation
-    assert {name: sha256(path) for name, path in datasets.items()} == DIGESTS["inputs"]
+    for name, path in datasets.items():
+        assert_golden("inputs", name, sha256(path))
 
 
-@pytest.mark.parametrize("run", sorted(RUNS))
+@pytest.mark.parametrize("run_key", sorted(RUNS))
 @pytest.mark.parametrize("dataset", DATASETS)
 @pytest.mark.parametrize("model", MODELS)
-def test_golden_report_bytes(datasets, tmp_path, model, dataset, run):
-    got = report_digest(datasets[dataset], model, run, tmp_path / "out")
-    assert got == DIGESTS["reports"][f"{run}/{dataset}/{model}"]
+def test_golden_report_bytes(datasets, tmp_path, model, dataset, run_key):
+    got = report_digest(datasets[dataset], model, run_key, tmp_path / "out")
+    assert_golden("reports", f"{run_key}/{dataset}/{model}", got)
+
+
+@pytest.mark.parametrize("spec", PERTURB_SPECS)
+@pytest.mark.parametrize("dataset", DATASETS)
+def test_golden_perturb_bytes(datasets, tmp_path, dataset, spec):
+    out = run(["perturb", "--dataset", str(datasets[dataset]), "--perturb", spec, "--seed", "5"], tmp_path / "out")
+    assert_golden("commands", f"perturb/{dataset}/{spec}", output_digest(out))
+
+
+def test_golden_generate_bytes(tmp_path):
+    assert_golden("commands", "generate", output_digest(run(["generate", "-n", "20", "--seed", "5"], tmp_path / "out")))
+
+
+def test_golden_solve_ms_bytes(tmp_path):
+    assert_golden("commands", "solve-ms", output_digest(run(["solve-ms"], tmp_path / "out")))
+
+
+def test_golden_codec_bytes(datasets, tmp_path):
+    argv = ["encode", *map(str, datasets.values()), "--h", "64", "--ms", "3", "--normalize-lookback", "96"]
+    enc = run(argv, tmp_path / "enc")
+    assert_golden("commands", "encode", output_digest(enc))
+    metas = [str(enc / f"{name}.meta") for name in DATASETS]
+    assert_golden("commands", "decode", output_digest(run(["decode", *metas, "--allow-missing"], tmp_path / "dec")))
