@@ -38,7 +38,6 @@ from .forecasters import (
     detect_period,
     forecast,
     get_model,
-    make_mask,
     register_baselines,
 )
 from .generate import (

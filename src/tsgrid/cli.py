@@ -60,7 +60,10 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 def _load_config_file(path: str | None) -> configparser.ConfigParser:
     parser = configparser.ConfigParser()
     if path:
-        read = parser.read(path)
+        try:
+            read = parser.read(path, encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise TsgridError(f"{path}: {exc}") from exc
         if not read:
             raise TsgridError(f"config file not found: {path}")
     return parser

@@ -182,11 +182,7 @@ def tsi_rescale(series: TimeSeries, beta: float) -> TimeSeries:
     """
     if beta <= 0 or not math.isfinite(beta):
         raise InputError(f"rescale factor must be positive and finite, got {beta}")
-    if series.length < 2:
-        raise InputError("need at least 2 samples to rescale")
     new_length = round(beta * series.length)
-    if new_length < 2:
-        raise InputError(f"rescaled length {new_length} is too short")
     values = linear_resample(series.values, new_length)
     missing = None
     if series.missing is not None:

@@ -18,12 +18,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CapabilityError, InputError
+from .errors import CapabilityError, ConfigurationError, InputError
 from .imagespace import BinaryImageTensor, SoftImageTensor, SpaceParams, _one_hot, decode, preprocess, value_to_row
 from .series import TimeSeries, carry_forward
 
 MAX_LOOKBACK = 8192
 MAX_HORIZON = 4096
+MIN_LAG = 2  # the shortest period seasonal-naive considers
 
 
 @dataclass(frozen=True)
@@ -33,11 +34,9 @@ class TemporalMask:
     length: int
     lookback: int
 
-
-def make_mask(length: int, lookback: int) -> TemporalMask:
-    if not 1 <= lookback <= length:
-        raise InputError(f"lookback must be in [1, {length}], got {lookback}")
-    return TemporalMask(length, lookback)
+    def __post_init__(self) -> None:
+        if not 1 <= self.lookback <= self.length:
+            raise InputError(f"lookback must be in [1, {self.length}], got {self.lookback}")
 
 
 def apply_mask(image: BinaryImageTensor, mask: TemporalMask) -> BinaryImageTensor:
@@ -75,6 +74,10 @@ class ForecasterHandle:
     max_horizon: int = MAX_HORIZON
     needs_future: bool = False
 
+    def __post_init__(self) -> None:
+        if self.space not in ("numeric", "image"):
+            raise ConfigurationError(f"{self.id}: space must be 'numeric' or 'image', got {self.space!r}")
+
     def check_capability(self, lookback: int, horizon: int) -> None:
         if lookback > self.max_lookback:
             raise CapabilityError(f"{self.id}: lookback {lookback} exceeds limit {self.max_lookback}")
@@ -109,8 +112,8 @@ class ForecasterHandle:
         return out
 
 
-def detect_period(x: np.ndarray, min_lag: int = 2) -> int:
-    """Dominant period from the autocorrelation argmax in [min_lag, n // 2].
+def detect_period(x: np.ndarray) -> int:
+    """Dominant period from the autocorrelation argmax in [MIN_LAG, n // 2].
 
     The raw autocorrelation is normalized by overlap length; the integer
     argmax (ties resolved toward the smaller lag) is refined by a parabolic
@@ -119,23 +122,23 @@ def detect_period(x: np.ndarray, min_lag: int = 2) -> int:
     x = np.asarray(x, dtype=np.float64)
     n = x.size
     max_lag = n // 2
-    if max_lag < min_lag:
+    if max_lag < MIN_LAG:
         return max(1, max_lag)
     xc = x - x.mean()
     full = np.correlate(xc, xc, mode="full")[n - 1 :]
     lags = np.arange(n)
     with np.errstate(invalid="ignore"):
         r = full / (n - lags)
-    window = r[min_lag : max_lag + 1]
-    best = int(np.argmax(window)) + min_lag
+    window = r[MIN_LAG : max_lag + 1]
+    best = int(np.argmax(window)) + MIN_LAG
 
-    if min_lag < best < n - 1:
+    if MIN_LAG < best < n - 1:
         y0, y1, y2 = r[best - 1], r[best], r[best + 1]
         denom = y0 - 2.0 * y1 + y2
         if denom < 0:  # proper local maximum
             shift = 0.5 * (y0 - y2) / denom
             best = int(round(best + float(np.clip(shift, -0.5, 0.5))))
-    return int(np.clip(best, min_lag, max_lag))
+    return int(np.clip(best, MIN_LAG, max_lag))
 
 
 def _fft_length(m: int) -> int:
@@ -154,8 +157,8 @@ def _fft_length(m: int) -> int:
     return best
 
 
-def _periods(X: np.ndarray, min_lag: int = 2) -> np.ndarray:
-    """``[detect_period(x, min_lag) for x in X]``, from one FFT screen of the block.
+def _periods(X: np.ndarray) -> np.ndarray:
+    """``[detect_period(x) for x in X]``, from one FFT screen of the block.
 
     The autocorrelation of every row comes from one ``rfft``/``irfft``
     pair of length ``_fft_length(n + n // 2)``, the shortest 2**a * 3**b *
@@ -188,15 +191,15 @@ def _periods(X: np.ndarray, min_lag: int = 2) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     rows, n = X.shape
     max_lag = n // 2
-    if max_lag < min_lag:
+    if max_lag < MIN_LAG:
         return np.full(rows, max(1, max_lag), dtype=np.int64)
     nfft = _fft_length(n + max_lag)  # no circular wrap up to max_lag
-    lags = np.arange(min_lag, max_lag + 1)
+    lags = np.arange(MIN_LAG, max_lag + 1)
     with np.errstate(all="ignore"):  # non-finite rows are flagged and rerun below
         xc = X - X.mean(axis=1)[:, None]
         spectrum = np.fft.rfft(xc, n=nfft, axis=1)
         power = spectrum.real**2 + spectrum.imag**2
-        r = np.fft.irfft(power, n=nfft, axis=1)[:, min_lag : max_lag + 1] / (n - lags)
+        r = np.fft.irfft(power, n=nfft, axis=1)[:, MIN_LAG : max_lag + 1] / (n - lags)
         energy = np.einsum("ij,ij->i", xc, xc)
         margin = ((n - lags) + 8.0 * np.log2(nfft) + 1.0) * np.finfo(np.float64).eps / (n - lags)
         margin = energy[:, None] * margin
@@ -206,9 +209,9 @@ def _periods(X: np.ndarray, min_lag: int = 2) -> np.ndarray:
         # the top lag itself always counts once
         close = (top[:, None] - r <= margin[at, best][:, None] + margin).sum(axis=1)
         flagged = (close != 1) | ~np.isfinite(top) | ~np.isfinite(energy)
-    periods = best + min_lag
+    periods = best + MIN_LAG
     for i in np.flatnonzero(flagged):
-        periods[i] = detect_period(X[i], min_lag)
+        periods[i] = detect_period(X[i])
     return periods
 
 

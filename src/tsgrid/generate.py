@@ -378,8 +378,6 @@ def gen_twdb(cfg: GeneratorConfig, length: int, rng: RngStream) -> TimeSeries:
 
 def _moving_average(values: np.ndarray, window: int) -> np.ndarray:
     window = min(window, values.shape[1] if values.shape[1] % 2 == 1 else values.shape[1] - 1)
-    if window < 3:
-        return values.copy()
     pad = window // 2
     kernel = np.ones(window) / window
     padded = np.pad(values, ((0, 0), (pad, pad)), mode="reflect")

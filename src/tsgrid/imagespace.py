@@ -62,14 +62,12 @@ def _checked_grid(grid, dtype: type | None, params: SpaceParams) -> np.ndarray:
     return g
 
 
-# Row codes of columns a single active row cannot describe.
-_EMPTY, _BAD_ENTRY, _SEVERAL_ACTIVE = -1, -2, -3
-
-
 def _rows_of_active(active: np.ndarray) -> np.ndarray:
-    """Row codes of a boolean (channels, h, length) grid of active cells."""
+    """Active row of each column of a boolean (channels, h, length) grid, -1 for an empty column."""
     counts = active.sum(axis=1)
-    return np.select([counts == 1, counts == 0], [active.argmax(axis=1), _EMPTY], _SEVERAL_ACTIVE)
+    if np.any(counts > 1):
+        raise StructuralError("some columns have more than one active cell")
+    return np.where(counts == 1, active.argmax(axis=1), -1)
 
 
 @dataclass(init=False)
@@ -79,21 +77,19 @@ class BinaryImageTensor:
 
     Columns encoding missing samples are empty (row -1); everything else has
     exactly one active cell.  A dense grid given to the constructor is
-    turned into rows once; a column with an entry other than 0 or 1 (row
-    -2: above 1, negative, non-integer or NaN) or with several active cells
-    (row -3) is kept and rejected where it is used.
+    checked and turned into rows once: an entry other than 0 or 1, then a
+    column with several active cells, raises :class:`StructuralError`.
     """
 
     rows: np.ndarray
     params: SpaceParams
 
     def __init__(self, grid: np.ndarray, params: SpaceParams) -> None:
-        raw = _checked_grid(grid, None, params)
-        with np.errstate(invalid="ignore"):  # NaN and inf fail the round trip below
-            g = raw.astype(np.uint8)
-        g[g != raw] = 2  # an entry the uint8 cast changed is bad, however it wrapped
-        self.rows = _rows_of_active(g == 1)
-        self.rows[g.max(axis=1) > 1] = _BAD_ENTRY
+        g = _checked_grid(grid, None, params)
+        active = g == 1
+        if not np.all(active | (g == 0)):
+            raise StructuralError("binary grid entries must be 0 or 1")
+        self.rows = _rows_of_active(active)
         self.params = params
 
     @classmethod
@@ -103,15 +99,14 @@ class BinaryImageTensor:
 
     @classmethod
     def _from_rows(cls, rows: np.ndarray, params: SpaceParams) -> BinaryImageTensor:
-        """Wrap int64 rows (channels, length) with no dense grid, in the row codes above."""
+        """Wrap int64 rows (channels, length) in [-1, h) with no dense grid."""
         image = cls.__new__(cls)
         image.rows, image.params = rows, params
         return image
 
     @property
     def grid(self) -> np.ndarray:
-        """The dense uint8 grid, built on demand; a malformed column raises :class:`StructuralError`."""
-        _check_columns(self.rows, allow_missing=True)
+        """The dense uint8 grid, built on demand."""
         return _one_hot(self.rows, self.params.h, np.uint8)
 
     @property
@@ -227,22 +222,14 @@ def encode(series: TimeSeries, params: SpaceParams) -> BinaryImageTensor:
     return BinaryImageTensor._from_rows(encode_rows(series, params), params)
 
 
-def _check_columns(rows: np.ndarray, allow_missing: bool) -> None:
-    if np.any(rows == _BAD_ENTRY):
-        raise StructuralError("binary grid entries must be 0 or 1")
-    if np.any(rows == _SEVERAL_ACTIVE):
-        raise StructuralError("some columns have more than one active cell")
-    if not allow_missing and np.any(rows == _EMPTY):
-        raise StructuralError("some columns have no active cell (no missing markers expected)")
-
-
 def decode(image: BinaryImageTensor, allow_missing: bool = False) -> TimeSeries:
     """Recover each column's cell-center value.
 
     All-zero columns are a structural error unless ``allow_missing`` is set,
     in which case they surface in the result's missing mask (value 0.0).
     """
-    _check_columns(image.rows, allow_missing)
+    if not allow_missing and image.rows.min(initial=0) < 0:
+        raise StructuralError("some columns have no active cell (no missing markers expected)")
     return decode_rows(image.rows, image.params)
 
 
@@ -302,7 +289,7 @@ def _columns(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _one_hot(rows: np.ndarray, h: int, dtype: type = np.float64) -> np.ndarray:
-    """Dense grid (channels, h, length) with a 1 at each column's row; a negative row leaves its column empty."""
+    """Dense grid (channels, h, length) with a 1 at each column's row; row -1 leaves its column empty."""
     grid = np.zeros((rows.shape[0], h, rows.shape[1]), dtype=dtype)
     c, t = np.nonzero(rows >= 0)
     grid[c, rows[c, t], t] = 1

@@ -1,8 +1,9 @@
 """File formats: series/manifest/report CSV, portable graymaps, metadata sidecars.
 
 All writers go through an atomic temp-file-plus-rename step and emit LF
-line endings and '.' decimals regardless of locale.  Reals carry 9
-significant digits.  Missing samples are empty CSV fields.
+line endings and '.' decimals regardless of locale; text is read and
+written as UTF-8.  Reals carry 9 significant digits.  Missing samples are
+empty CSV fields.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, StructuralError
 from .imagespace import STD_FLOOR, BinaryImageTensor, NormStats, SoftImageTensor, SpaceParams
 from .series import TimeSeries
 
@@ -44,8 +45,8 @@ def atomic_write(path: str | Path, mode: str = "w"):
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = _open_temp(path)
     try:
-        newline = "" if "b" not in mode else None
-        with os.fdopen(fd, mode, newline=newline) as handle:
+        text = "b" not in mode
+        with os.fdopen(fd, mode, newline="" if text else None, encoding="utf-8" if text else None) as handle:
             yield handle
         os.replace(tmp, path)
     except BaseException:
@@ -85,7 +86,7 @@ def read_series_csv(path: str | Path) -> TimeSeries:
     """
     path = Path(path)
     try:
-        with path.open(newline="") as handle:
+        with path.open(newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
             header = next(reader, None)
             if header is None or len(header) < 2:
@@ -101,7 +102,7 @@ def read_series_csv(path: str | Path) -> TimeSeries:
                         raise InputError(f"{path}:{reader.line_num}: row has {len(row)} fields, expected {width}")
                     cells += row
                     lines.append(reader.line_num)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: {exc}") from exc
     if not lines:
         raise InputError(f"{path}: no data rows")
@@ -146,7 +147,7 @@ def write_manifest_csv(path: str | Path, records: Iterable[dict]) -> None:
 
 
 def read_manifest_csv(path: str | Path) -> list[dict]:
-    with Path(path).open(newline="") as handle:
+    with Path(path).open(newline="", encoding="utf-8") as handle:
         return list(csv.DictReader(handle))
 
 
@@ -204,8 +205,8 @@ def write_meta(path: str | Path, entries: dict[str, str]) -> None:
 
 def read_meta(path: str | Path) -> dict[str, str]:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: {exc}") from exc
     entries: dict[str, str] = {}
     for line in text.splitlines():
@@ -254,8 +255,8 @@ def write_image(stem: str | Path, image: BinaryImageTensor | SoftImageTensor, st
 
 
 def read_image(meta_path: str | Path) -> tuple[BinaryImageTensor, NormStats | None]:
-    """Read a binary grid written by :func:`write_image`."""
-    meta_path = Path(meta_path)
+    """Read a binary grid written by :func:`write_image`; a malformed one fails here."""
+    given, meta_path = meta_path, Path(meta_path)
     meta = read_meta(meta_path)
     if meta.get("format") != "binary":
         raise InputError(f"{meta_path}: only binary grids can be read back, got format={meta.get('format')!r}")
@@ -285,7 +286,10 @@ def read_image(meta_path: str | Path) -> tuple[BinaryImageTensor, NormStats | No
         std = np.array([float(v) for v in meta["norm_std"].split(",")])
         # normalize stores a floored std as exactly STD_FLOOR, hence <= rather than <
         stats = NormStats(mean=mean, std=std, floored=std <= STD_FLOOR)
-    return BinaryImageTensor._from_active(np.stack(planes), params), stats
+    try:
+        return BinaryImageTensor._from_active(np.stack(planes), params), stats
+    except StructuralError as exc:  # the path as given, as `decode` errors name it
+        raise StructuralError(f"{given}: {exc}") from exc
 
 
 def write_report_csv(path: str | Path, rows: Sequence, aggregates: Sequence = ()) -> None:

@@ -49,16 +49,6 @@ class TimeSeries:
     def length(self) -> int:
         return self.values.shape[1]
 
-    def channel(self, i: int) -> np.ndarray:
-        return self.values[i]
-
-    def copy(self) -> "TimeSeries":
-        return TimeSeries(
-            self.values.copy(),
-            None if self.missing is None else self.missing.copy(),
-            dict(self.tags),
-        )
-
 
 def from_1d(values: np.ndarray, **tags: Any) -> TimeSeries:
     """Wrap a 1-D array as a single-channel series."""

@@ -254,7 +254,7 @@ def test_decode_rejects_a_column_with_two_cells_in_its_graymap(tmp_path, capsys)
 
 def test_readme_library_example_runs():
     root = Path(__file__).resolve().parent.parent
-    block = (root / "README.md").read_text().split("## Library example", 1)[1]
+    block = (root / "README.md").read_text(encoding="utf-8").split("## Library example", 1)[1]
     code = block.split("```python\n", 1)[1].split("```", 1)[0]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
@@ -264,7 +264,7 @@ def test_readme_library_example_runs():
 
 def test_readme_cli_walkthrough_runs_and_replays_byte_exactly(tmp_path):
     root = Path(__file__).resolve().parent.parent
-    section = (root / "README.md").read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    section = (root / "README.md").read_text(encoding="utf-8").split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
     blocks = [block.split("```", 1)[0] for block in section.split("```sh\n")[1:]]
     script = "".join("\n" + block for block in blocks).replace("\ntsgrid ", f'\n"{sys.executable}" -m tsgrid.cli ')
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
@@ -470,6 +470,23 @@ def test_evaluate_one_sample_lookback_names_the_lookback(tmp_path):
     assert "DLASCL" not in result.stdout
 
 
+def test_evaluate_reads_a_utf8_config_under_an_ascii_locale(tmp_path):
+    src = tmp_path / "data.csv"
+    write_sine(src)
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("# Fenstergröße\n[eval]\nlookback = 32\nhorizons = 8\n", encoding="utf-8")
+    args = ["evaluate", "--config", str(cfg), "--dataset", str(src), "--model", "persistence", "--seed", "1"]
+    env = {**os.environ, "PYTHONPATH": str(Path(tsgrid.__file__).resolve().parent.parent)}
+    env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    result = subprocess.run(
+        [sys.executable, "-m", "tsgrid.cli", *args, "-o", str(tmp_path / "ev")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    assert (tmp_path / "ev" / "report.csv").exists()
+
+
 def test_evaluate_noise_monotonicity(tmp_path, capsys):
     src = tmp_path / "data.csv"
     # persistence is exact on constants, so the noise term dominates the
@@ -640,6 +657,14 @@ def test_missing_config_file_errors(tmp_path, capsys):
     rc = main(["generate", "-n", "1", "--seed", "1", "--config", str(tmp_path / "none.ini"), "-o", str(tmp_path / "o")])
     assert rc == 1
     assert "config file" in capsys.readouterr().err
+
+
+def test_config_file_that_is_not_utf8_is_named(tmp_path, capsys):
+    cfg = tmp_path / "c.ini"
+    cfg.write_bytes("# Fenstergröße\n[generator]\n".encode("latin-1"))
+    rc = main(["generate", "-n", "1", "--seed", "1", "--config", str(cfg), "-o", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: 'utf-8' codec can't decode byte 0xf6")
 
 
 @pytest.mark.parametrize("command", ["perturb", "decode"])

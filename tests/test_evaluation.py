@@ -22,7 +22,7 @@ from tsgrid import (
 )
 from tsgrid import evaluation, forecasters
 from tsgrid.evaluation import ReportRow, _window_predictions
-from tsgrid.forecasters import ForecasterHandle, forecast, make_mask
+from tsgrid.forecasters import ForecasterHandle, TemporalMask, forecast
 from tsgrid.imagespace import SoftImageTensor, SpaceParams, denormalize, encode, normalize, soft_decode
 from tsgrid.series import carry_forward
 
@@ -236,6 +236,16 @@ def test_short_factors_are_skipped_and_recorded():
     assert report.remse(8) >= 0.0  # other cells still usable
 
 
+def test_a_factor_too_small_to_rescale_is_recorded_with_no_windows():
+    truth = walk(400, seed=5)  # round(0.001 * 400) = 0 samples: tsi_rescale fails
+    cfg = EvalConfig(lookback=32, horizons=(8, 16), rescale_factors=(0.001, 1.0))
+    report = remetrics(truth, get_model("persistence"), cfg)
+    tiny = [r for r in report.rows if r.beta == 0.001]
+    assert [(r.horizon, r.windows, r.mse, r.mae) for r in tiny] == [(8, 0, None, None), (16, 0, None, None)]
+    plain = remetrics(truth, get_model("persistence"), EvalConfig(lookback=32, horizons=(8, 16), rescale_factors=(1.0,)))
+    assert [r for r in report.rows if r.beta == 1.0] == [r for r in plain.rows if r.beta == 1.0]
+
+
 def test_all_skipped_raises():
     # even the largest factor (2x) leaves no room for lookback + horizon
     with pytest.raises(EvaluationError):
@@ -345,7 +355,7 @@ def dense_window_predictions(model, look_values, look_missing, horizon, space):
     missing = np.ones((channels, lookback + horizon), dtype=bool)
     missing[:, :lookback] = False if z.missing is None else z.missing
     padded = TimeSeries(np.concatenate([z.values, np.zeros((channels, horizon))], axis=1), missing)
-    completed = forecast(model, encode(padded, space), make_mask(lookback + horizon, lookback))
+    completed = forecast(model, encode(padded, space), TemporalMask(lookback + horizon, lookback))
     z_pred = soft_decode(SoftImageTensor(completed.grid[:, :, lookback:], space)).values
     return denormalize(TimeSeries(z_pred), stats).values
 

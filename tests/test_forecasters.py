@@ -5,11 +5,13 @@ from hypothesis import strategies as st
 
 from tsgrid import (
     CapabilityError,
+    ConfigurationError,
     EvalConfig,
     ForecasterHandle,
     InputError,
     PerturbationSpec,
     SpaceParams,
+    TemporalMask,
     TimeSeries,
     apply_mask,
     decode,
@@ -19,7 +21,6 @@ from tsgrid import (
     forecast,
     from_1d,
     get_model,
-    make_mask,
     register_baselines,
     soft_decode,
 )
@@ -34,26 +35,26 @@ def masked_image(values, lookback, params=P64):
     """Full-length image with zeroed suffix plus its mask."""
     series = from_1d(values)
     image = encode(series, params)
-    mask = make_mask(series.length, lookback)
+    mask = TemporalMask(series.length, lookback)
     return apply_mask(image, mask), mask
 
 
 # ---------------------------------------------------------------- masks
 
 
-def test_make_mask_prefix():
-    mask = make_mask(4, 2)
+def test_temporal_mask_prefix():
+    mask = TemporalMask(4, 2)
     assert (mask.length, mask.lookback) == (4, 2)
-    assert (make_mask(4, 4).length, make_mask(4, 4).lookback) == (4, 4)
+    assert (TemporalMask(4, 4).length, TemporalMask(4, 4).lookback) == (4, 4)
     visible = apply_mask(encode(from_1d(np.zeros(4)), P64), mask).rows[0] >= 0
     assert visible.tolist() == [True, True, False, False]
 
 
-def test_make_mask_rejects_bad_lookback():
-    with pytest.raises(InputError):
-        make_mask(4, 5)
-    with pytest.raises(InputError):
-        make_mask(4, 0)
+def test_temporal_mask_rejects_bad_lookback():
+    # a negative lookback once passed and made forecast return 24 columns for a 12-column image
+    for lookback in (0, -3, 13):
+        with pytest.raises(InputError, match=rf"^lookback must be in \[1, 12\], got {lookback}$"):
+            TemporalMask(12, lookback)
 
 
 def test_apply_mask_zeroes_suffix_columns():
@@ -263,9 +264,9 @@ def test_periods_fall_back_to_detect_period_on_exact_ties(monkeypatch):
     x = np.sin(2 * np.pi * np.arange(256) / 32.0)
     calls = []
 
-    def counted(row, min_lag=2):
+    def counted(row):
         calls.append(row.size)
-        return detect_period(row, min_lag)
+        return detect_period(row)
 
     monkeypatch.setattr(forecasters, "detect_period", counted)
     noise = np.random.default_rng(8).standard_normal(256)
@@ -289,6 +290,12 @@ def test_predict_rows_validates_once_with_the_predict_texts():
         get_model("oracle").predict_rows(np.zeros((2, 5)), 3)
     future = np.arange(8.0).reshape(2, 4)
     assert np.array_equal(get_model("oracle").predict_rows(np.zeros((2, 5)), 3, future=future), future[:, :3])
+
+
+def test_handle_rejects_an_unknown_space():
+    # a misspelt space was once scored through the grid codec
+    with pytest.raises(ConfigurationError, match=r"^typo: space must be 'numeric' or 'image', got 'Numeric'$"):
+        ForecasterHandle("typo", "Numeric", lambda X, n: np.repeat(X[:, -1:], n, axis=1))
 
 
 @pytest.mark.parametrize(
@@ -393,7 +400,7 @@ def test_forecast_handles_missing_lookback_columns():
     missing[0, 10:14] = True
     series = TimeSeries(values[None, :], missing)
     image = encode(series, P64)
-    mask = make_mask(48, 40)
+    mask = TemporalMask(48, 40)
     image = apply_mask(image, mask)
     soft = forecast(get_model("persistence-image"), image, mask)
     assert np.max(np.abs(soft.grid[:, :, 40:].sum(axis=1) - 1.0)) < 1e-9
@@ -403,7 +410,7 @@ def gappy_image(gaps, length=48, lookback=40):
     missing = np.zeros((1, length), dtype=bool)
     missing[0, gaps] = True
     series = TimeSeries(np.linspace(-1, 1, length)[None, :], missing)
-    mask = make_mask(length, lookback)
+    mask = TemporalMask(length, lookback)
     return apply_mask(encode(series, P64), mask), mask
 
 
@@ -430,7 +437,7 @@ def test_forecast_without_blur_leaves_missing_lookback_columns_empty():
 def test_forecast_rejects_mismatched_mask():
     image, _ = masked_image(np.zeros(16), 8)
     with pytest.raises(InputError):
-        forecast(get_model("persistence-image"), image, make_mask(12, 8))
+        forecast(get_model("persistence-image"), image, TemporalMask(12, 8))
 
 
 def test_forecast_is_deterministic():

@@ -9,7 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsgrid import BinaryImageTensor, InputError, SpaceParams, TimeSeries, encode, from_1d, normalize, preprocess
+from tsgrid import (
+    BinaryImageTensor,
+    InputError,
+    SpaceParams,
+    StructuralError,
+    TimeSeries,
+    encode,
+    from_1d,
+    normalize,
+    preprocess,
+)
 from tsgrid.evaluation import ReportRow
 from tsgrid.io import (
     _fmt,
@@ -72,6 +82,19 @@ def test_series_csv_rejects_garbage(tmp_path):
     empty.write_text("t,ch0\n")
     with pytest.raises(InputError):
         read_series_csv(empty)
+
+
+def test_text_that_is_not_utf8_is_named(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("t,Höhe\n0,1\n".encode("latin-1"))
+    with pytest.raises(InputError) as info:
+        read_series_csv(path)
+    assert str(info.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xf6 in position 3")
+    meta = tmp_path / "latin1.meta"
+    meta.write_bytes("h = 8\n# Höhe\n".encode("latin-1"))
+    with pytest.raises(InputError) as info:
+        read_meta(meta)
+    assert str(info.value).startswith(f"{meta}: 'utf-8' codec can't decode byte 0xf6 in position 9")
 
 
 def test_series_csv_names_the_line_of_a_bad_cell(tmp_path):
@@ -234,20 +257,31 @@ def test_read_image_rows_match_the_dense_constructor(channels, h, length, seed):
     levels = np.array([0, 1, 127, 128, 200, 255], dtype=np.uint8)
     planes = levels[g.choice(6, size=(channels, h, length), p=[0.5, 0.1, 0.15, 0.1, 0.05, 0.1])]
     planes[:, :, :2] = 0  # at least one empty column where the length allows
+    grid, params = (planes >= 128).astype(np.uint8), SpaceParams(h=h, ms=1.0)
     with tempfile.TemporaryDirectory() as tmp:
         entries = {"format": "binary", "h": str(h), "ms": "1", "length": str(length), "channels": str(channels)}
         for i in range(channels):
             write_pgm(Path(tmp) / f"g_ch{i}.pgm", planes[i])
             entries[f"file_ch{i}"] = f"g_ch{i}.pgm"
-        write_meta(Path(tmp) / "g.meta", entries)
-        back, _ = read_image(Path(tmp) / "g.meta")
-    dense = BinaryImageTensor((planes >= 128).astype(np.uint8), SpaceParams(h=h, ms=1.0))
+        meta = Path(tmp) / "g.meta"
+        write_meta(meta, entries)
+        if np.any(grid.sum(axis=1) > 1):
+            # both reject the grid when they build it; read_image names the metadata file
+            several = "some columns have more than one active cell"
+            with pytest.raises(StructuralError, match=f"^{several}$"):
+                BinaryImageTensor(grid, params)
+            with pytest.raises(StructuralError) as info:
+                read_image(meta)
+            assert str(info.value) == f"{meta}: {several}"
+            return
+        back, _ = read_image(meta)
+    dense = BinaryImageTensor(grid, params)
     assert back.rows.dtype == dense.rows.dtype
     assert np.array_equal(back.rows, dense.rows)
     assert back.params == dense.params
-    for (c, t), row in np.ndenumerate(back.rows):  # -1: no active cell, -3: several
+    for (c, t), row in np.ndenumerate(back.rows):  # -1: no active cell
         hits = np.flatnonzero(planes[c, :, t] >= 128)
-        assert row == (hits[0] if len(hits) == 1 else -1 if len(hits) == 0 else -3)
+        assert row == (hits[0] if len(hits) == 1 else -1)
 
 
 def test_missing_meta_and_graymap_are_named_by_the_meta(tmp_path):
