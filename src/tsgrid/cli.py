@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import os
 import sys
 from dataclasses import fields
@@ -27,6 +28,11 @@ from .imagespace import SpaceParams, decode, denormalize, encode, normalize
 from .rng import RngStream
 
 OUTPUT_DIR_ENV = "TSGRID_OUTPUT_DIR"
+# glibc's mallopt parameters (malloc.h) and the values main sets for the process.
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD_BYTES = 32 << 20  # glibc's ceiling on 64-bit
+TRIM_THRESHOLD_BYTES = 16 << 20  # the smallest power of two under which no benchmark workload page-faults per pass
 
 
 def _parse_value(tp, text: str):
@@ -394,7 +400,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Have glibc keep freed memory in the process for the next allocation.
+
+    By default glibc gives each large temporary its own ``mmap`` and trims
+    the heap when its free top grows past 128 KiB, so every evaluation block
+    gets its arrays back from the kernel as fresh zero-filled pages.  Both
+    thresholds are set: setting either one turns off glibc's adaptive
+    threshold.  A no-op where the C library is not glibc.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        import ctypes
+
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError, ValueError):
+        return
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

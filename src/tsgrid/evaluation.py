@@ -140,17 +140,24 @@ class EvalReport:
 
     rows: list[ReportRow]
 
-    def _aggregate(self, horizon: int, scenario: str) -> ReportRow:
+    def _aggregate(self, horizon: int, scenario: str, dataset: str | None) -> ReportRow:
+        if dataset is None:
+            names = sorted({r.dataset for r in self.rows})
+            if len(names) > 1:
+                raise EvaluationError(f"report holds datasets {', '.join(names)}; name one")
+            dataset = names[0] if names else None
         for agg in self.aggregates():
-            if agg.horizon == horizon and agg.scenario == scenario and agg.mse is not None:
+            if (agg.dataset, agg.horizon, agg.scenario) == (dataset, horizon, scenario) and agg.mse is not None:
                 return agg
-        raise EvaluationError(f"no usable rows for horizon={horizon}, scenario={scenario!r}")
+        raise EvaluationError(f"no usable rows for dataset={dataset!r}, horizon={horizon}, scenario={scenario!r}")
 
-    def remse(self, horizon: int, scenario: str = "none") -> float:
-        return self._aggregate(horizon, scenario).mse
+    def remse(self, horizon: int, scenario: str = "none", dataset: str | None = None) -> float:
+        """Mean MSE over the rescale set; ``dataset`` is required when the report holds several."""
+        return self._aggregate(horizon, scenario, dataset).mse
 
-    def remae(self, horizon: int, scenario: str = "none") -> float:
-        return self._aggregate(horizon, scenario).mae
+    def remae(self, horizon: int, scenario: str = "none", dataset: str | None = None) -> float:
+        """Mean MAE over the rescale set; ``dataset`` is required when the report holds several."""
+        return self._aggregate(horizon, scenario, dataset).mae
 
     def aggregates(self) -> list[ReportRow]:
         """One row per (dataset, horizon, scenario): means over the rescale set."""

@@ -356,7 +356,7 @@ def test_c11_end_to_end_smoke(tmp_path, monkeypatch):
     rel_b = sorted(p.relative_to(run_b) for p in run_b.rglob("*") if p.is_file())
     identical = rel_a == rel_b and all(filecmp.cmp(run_a / r, run_b / r, shallow=False) for r in rel_a)
 
-    report_lines = (run_a / "ev" / "report.csv").read_text().splitlines()
+    report_lines = (run_a / "ev" / "report.csv").read_text(encoding="utf-8").splitlines()
     mae_values = [float(line.split(",")[5]) for line in report_lines[1:] if line.split(",")[5]]
     finite = len(mae_values) > 0 and all(math.isfinite(v) for v in mae_values)
 

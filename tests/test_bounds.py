@@ -145,7 +145,7 @@ def test_import_loads_no_scipy():
     src = Path(tsgrid.__file__).resolve().parent.parent
     code = "import sys, tsgrid, tsgrid.cli, tsgrid.forecasters; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, encoding="utf-8", env=env, timeout=120)
     assert result.stdout == "[]\n", result.stdout + result.stderr
 
 

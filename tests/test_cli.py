@@ -2,6 +2,7 @@ import configparser
 import csv
 import filecmp
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,9 @@ import numpy as np
 import pytest
 
 import tsgrid
-from tsgrid import PerturbationSpec, SpaceParams, TimeSeries, from_1d
+from tsgrid import PerturbationSpec, RngStream, SpaceParams, TimeSeries, cli, from_1d
 from tsgrid.cli import main
+from tsgrid.generate import GeneratorConfig, sample_series
 from tsgrid.io import read_manifest_csv, read_series_csv, write_series_csv
 
 
@@ -77,7 +79,7 @@ def test_generate_ignores_the_old_threads_variable(tmp_path, monkeypatch):
     monkeypatch.setenv("TSGRID_THREADS", "abc")
     assert main(args + ["-o", str(tmp_path / "b")]) == 0
     assert files_identical(tmp_path / "a", tmp_path / "b")
-    assert "threads" not in (tmp_path / "a" / "resolved_generate.ini").read_text()
+    assert "threads" not in (tmp_path / "a" / "resolved_generate.ini").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize(
@@ -128,14 +130,14 @@ def test_generate_manifest_hypothesis_split(tmp_path):
 def test_generate_records_auto_seed(tmp_path):
     out = tmp_path / "out"
     assert main(["generate", "-n", "1", "--length", "16", "-o", str(out)]) == 0
-    text = (out / "resolved_generate.ini").read_text()
+    text = (out / "resolved_generate.ini").read_text(encoding="utf-8")
     seed_line = next(line for line in text.splitlines() if line.startswith("seed"))
     assert int(seed_line.split("=")[1]) >= 0
 
 
 def test_config_file_sets_defaults_and_flags_win(tmp_path):
     cfg = tmp_path / "gen.ini"
-    cfg.write_text("[generator]\nalpha = 1.0\nlength = 32\n")
+    cfg.write_text("[generator]\nalpha = 1.0\nlength = 32\n", encoding="utf-8")
     out1 = tmp_path / "periodic"
     main(["generate", "-n", "5", "--seed", "3", "--config", str(cfg), "-o", str(out1)])
     rows = read_manifest_csv(out1 / "manifest.csv")
@@ -155,7 +157,7 @@ def test_output_dir_env_var(tmp_path, monkeypatch):
 
 def _snapshot_section(out: Path, command: str, section: str) -> dict[str, str]:
     parser = configparser.ConfigParser()
-    parser.read(out / f"resolved_{command}.ini")
+    parser.read(out / f"resolved_{command}.ini", encoding="utf-8")
     return dict(parser[section])
 
 
@@ -163,7 +165,8 @@ def test_config_file_accepts_legacy_spellings(tmp_path):
     cfg = tmp_path / "gen.ini"
     cfg.write_text(
         "[generator]\nlgb_logK_range = 0.5,1.5\nnoise_sigma_eps = none\n"
-        "[augment]\nreplicate = yes\nflip = off\nperturb = 1\n"
+        "[augment]\nreplicate = yes\nflip = off\nperturb = 1\n",
+        encoding="utf-8",
     )
     out = tmp_path / "out"
     assert main(["generate", "-n", "1", "--seed", "3", "--length", "32", "--config", str(cfg), "-o", str(out)]) == 0
@@ -257,7 +260,7 @@ def test_readme_library_example_runs():
     block = (root / "README.md").read_text(encoding="utf-8").split("## Library example", 1)[1]
     code = block.split("```python\n", 1)[1].split("```", 1)[0]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, encoding="utf-8", env=env, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[0].startswith("2.64")
 
@@ -271,7 +274,7 @@ def test_readme_cli_walkthrough_runs_and_replays_byte_exactly(tmp_path):
     env.pop("TSGRID_OUTPUT_DIR", None)
     result = subprocess.run(
         ["sh", "-ec", script + "\ndiff -r reports replay\n"],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
+        capture_output=True, encoding="utf-8", env=env, cwd=tmp_path, timeout=300,
     )
     assert result.returncode == 0, result.stdout[-2000:] + result.stderr
     assert (tmp_path / "replay" / "report.csv").exists()
@@ -348,7 +351,7 @@ def _encoded_meta(tmp_path, monkeypatch) -> Path:
 @pytest.mark.parametrize("edit", [("h = 8", "h = x"), ("channels = 1", "channels = 0")])
 def test_decode_names_a_malformed_meta_once(tmp_path, capsys, monkeypatch, edit):
     meta = _encoded_meta(tmp_path, monkeypatch)
-    meta.write_text(meta.read_text().replace(*edit))
+    meta.write_text(meta.read_text(encoding="utf-8").replace(*edit), encoding="utf-8")
     capsys.readouterr()
     assert main(["decode", "e/h1.meta", "-o", "dec"]) == 1
     assert capsys.readouterr().err == "error: e/h1.meta: incomplete or malformed metadata\n"
@@ -400,7 +403,7 @@ def test_solve_ms_emits_expected_rows(tmp_path, capsys):
     assert (h, k) == ("128", "1")
     assert abs(float(ms) - 2.64) <= 0.01
     assert abs(float(res)) < 1e-9
-    assert (tmp_path / "solve_ms.csv").read_text().splitlines()[0] == "h,k,ms_star,residual"
+    assert (tmp_path / "solve_ms.csv").read_text(encoding="utf-8").splitlines()[0] == "h,k,ms_star,residual"
 
 
 def test_solve_ms_spot_value(tmp_path, capsys):
@@ -463,7 +466,7 @@ def test_evaluate_one_sample_lookback_names_the_lookback(tmp_path):
     args += ["--horizons", "4", "--betas", "1", "--seed", "1", "-o", str(tmp_path / "ev")]
     env = {**os.environ, "PYTHONPATH": str(Path(tsgrid.__file__).resolve().parent.parent)}
     result = subprocess.run(
-        [sys.executable, "-m", "tsgrid.cli", *args], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-m", "tsgrid.cli", *args], capture_output=True, encoding="utf-8", env=env, timeout=120
     )
     assert result.returncode == 1
     assert result.stderr == "error: linear-trend needs a lookback of at least 2 samples, got 1\n"
@@ -480,7 +483,7 @@ def test_evaluate_reads_a_utf8_config_under_an_ascii_locale(tmp_path):
     env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
     result = subprocess.run(
         [sys.executable, "-m", "tsgrid.cli", *args, "-o", str(tmp_path / "ev")],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, encoding="utf-8", env=env, timeout=120,
     )
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""
@@ -507,7 +510,7 @@ def test_evaluate_noise_monotonicity(tmp_path, capsys):
         ]
     )
     assert rc == 0
-    report = (tmp_path / "ev" / "report.csv").read_text().splitlines()
+    report = (tmp_path / "ev" / "report.csv").read_text(encoding="utf-8").splitlines()
     rows = [line.split(",") for line in report[1:]]
     mse = {row[3]: float(row[4]) for row in rows if row[2] == "1" and row[4]}
     assert mse["gaussian_noise:0.3"] >= mse["gaussian_noise:0.1"]
@@ -537,7 +540,7 @@ def test_evaluate_names_why_an_aggregate_was_skipped(tmp_path, capsys):
     out = tmp_path / "ev"
     args = ["evaluate", "--dataset", str(tmp_path / "series.csv"), "--model", "persistence"]
     assert main(args + ["--lookback", "100", "--horizons", "8,500,5000", "--seed", "0", "-o", str(out)]) == 0
-    with open(out / "report.csv", newline="") as handle:
+    with open(out / "report.csv", newline="", encoding="utf-8") as handle:
         masked = [r for r in csv.DictReader(handle) if r["horizon"] == "500" and r["beta"] != "mean(U)"]
     assert sum(int(r["windows"]) for r in masked) == 7 and all(r["mse"] == "" for r in masked)
     lines = capsys.readouterr().out.splitlines()
@@ -558,7 +561,7 @@ def test_evaluate_seasonal_naive_from_file(tmp_path):
     assert main(args + ["-o", str(a)]) == 0
     assert main(args + ["-o", str(b)]) == 0
     assert (a / "report.csv").read_bytes() == (b / "report.csv").read_bytes()
-    with open(a / "report.csv", newline="") as handle:
+    with open(a / "report.csv", newline="", encoding="utf-8") as handle:
         (aggregate,) = [r for r in csv.DictReader(handle) if r["beta"] == "mean(U)"]
     assert 0.0 < float(aggregate["mae"]) < float("inf")
 
@@ -569,7 +572,7 @@ def test_evaluate_keeps_distinct_harmonic_scenarios_apart(tmp_path):
     args = ["evaluate", "--dataset", str(src), "--model", "persistence", "--lookback", "32", "--horizons", "16"]
     args += ["--betas", "1", "--perturb", "harmonic:0.5,0.01", "--perturb", "harmonic:5,0.2", "--seed", "2"]
     assert main(args + ["-o", str(tmp_path / "ev")]) == 0
-    with open(tmp_path / "ev" / "report.csv", newline="") as handle:
+    with open(tmp_path / "ev" / "report.csv", newline="", encoding="utf-8") as handle:
         aggregates = {r["scenario"]: r for r in csv.DictReader(handle) if r["beta"] == "mean(U)"}
     assert sorted(aggregates) == ["harmonic:0.5,0.01", "harmonic:5,0.2", "none"]
     assert {r["windows"] for r in aggregates.values()} == {aggregates["none"]["windows"]}
@@ -600,7 +603,7 @@ def test_evaluate_keeps_scenarios_apart_past_the_sixth_digit(tmp_path):
     args = ["evaluate", "--dataset", str(src), "--model", "persistence", "--lookback", "32", "--horizons", "16"]
     args += ["--betas", "1", "--perturb", "gaussian_noise:0.1000001", "--perturb", "gaussian_noise:0.1000002"]
     assert main(args + ["--seed", "2", "-o", str(tmp_path / "ev")]) == 0
-    with open(tmp_path / "ev" / "report.csv", newline="") as handle:
+    with open(tmp_path / "ev" / "report.csv", newline="", encoding="utf-8") as handle:
         aggregates = {r["scenario"]: r for r in csv.DictReader(handle) if r["beta"] == "mean(U)"}
     assert sorted(aggregates) == ["gaussian_noise:0.1000001", "gaussian_noise:0.1000002", "none"]
     assert {r["windows"] for r in aggregates.values()} == {aggregates["none"]["windows"]}
@@ -687,6 +690,38 @@ def test_help_exits_zero_for_every_subcommand(capsys):
         assert sub in capsys.readouterr().out or sub == "list-models"
 
 
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="main sets an allocator policy on glibc only")
+def test_a_repeated_evaluate_reuses_the_memory_the_first_freed(tmp_path, capsys):
+    # the benchmark's eval-numeric run; without the policy the second run takes ~6.6k fresh zero-filled pages
+    import resource
+
+    dataset = tmp_path / "d.csv"
+    write_series_csv(dataset, sample_series(GeneratorConfig(length=4096), RngStream(20240710, 0)))
+    argv = ["evaluate", "--dataset", str(dataset), "--model", "seasonal-naive", "--lookback", "512",
+            "--horizons", "96,192,336,720", "--seed", "1",
+            "--perturb", "gaussian_noise:0.1", "--perturb", "harmonic", "--perturb", "missing:0.3"]
+    assert main(argv + ["-o", str(tmp_path / "first")]) == 0
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert main(argv + ["-o", str(tmp_path / "second")]) == 0
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults < 500
+
+
+def test_main_runs_where_the_c_library_has_no_mallopt(tmp_path, monkeypatch):
+    import ctypes
+
+    opened = []
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: opened.append(name) or object())
+    cli._keep_freed_memory.cache_clear()
+    try:
+        write_sine(tmp_path / "d.csv", length=200)
+        argv = ["evaluate", "--dataset", str(tmp_path / "d.csv"), "--model", "persistence", "--lookback", "32",
+                "--horizons", "8", "--seed", "1", "-o", str(tmp_path / "o")]
+        assert main(argv) == 0
+    finally:
+        cli._keep_freed_memory.cache_clear()
+    assert opened == ([None] if platform.libc_ver()[0] == "glibc" else [])
+
 # ---------------------------------------------------------------- replay
 
 
@@ -695,7 +730,7 @@ def _replay_argv(snapshot: Path) -> list[str]:
     <snapshot> where the command reads one, and evaluate's recorded
     scenarios as --perturb."""
     parser = configparser.ConfigParser()
-    parser.read(snapshot)
+    parser.read(snapshot, encoding="utf-8")
     run = dict(parser["run"])
     command = run.pop("command")
     argv = [command] if command in ("perturb", "decode") else [command, "--config", str(snapshot)]
@@ -717,7 +752,8 @@ def test_snapshot_replays_byte_exactly(tmp_path, monkeypatch, command):
     write_sine(data[0], length=400)
     write_sine(data[1], length=300, amplitude=5.0, period=21.0)
     cfg = tmp_path / "extra.ini"
-    cfg.write_text("[generator]\nifftb_phase_range = -1,1\n[augment]\nperturb_scale_range = 1,2\nflip = no\n")
+    ini = "[generator]\nifftb_phase_range = -1,1\n[augment]\nperturb_scale_range = 1,2\nflip = no\n"
+    cfg.write_text(ini, encoding="utf-8")
     argv = {
         "generate": ["generate", "-n", "3", "--seed", "4", "--length", "40", "--alpha", "0.3", "--noise-sigma", "0.2",
                      "--augment-probability", "0.7", "--start-stream", "5", "--config", str(cfg)],

@@ -8,6 +8,7 @@ from tsgrid import (
     CapabilityError,
     ConfigurationError,
     EvalConfig,
+    EvalReport,
     EvaluationError,
     InputError,
     PerturbationSpec,
@@ -284,6 +285,21 @@ def test_multichannel_channel_independent_average():
     # channel 0 is constant (exact); pooled error is half the channel-1 error
     solo = remetrics(TimeSeries(values[1:2]), get_model("persistence"), cfg)
     assert report.remse(8) == pytest.approx(0.5 * solo.remse(8), abs=1e-12)
+
+
+def test_aggregates_of_a_report_with_two_datasets_are_read_by_name():
+    cfg = EvalConfig(lookback=32, horizons=(8,), rescale_factors=(1.0,))
+    exact = remetrics(from_1d(np.full(80, 1.0)), get_model("persistence"), cfg, dataset="flat")
+    noisy = remetrics(walk(80), get_model("persistence"), cfg, dataset="walk")
+    both = EvalReport(exact.rows + noisy.rows)
+    assert noisy.remse(8) > 0.0
+    assert (both.remse(8, dataset="flat"), both.remae(8, dataset="flat")) == (0.0, 0.0)
+    assert (both.remse(8, dataset="walk"), both.remae(8, dataset="walk")) == (noisy.remse(8), noisy.remae(8))
+    for read in (both.remse, both.remae):
+        with pytest.raises(EvaluationError, match="report holds datasets flat, walk; name one"):
+            read(8)
+    with pytest.raises(EvaluationError, match="dataset='other'"):
+        both.remse(8, dataset="other")
 
 
 def test_image_space_model_runs_through_codec():

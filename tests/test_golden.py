@@ -21,7 +21,7 @@ from tsgrid import TimeSeries
 from tsgrid.cli import main
 from tsgrid.io import write_series_csv
 
-DIGESTS = json.loads(Path(__file__).with_name("golden_digests.json").read_text())
+DIGESTS = json.loads(Path(__file__).with_name("golden_digests.json").read_text(encoding="utf-8"))
 MODELS = ("persistence", "seasonal-naive", "persistence-image", "seasonal-naive-image", "oracle")
 DATASETS = ("clean", "gappy")
 RUNS = {

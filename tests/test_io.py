@@ -56,7 +56,7 @@ def test_series_csv_roundtrip(tmp_path):
 def test_series_csv_significant_digits(tmp_path):
     path = tmp_path / "digits.csv"
     write_series_csv(path, from_1d([0.123456789123456]))
-    text = path.read_text()
+    text = path.read_text(encoding="utf-8")
     assert "0.123456789" in text
     assert "0.1234567891" not in text
     assert text.splitlines()[0] == "t,ch0"
@@ -65,7 +65,9 @@ def test_series_csv_significant_digits(tmp_path):
 
 def test_series_csv_accepts_timestamp_index(tmp_path):
     path = tmp_path / "ett.csv"
-    path.write_text("date,HUFL,HULL\n2016-07-01 00:00:00,5.827,2.009\n2016-07-01 01:00:00,5.693,2.076\n")
+    path.write_text(
+        "date,HUFL,HULL\n2016-07-01 00:00:00,5.827,2.009\n2016-07-01 01:00:00,5.693,2.076\n", encoding="utf-8"
+    )
     series = read_series_csv(path)
     assert series.values.shape == (2, 2)
     assert series.values[0, 0] == pytest.approx(5.827)
@@ -73,13 +75,13 @@ def test_series_csv_accepts_timestamp_index(tmp_path):
 
 def test_series_csv_rejects_garbage(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("t,ch0\n0,hello\n")
+    path.write_text("t,ch0\n0,hello\n", encoding="utf-8")
     with pytest.raises(InputError):
         read_series_csv(path)
     with pytest.raises(InputError):
         read_series_csv(tmp_path / "does-not-exist.csv")
     empty = tmp_path / "empty.csv"
-    empty.write_text("t,ch0\n")
+    empty.write_text("t,ch0\n", encoding="utf-8")
     with pytest.raises(InputError):
         read_series_csv(empty)
 
@@ -99,11 +101,11 @@ def test_text_that_is_not_utf8_is_named(tmp_path):
 
 def test_series_csv_names_the_line_of_a_bad_cell(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("t,ch0,ch1\n0,1,2\n\n1,,3\n2, x ,4\n")
+    path.write_text("t,ch0,ch1\n0,1,2\n\n1,,3\n2, x ,4\n", encoding="utf-8")
     with pytest.raises(InputError) as info:
         read_series_csv(path)
     assert str(info.value) == f"{path}:5: non-numeric value 'x'"
-    path.write_text("t,ch0\n0,1\n1,2,3\n")
+    path.write_text("t,ch0\n0,1\n1,2,3\n", encoding="utf-8")
     with pytest.raises(InputError) as info:
         read_series_csv(path)
     assert str(info.value) == f"{path}:3: row has 3 fields, expected 2"
@@ -113,7 +115,7 @@ def test_series_csv_names_the_line_of_a_bad_cell(tmp_path):
 @pytest.mark.parametrize("gappy", [False, True], ids=["gap-free", "gappy"])
 def test_series_csv_names_the_line_of_a_non_finite_cell(tmp_path, cell, gappy):
     path = tmp_path / "bad.csv"
-    path.write_text(f"t,ch0,ch1\n0,1,2\n1,{'' if gappy else 5},3\n2,{cell},4\n")
+    path.write_text(f"t,ch0,ch1\n0,1,2\n1,{'' if gappy else 5},3\n2,{cell},4\n", encoding="utf-8")
     with pytest.raises(InputError) as info:
         read_series_csv(path)
     assert str(info.value) == f"{path}:4: non-finite value {cell.strip()!r}"
@@ -123,7 +125,7 @@ def test_series_csv_parses_padded_and_blank_cells_like_the_cell_parser(tmp_path)
     cells = [" 1.5", "2.25 ", "\t-3e-5", "1e308", "-0.0", "5e-324", "1_000"]
     for column in (cells, cells + ["  "], cells + [""]):
         path = tmp_path / "padded.csv"
-        path.write_text("t,ch0\n" + "".join(f"{t},{c}\n" for t, c in enumerate(column)))
+        path.write_text("t,ch0\n" + "".join(f"{t},{c}\n" for t, c in enumerate(column)), encoding="utf-8")
         back = read_series_csv(path)
         gap = [not c.strip() for c in column]
         expected = np.array([0.0 if g else float(c) for c, g in zip(column, gap)])
@@ -136,7 +138,7 @@ def test_series_csv_parses_padded_and_blank_cells_like_the_cell_parser(tmp_path)
 
 def reference_write_series_csv(path, series):
     """Reference: the per-cell ``csv.writer`` series writer."""
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["t"] + [f"ch{i}" for i in range(series.channels)])
         for t in range(series.length):
@@ -323,7 +325,7 @@ def test_report_csv_layout(tmp_path):
     aggs = [ReportRow("demo", 8, None, "none", 0.5, 0.25, 3)]
     path = tmp_path / "report.csv"
     write_report_csv(path, rows, aggs)
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "dataset,horizon,beta,scenario,mse,mae,windows"
     assert lines[1] == "demo,8,1,none,0.5,0.25,3"
     assert lines[2] == "demo,8,mean(U),none,0.5,0.25,3"
@@ -343,7 +345,7 @@ def test_atomic_write_creates_missing_directories(tmp_path):
     target = tmp_path / "a" / "b" / "out.txt"
     with atomic_write(target) as handle:
         handle.write("done")
-    assert target.read_text() == "done"
+    assert target.read_text(encoding="utf-8") == "done"
     assert [p.name for p in target.parent.iterdir()] == ["out.txt"]
 
     failed = tmp_path / "c" / "d" / "out.txt"
