@@ -34,7 +34,6 @@ from .evaluation import (
 from .forecasters import (
     ForecasterHandle,
     TemporalMask,
-    apply_mask,
     detect_period,
     forecast,
     get_model,
@@ -65,7 +64,6 @@ from .imagespace import (
     denormalize,
     emd,
     encode,
-    encode_preprocessed,
     kld,
     loss,
     normalize,

@@ -19,7 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, EvaluationError, InputError, LookbackOverflow
 from .forecasters import ForecasterHandle
-from .imagespace import SpaceParams, denormalize, normalize, quantize_values
+from .imagespace import SpaceParams, denormalize, encode_rows, normalize
 from .rng import RngStream
 from .series import TimeSeries, carry_forward, linear_resample
 
@@ -241,16 +241,14 @@ def _window_predictions(
     space: SpaceParams,
 ) -> np.ndarray:
     """Predictions for a block of channel-independent rows from one ``predict_rows`` call;
-    image models see the block through the grid codec.  The targets go along
-    as ``future``, which only an oracle reads."""
+    image models see the block through the grid codec (``predict_grid``).  The
+    targets go along as ``future``, which only an oracle reads."""
     if model.space == "numeric":
         return model.predict_rows(carry_forward(look_values, look_missing), horizon, target_values)
 
-    # the codec round trip is quantize_values; carry_forward overwrites every masked placeholder
     z, stats = normalize(TimeSeries(look_values, look_missing), look_values.shape[1])
-    visible = carry_forward(quantize_values(z.values, space), look_missing)
-    z_pred = quantize_values(model.predict_rows(visible, horizon), space)
-    return denormalize(TimeSeries(z_pred), stats).values
+    rows = model.predict_grid(encode_rows(z, space), horizon, space)
+    return denormalize(TimeSeries(space.centers()[rows]), stats).values
 
 
 def _cell_errors(

@@ -8,7 +8,8 @@ value-space and a grid-space (encode-after-predict) variant behind one
 handle type, so richer models can plug in later without touching the
 evaluation harness.  The harness hands a handle a block of lookbacks at a
 time (``ForecasterHandle.predict_rows``); the baselines predict the whole
-block at once.
+block at once.  Grid-space forecasts, in the harness and in
+:func:`forecast`, all go through ``ForecasterHandle.predict_grid``.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import CapabilityError, ConfigurationError, InputError
-from .imagespace import BinaryImageTensor, SoftImageTensor, SpaceParams, _one_hot, decode, preprocess, value_to_row
-from .series import TimeSeries, carry_forward
+from .imagespace import BinaryImageTensor, SoftImageTensor, SpaceParams, _one_hot, value_to_row
+from .series import carry_forward
 
 MAX_LOOKBACK = 8192
 MAX_HORIZON = 4096
@@ -37,15 +38,6 @@ class TemporalMask:
     def __post_init__(self) -> None:
         if not 1 <= self.lookback <= self.length:
             raise InputError(f"lookback must be in [1, {self.length}], got {self.lookback}")
-
-
-def apply_mask(image: BinaryImageTensor, mask: TemporalMask) -> BinaryImageTensor:
-    """Zero all columns at and beyond the mask's lookback."""
-    if mask.length != image.length:
-        raise InputError(f"mask length {mask.length} does not match image length {image.length}")
-    rows = image.rows.copy()
-    rows[:, mask.lookback :] = -1
-    return BinaryImageTensor._from_rows(rows, image.params)
 
 
 @dataclass(frozen=True)
@@ -103,13 +95,28 @@ class ForecasterHandle:
         if self.needs_future:
             if future is None:
                 raise InputError(f"{self.id}: this handle requires the true future")
-            return np.asarray(future, dtype=np.float64)[:, :horizon].copy()
-        out = np.asarray(self.predict_rows_fn(X, horizon), dtype=np.float64)
+            out = np.array(future, dtype=np.float64, ndmin=2)[:, :horizon]
+        else:
+            out = np.asarray(self.predict_rows_fn(X, horizon), dtype=np.float64)
         if out.shape != (X.shape[0], horizon):
             raise InputError(f"{self.id}: predictions have shape {out.shape}, expected {(X.shape[0], horizon)}")
         if not np.isfinite(out).all():
             raise InputError(f"{self.id}: predictions must be finite (no NaN/Inf)")
         return out
+
+    def predict_grid(self, rows: np.ndarray, horizon: int, params: SpaceParams) -> np.ndarray:
+        """Forecast in grid space: active rows (rows, lookback), -1 for a missing
+        sample, map to predicted active rows (rows, horizon).
+
+        Each lookback is decoded to its cell centers with missing samples
+        carried forward, ``predict_rows`` forecasts the block in value space,
+        and the prediction is binned into the grid; values beyond the scale
+        saturate into the edge cells.
+        """
+        empty = rows < 0
+        # a gap-free block takes carry_forward's plain copy
+        visible = carry_forward(params.centers()[rows], empty if empty.any() else None)
+        return value_to_row(self.predict_rows(visible, horizon), params)
 
 
 def detect_period(x: np.ndarray) -> int:
@@ -263,51 +270,19 @@ def get_model(model_id: str) -> ForecasterHandle:
     raise InputError(f"unknown model id {model_id!r}; registered ids: {known}")
 
 
-def forecast(
-    model: ForecasterHandle,
-    image: BinaryImageTensor,
-    mask: TemporalMask,
-    blur_kernel: tuple[int, int] | None = None,
-) -> SoftImageTensor:
+def forecast(model: ForecasterHandle, image: BinaryImageTensor, mask: TemporalMask) -> SoftImageTensor:
     """Fill the masked suffix of a grid with the model's prediction.
 
-    The visible prefix is decoded (missing columns carried forward), the
-    model predicts in value space, and the prediction is re-encoded into
-    one-hot columns; values beyond the scale saturate into the edge cells.
-    Visible columns pass through unmodified, or blurred when ``blur_kernel``
-    is given.  Every output column sums to 1, except that missing lookback
-    columns pass through all-zero; blurring needs a complete lookback.
+    Only the visible prefix is read.  It passes through unmodified, and the
+    suffix holds the one-hot columns of :meth:`ForecasterHandle.predict_grid`.
+    Every output column sums to 1, except that missing lookback columns pass
+    through all-zero.
     """
     if mask.length != image.length:
         raise InputError(f"mask length {mask.length} does not match image length {image.length}")
     horizon = image.length - mask.lookback
     if horizon < 1:
         raise InputError("mask leaves nothing to predict")
-    model.check_capability(mask.lookback, horizon)
-
-    visible = BinaryImageTensor._from_rows(image.rows[:, : mask.lookback], image.params)
-    decoded = decode(visible, allow_missing=True)
-    if blur_kernel is not None:
-        if decoded.missing is not None:
-            cols = np.flatnonzero(decoded.missing.any(axis=0))
-            shown = ", ".join(str(i) for i in cols[:10]) + (", ..." if cols.size > 10 else "")
-            raise InputError(
-                f"cannot blur a lookback with missing samples; {cols.size} missing lookback column(s): {shown}"
-            )
-        prefix = preprocess(visible, blur_kernel).grid
-    else:
-        prefix = _one_hot(visible.rows, image.params.h)
-    rows = _predicted_rows(model, decoded, horizon, image.params)
-    out = np.concatenate([prefix, _one_hot(rows, image.params.h)], axis=2)
-    return SoftImageTensor(out, image.params)
-
-
-def _predicted_rows(model: ForecasterHandle, lookback: TimeSeries, horizon: int, params: SpaceParams) -> np.ndarray:
-    """Active cell index of each predicted sample, shape (channels, horizon).
-
-    Missing lookback samples are carried forward, the model predicts all
-    channels in value space with one ``predict_rows`` call, and the
-    prediction is binned into the grid.
-    """
-    filled = carry_forward(lookback.values, lookback.missing)
-    return value_to_row(model.predict_rows(filled, horizon), params)
+    visible = image.rows[:, : mask.lookback]
+    rows = np.concatenate([visible, model.predict_grid(visible, horizon, image.params)], axis=1)
+    return SoftImageTensor(_one_hot(rows, image.params.h), image.params)

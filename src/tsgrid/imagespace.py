@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InputError, LookbackOverflow, StructuralError
-from .series import TimeSeries, linear_resample
+from .series import TimeSeries
 
 STD_FLOOR = 1e-8
 
@@ -399,25 +399,3 @@ def preprocess(
     out /= weight_rows[:, None] * weight_cols[None, :]
     out /= out.sum(axis=1, keepdims=True)
     return SoftImageTensor(out, image.params)
-
-
-def encode_preprocessed(
-    series: TimeSeries,
-    params: SpaceParams,
-    upsample: int = 2,
-    blur_kernel: tuple[int, int] = (31, 31),
-    blur_sigma: float | None = None,
-) -> SoftImageTensor:
-    """Full model-input pipeline: temporal upsampling, encoding, blurring.
-
-    The temporal axis is linearly interpolated to ``upsample`` times its
-    original length before encoding, which halves the per-step slope the
-    grid has to follow at the default factor 2.
-    """
-    if upsample < 1:
-        raise ConfigurationError(f"upsample factor must be >= 1, got {upsample}")
-    values = series.values
-    if upsample > 1:
-        values = linear_resample(values, upsample * series.length)
-    resampled = TimeSeries(values)
-    return preprocess(encode(resampled, params), blur_kernel, blur_sigma)

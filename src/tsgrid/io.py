@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InputError, StructuralError
-from .imagespace import STD_FLOOR, BinaryImageTensor, NormStats, SoftImageTensor, SpaceParams
+from .imagespace import STD_FLOOR, BinaryImageTensor, NormStats, SpaceParams
 from .series import TimeSeries
 
 
@@ -146,11 +146,6 @@ def write_manifest_csv(path: str | Path, records: Iterable[dict]) -> None:
             writer.writerow({k: record.get(k, "") for k in fields})
 
 
-def read_manifest_csv(path: str | Path) -> list[dict]:
-    with Path(path).open(newline="", encoding="utf-8") as handle:
-        return list(csv.DictReader(handle))
-
-
 def write_pgm(path: str | Path, rows: np.ndarray) -> None:
     """Binary (P5) graymap with maxval 255; file row 0 is grid row 0 (the lowest-value cell)."""
     arr = np.asarray(rows)
@@ -220,17 +215,13 @@ def read_meta(path: str | Path) -> dict[str, str]:
     return entries
 
 
-def write_image(stem: str | Path, image: BinaryImageTensor | SoftImageTensor, stats: NormStats | None = None) -> Path:
-    """Write one graymap per channel plus a ``<stem>.meta`` sidecar.
-
-    Binary grids map {0, 1} to {0, 255}; soft grids are scaled by their
-    maximum entry.  Returns the metadata path.
-    """
+def write_image(stem: str | Path, image: BinaryImageTensor, stats: NormStats | None = None) -> Path:
+    """Write one graymap per channel, {0, 1} mapped to {0, 255}, plus a
+    ``<stem>.meta`` sidecar.  Returns the metadata path."""
     stem = Path(stem)
-    soft = isinstance(image, SoftImageTensor)
     grid = image.grid
     entries: dict[str, str] = {
-        "format": "soft" if soft else "binary",
+        "format": "binary",
         "h": str(image.params.h),
         "ms": _fmt(image.params.ms),
         "length": str(image.length),
@@ -240,14 +231,8 @@ def write_image(stem: str | Path, image: BinaryImageTensor | SoftImageTensor, st
         entries["norm_mean"] = ",".join(_fmt(v) for v in stats.mean)
         entries["norm_std"] = ",".join(_fmt(v) for v in stats.std)
     for i in range(image.channels):
-        plane = grid[i]
-        if soft:
-            peak = float(plane.max())
-            scaled = np.zeros_like(plane, dtype=np.uint8) if peak <= 0 else np.rint(plane / peak * 255).astype(np.uint8)
-        else:
-            scaled = plane.astype(np.uint8) * 255
         name = f"{stem.name}_ch{i}.pgm"
-        write_pgm(stem.parent / name, scaled)
+        write_pgm(stem.parent / name, grid[i] * 255)
         entries[f"file_ch{i}"] = name
     meta_path = stem.parent / f"{stem.name}.meta"
     write_meta(meta_path, entries)

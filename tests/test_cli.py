@@ -14,7 +14,12 @@ import tsgrid
 from tsgrid import PerturbationSpec, RngStream, SpaceParams, TimeSeries, cli, from_1d
 from tsgrid.cli import main
 from tsgrid.generate import GeneratorConfig, sample_series
-from tsgrid.io import read_manifest_csv, read_series_csv, write_series_csv
+from tsgrid.io import read_series_csv, write_series_csv
+
+
+def read_manifest_csv(path):
+    with Path(path).open(newline="", encoding="utf-8") as handle:
+        return list(csv.DictReader(handle))
 
 
 def files_identical(dir_a: Path, dir_b: Path) -> bool:

@@ -23,7 +23,7 @@ from tsgrid import (
 )
 from tsgrid import evaluation, forecasters
 from tsgrid.evaluation import ReportRow, _window_predictions
-from tsgrid.forecasters import ForecasterHandle, TemporalMask, forecast
+from tsgrid.forecasters import ForecasterHandle
 from tsgrid.imagespace import SoftImageTensor, SpaceParams, denormalize, encode, normalize, soft_decode
 from tsgrid.series import carry_forward
 
@@ -365,14 +365,15 @@ def test_rescale_set_order_does_not_matter():
 
 
 def dense_window_predictions(model, look_values, look_missing, horizon, space):
-    """Reference: encode the padded window, forecast on the dense grid, soft-decode the suffix."""
-    channels, lookback = look_values.shape
-    z, stats = normalize(TimeSeries(look_values, look_missing), lookback)
-    missing = np.ones((channels, lookback + horizon), dtype=bool)
-    missing[:, :lookback] = False if z.missing is None else z.missing
-    padded = TimeSeries(np.concatenate([z.values, np.zeros((channels, horizon))], axis=1), missing)
-    completed = forecast(model, encode(padded, space), TemporalMask(lookback + horizon, lookback))
-    z_pred = soft_decode(SoftImageTensor(completed.grid[:, :, lookback:], space)).values
+    """Reference on dense grids: encode the lookback, soft-decode it (empty columns
+    carried forward), predict in value space, then encode and soft-decode the prediction."""
+    z, stats = normalize(TimeSeries(look_values, look_missing), look_values.shape[1])
+    grid = encode(z, space).grid.astype(np.float64)
+    empty = grid.sum(axis=1) == 0
+    grid[:, 0, :][empty] = 1.0  # any one-hot column: carry_forward overwrites it
+    visible = carry_forward(soft_decode(SoftImageTensor(grid, space)).values, empty)
+    predicted = encode(TimeSeries(model.predict_rows(visible, horizon)), space).grid
+    z_pred = soft_decode(SoftImageTensor(predicted.astype(np.float64), space)).values
     return denormalize(TimeSeries(z_pred), stats).values
 
 

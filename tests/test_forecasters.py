@@ -13,7 +13,6 @@ from tsgrid import (
     SpaceParams,
     TemporalMask,
     TimeSeries,
-    apply_mask,
     decode,
     detect_period,
     encode,
@@ -32,11 +31,9 @@ P64 = SpaceParams(h=64, ms=3.5)
 
 
 def masked_image(values, lookback, params=P64):
-    """Full-length image with zeroed suffix plus its mask."""
+    """Full-length image plus the mask that hides its suffix."""
     series = from_1d(values)
-    image = encode(series, params)
-    mask = TemporalMask(series.length, lookback)
-    return apply_mask(image, mask), mask
+    return encode(series, params), TemporalMask(series.length, lookback)
 
 
 # ---------------------------------------------------------------- masks
@@ -46,8 +43,11 @@ def test_temporal_mask_prefix():
     mask = TemporalMask(4, 2)
     assert (mask.length, mask.lookback) == (4, 2)
     assert (TemporalMask(4, 4).length, TemporalMask(4, 4).lookback) == (4, 4)
-    visible = apply_mask(encode(from_1d(np.zeros(4)), P64), mask).rows[0] >= 0
-    assert visible.tolist() == [True, True, False, False]
+    # forecast reads the visible prefix only: the masked suffix's values do not matter
+    model = get_model("linear-trend-image")
+    a = forecast(model, encode(from_1d([0.5, 1.0, -3.0, 2.0]), P64), mask)
+    b = forecast(model, encode(from_1d([0.5, 1.0, 3.0, -1.0]), P64), mask)
+    assert np.array_equal(a.grid, b.grid)
 
 
 def test_temporal_mask_rejects_bad_lookback():
@@ -55,12 +55,6 @@ def test_temporal_mask_rejects_bad_lookback():
     for lookback in (0, -3, 13):
         with pytest.raises(InputError, match=rf"^lookback must be in \[1, 12\], got {lookback}$"):
             TemporalMask(12, lookback)
-
-
-def test_apply_mask_zeroes_suffix_columns():
-    image, _ = masked_image(np.linspace(-1, 1, 10), 6)
-    assert image.grid[:, :, 6:].sum() == 0
-    assert np.array_equal(image.grid.sum(axis=1)[0, :6], np.ones(6, dtype=np.uint64))
 
 
 # ---------------------------------------------------------------- period
@@ -138,6 +132,21 @@ def test_oracle_requires_and_returns_future():
     assert np.array_equal(model.predict(np.zeros(5), 3, future=future), future)
     with pytest.raises(InputError):
         model.predict(np.zeros(5), 3)
+
+
+@pytest.mark.parametrize(
+    "future, message",
+    [
+        (np.ones((2, 3)), r"^oracle: predictions have shape \(2, 3\), expected \(2, 5\)$"),
+        (np.ones((1, 8)), r"^oracle: predictions have shape \(1, 5\), expected \(2, 5\)$"),
+        (np.ones(5), r"^oracle: predictions have shape \(1, 5\), expected \(2, 5\)$"),
+        (np.full((2, 5), np.nan), r"^oracle: predictions must be finite \(no NaN/Inf\)$"),
+    ],
+)
+def test_oracle_future_passes_the_prediction_checks(future, message):
+    # a short, mismatched or NaN future once came back as the prediction, and a 1-D one raised IndexError
+    with pytest.raises(InputError, match=message):
+        get_model("oracle").predict_rows(np.zeros((2, 10)), 5, future)
 
 
 def test_capability_limits_enforced():
@@ -339,6 +348,14 @@ def test_one_dimensional_handle_scores_like_its_row_core(space):
 # ---------------------------------------------------------------- forecast
 
 
+def test_predict_grid_carries_missing_rows_forward():
+    params = SpaceParams(h=8, ms=1.0)
+    rows = np.array([[2, 5, -1, -1], [-1, -1, 3, -1], [-1, -1, -1, -1]])
+    got = get_model("persistence-image").predict_grid(rows, 3, params)
+    # an all-missing lookback collapses to 0.0, whose cell (-0.25, 0] is row 3
+    assert got.tolist() == [[5] * 3, [3] * 3, [3] * 3]
+
+
 def test_forecast_persistence_on_constant_series():
     values = np.full(32, 1.25)
     image, mask = masked_image(values, 24)
@@ -401,7 +418,6 @@ def test_forecast_handles_missing_lookback_columns():
     series = TimeSeries(values[None, :], missing)
     image = encode(series, P64)
     mask = TemporalMask(48, 40)
-    image = apply_mask(image, mask)
     soft = forecast(get_model("persistence-image"), image, mask)
     assert np.max(np.abs(soft.grid[:, :, 40:].sum(axis=1) - 1.0)) < 1e-9
 
@@ -410,20 +426,7 @@ def gappy_image(gaps, length=48, lookback=40):
     missing = np.zeros((1, length), dtype=bool)
     missing[0, gaps] = True
     series = TimeSeries(np.linspace(-1, 1, length)[None, :], missing)
-    mask = TemporalMask(length, lookback)
-    return apply_mask(encode(series, P64), mask), mask
-
-
-def test_forecast_blur_names_missing_lookback_columns():
-    image, mask = gappy_image([])
-    soft = forecast(get_model("persistence-image"), image, mask, blur_kernel=(3, 3))
-    assert np.max(np.abs(soft.grid.sum(axis=1) - 1.0)) < 1e-9
-    image, mask = gappy_image([3, 10, 11, 12])
-    with pytest.raises(InputError, match=r"4 missing lookback column\(s\): 3, 10, 11, 12$"):
-        forecast(get_model("persistence-image"), image, mask, blur_kernel=(3, 3))
-    image, mask = gappy_image(list(range(12)))
-    with pytest.raises(InputError, match=r"12 missing lookback column\(s\): 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, \.\.\.$"):
-        forecast(get_model("persistence-image"), image, mask, blur_kernel=(3, 3))
+    return encode(series, P64), TemporalMask(length, lookback)
 
 
 def test_forecast_without_blur_leaves_missing_lookback_columns_empty():

@@ -21,7 +21,6 @@ from tsgrid import (
     decode,
     emd,
     encode,
-    encode_preprocessed,
     from_1d,
     kld,
     loss,
@@ -472,13 +471,6 @@ def test_blurred_soft_decode_tracks_hard_decode():
     interior[:16] = False
     interior[-16:] = False
     assert np.max(np.abs(soft[0][interior] - hard[0][interior])) <= 2.0 * bin_width
-
-
-def test_encode_preprocessed_doubles_length():
-    series = from_1d(np.sin(np.arange(100) / 7.0))
-    out = encode_preprocessed(series, P128)
-    assert out.grid.shape == (1, 128, 200)
-    assert np.max(np.abs(out.grid.sum(axis=1) - 1.0)) < 1e-9
 
 
 # ----------------------------------- active-row paths vs the dense references

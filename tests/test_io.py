@@ -18,14 +18,12 @@ from tsgrid import (
     encode,
     from_1d,
     normalize,
-    preprocess,
 )
 from tsgrid.evaluation import ReportRow
 from tsgrid.io import (
     _fmt,
     atomic_write,
     read_image,
-    read_manifest_csv,
     read_meta,
     read_pgm,
     read_series_csv,
@@ -195,7 +193,8 @@ def test_manifest_roundtrip(tmp_path):
         {"id": "series_00001.csv", "seed": 7, "stream": 1, "hypothesis": "trend", "behavior": "rwb", "length": 64},
     ]
     write_manifest_csv(path, records)
-    back = read_manifest_csv(path)
+    with path.open(newline="", encoding="utf-8") as handle:
+        back = list(csv.DictReader(handle))
     assert [r["behavior"] for r in back] == ["pwb", "rwb"]
     assert back[0]["id"] == "series_00000.csv"
 
@@ -312,11 +311,12 @@ def test_image_roundtrip_with_stats(tmp_path):
 
 
 def test_soft_image_export_is_writable_but_not_readable(tmp_path):
-    params = SpaceParams(h=32, ms=2.0)
-    soft = preprocess(encode(from_1d(np.zeros(8)), params), blur_kernel=(5, 5))
-    meta_path = write_image(tmp_path / "soft", soft)
-    assert meta_path.exists()
-    with pytest.raises(InputError):
+    # write_image writes binary grids only; a sidecar of any other format is refused on read
+    meta_path = write_image(tmp_path / "soft", encode(from_1d(np.zeros(8)), SpaceParams(h=32, ms=2.0)))
+    assert read_meta(meta_path)["format"] == "binary"
+    text = meta_path.read_text(encoding="utf-8").replace("format = binary", "format = soft")
+    meta_path.write_text(text, encoding="utf-8")
+    with pytest.raises(InputError, match=r"only binary grids can be read back, got format='soft'$"):
         read_image(meta_path)
 
 
