@@ -99,8 +99,8 @@ def mc_system_error(
     """
     if n < 1:
         raise ConfigurationError(f"sample count must be positive, got {n}")
-    if k <= 0:
-        raise ConfigurationError(f"k must be positive, got {k}")
+    if not (k > 0 and math.isfinite(k)):
+        raise ConfigurationError(f"k must be positive and finite, got {k}")
     g = rng.generator()
     total = 0.0
     total_sq = 0.0
@@ -149,8 +149,8 @@ def optimal_ms(h: int, k: float = 1.0) -> float:
     """
     if h < 2:
         raise ConfigurationError(f"h must be at least 2, got {h}")
-    if k <= 0:
-        raise ConfigurationError(f"k must be positive, got {k}")
+    if not (k > 0 and math.isfinite(k)):
+        raise ConfigurationError(f"k must be positive and finite, got {k}")
     lo, hi = 1e-3, math.sqrt(k * (h + 2)) + 10.0
     flo, fhi = ms_residual(lo, h, k), ms_residual(hi, h, k)
     if not (flo < 0.0 < fhi):

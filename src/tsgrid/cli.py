@@ -88,12 +88,22 @@ def _ini_fields(cls) -> dict[str, object]:
     return {f.name: hints[f.name] for f in fields(cls) if plain(hints[f.name])}
 
 
+def _check_keys(file_cfg: configparser.ConfigParser, section: str, valid) -> None:
+    """Reject a key of INI ``[section]`` that is not in ``valid``; INI keys are lowercased."""
+    known = {name.lower() for name in valid}
+    for key in file_cfg.options(section) if file_cfg.has_section(section) else ():
+        if key not in known:
+            raise ConfigurationError(f"[{section}]: unknown key {key!r}; valid keys: {', '.join(valid)}")
+
+
 def _config_from(cls, flags: dict, file_cfg: configparser.ConfigParser, section: str, **nested):
     """Build config dataclass ``cls`` from INI ``[section]``.  A flag whose
     dest is the field name wins when it is not None; fields given neither
     way keep the dataclass default.  ``nested`` passes dataclass fields."""
+    ini_fields = _ini_fields(cls)
+    _check_keys(file_cfg, section, ini_fields)
     kwargs = dict(nested)
-    for name, tp in _ini_fields(cls).items():
+    for name, tp in ini_fields.items():
         if flags.get(name) is not None:
             kwargs[name] = flags[name]
         elif file_cfg.has_option(section, name):
@@ -237,6 +247,7 @@ def cmd_decode(args) -> int:
 
 def cmd_solve_ms(args) -> int:
     file_cfg = _load_config_file(args.config)
+    _check_keys(file_cfg, "solve", ("h_list", "k_list"))
     h_list, k_list = args.h_list, args.k_list
     if h_list is None:
         h_list = _parse_ints(file_cfg.get("solve", "h_list", fallback="32,64,128,256,512"))

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CapabilityError, ConfigurationError, InputError
-from .imagespace import BinaryImageTensor, SoftImageTensor, SpaceParams, _one_hot, value_to_row
+from .imagespace import BinaryImageTensor, SpaceParams, value_to_row
 from .series import carry_forward
 
 MAX_LOOKBACK = 8192
@@ -270,13 +270,12 @@ def get_model(model_id: str) -> ForecasterHandle:
     raise InputError(f"unknown model id {model_id!r}; registered ids: {known}")
 
 
-def forecast(model: ForecasterHandle, image: BinaryImageTensor, mask: TemporalMask) -> SoftImageTensor:
+def forecast(model: ForecasterHandle, image: BinaryImageTensor, mask: TemporalMask) -> BinaryImageTensor:
     """Fill the masked suffix of a grid with the model's prediction.
 
-    Only the visible prefix is read.  It passes through unmodified, and the
-    suffix holds the one-hot columns of :meth:`ForecasterHandle.predict_grid`.
-    Every output column sums to 1, except that missing lookback columns pass
-    through all-zero.
+    Only the visible prefix is read.  It passes through unmodified, missing
+    columns (row -1) included, and the suffix holds the one-hot rows of
+    :meth:`ForecasterHandle.predict_grid`.
     """
     if mask.length != image.length:
         raise InputError(f"mask length {mask.length} does not match image length {image.length}")
@@ -285,4 +284,4 @@ def forecast(model: ForecasterHandle, image: BinaryImageTensor, mask: TemporalMa
         raise InputError("mask leaves nothing to predict")
     visible = image.rows[:, : mask.lookback]
     rows = np.concatenate([visible, model.predict_grid(visible, horizon, image.params)], axis=1)
-    return SoftImageTensor(_one_hot(rows, image.params.h), image.params)
+    return BinaryImageTensor._from_rows(rows, image.params)

@@ -5,7 +5,7 @@ A series value is binned into one of ``h`` vertical cells spanning
 values beyond the scale saturate into the edge cells.  Decoding returns the
 active cell's center, so the roundtrip error of in-range values is at most
 half a cell (MS / h).  Soft grids hold a probability distribution per
-column; they appear after Gaussian blurring and as forecaster output.
+column; the Gaussian blur :func:`preprocess` builds them.
 """
 
 from __future__ import annotations
@@ -62,14 +62,6 @@ def _checked_grid(grid, dtype: type | None, params: SpaceParams) -> np.ndarray:
     return g
 
 
-def _rows_of_active(active: np.ndarray) -> np.ndarray:
-    """Active row of each column of a boolean (channels, h, length) grid, -1 for an empty column."""
-    counts = active.sum(axis=1)
-    if np.any(counts > 1):
-        raise StructuralError("some columns have more than one active cell")
-    return np.where(counts == 1, active.argmax(axis=1), -1)
-
-
 @dataclass(init=False)
 class BinaryImageTensor:
     """One-hot-per-column grid of shape (channels, h, length), stored as the
@@ -89,13 +81,11 @@ class BinaryImageTensor:
         active = g == 1
         if not np.all(active | (g == 0)):
             raise StructuralError("binary grid entries must be 0 or 1")
-        self.rows = _rows_of_active(active)
+        counts = active.sum(axis=1)
+        if np.any(counts > 1):
+            raise StructuralError("some columns have more than one active cell")
+        self.rows = np.where(counts == 1, active.argmax(axis=1), -1)
         self.params = params
-
-    @classmethod
-    def _from_active(cls, active: np.ndarray, params: SpaceParams) -> BinaryImageTensor:
-        """Wrap a boolean (channels, h, length) grid of active cells, which must be valid for ``params``."""
-        return cls._from_rows(_rows_of_active(active), params)
 
     @classmethod
     def _from_rows(cls, rows: np.ndarray, params: SpaceParams) -> BinaryImageTensor:
@@ -309,7 +299,8 @@ def _emd(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.abs(np.cumsum(x, axis=1) - np.cumsum(y, axis=1)).sum())
 
 
-def _kld(x: np.ndarray, y: np.ndarray, h: int, eps: float) -> float:
+def _kld(x: np.ndarray, y: np.ndarray, h: int) -> float:
+    eps = _KLD_EPS
     gp = _one_hot(x, h) if x.ndim == 2 else x
     ps = gp + eps
     ps /= gp.sum(axis=1, keepdims=True) + h * eps
@@ -337,65 +328,47 @@ def emd(a, b) -> float:
     return _emd(*_operands(a, b))
 
 
-def kld(p, q, eps: float = _KLD_EPS) -> float:
+def kld(p, q) -> float:
     """Column-wise KL(p || q) with eps-smoothing, summed over channels/columns.
 
-    Both arguments are smoothed (add ``eps``, renormalize) so the result is
-    finite even for one-hot columns.
+    Both arguments are smoothed (add eps = 1e-8, as :func:`loss` does, and
+    renormalize) so the result is finite even for one-hot columns.
     """
-    if eps <= 0:
-        raise ConfigurationError(f"eps must be positive, got {eps}")
-    return _kld(*_operands(p, q), p.params.h, eps)
+    return _kld(*_operands(p, q), p.params.h)
 
 
 def loss(pred, target, alpha: float = 0.2) -> float:
     """Transport distance plus ``alpha`` times the smoothed KL divergence."""
     x, y = _operands(pred, target)
-    return _emd(x, y) + alpha * _kld(x, y, pred.params.h, _KLD_EPS)
+    return _emd(x, y) + alpha * _kld(x, y, pred.params.h)
 
 
-def _gaussian_kernel(size: int, sigma: float) -> np.ndarray:
-    radius = (size - 1) // 2
-    x = np.arange(-radius, radius + 1, dtype=np.float64)
-    k = np.exp(-0.5 * (x / sigma) ** 2)
-    return k / k.sum()
+_BLUR_TAPS = 31  # the Gaussian kernel length on both axes; sigma is a sixth of it
 
 
-def preprocess(
-    image: BinaryImageTensor,
-    blur_kernel: tuple[int, int] = (31, 31),
-    blur_sigma: float | None = None,
-) -> SoftImageTensor:
+def preprocess(image: BinaryImageTensor) -> SoftImageTensor:
     """Gaussian-blur a one-hot grid and renormalize every column to sum 1.
 
-    The kernel is truncated at the grid borders and renormalized there, so
-    no probability mass leaks outside.  ``blur_sigma`` of ``None`` uses
-    kernel_extent / 6 per axis.
+    The kernel has 31 taps on both axes, with sigma 31 / 6.  It is truncated
+    at the grid borders and renormalized there, so no probability mass
+    leaks outside: down the rows by the kernel mass inside the grid, and
+    along time by the final division of each column by its own sum, which
+    cancels any per-column factor.
     """
     # the codec's only scipy use: imported here so that `import tsgrid` stays numpy-only
     from scipy.ndimage import convolve1d
 
-    kh, kw = blur_kernel
-    if kh < 1 or kw < 1 or kh % 2 == 0 or kw % 2 == 0:
-        raise ConfigurationError(f"blur kernel dims must be odd positive integers, got {blur_kernel}")
     if not isinstance(image, BinaryImageTensor):
         raise InputError(f"preprocess input must be a BinaryImageTensor, got {type(image).__name__}")
     rows = _operand(image, "preprocess input")
+    x = np.arange(-(_BLUR_TAPS // 2), _BLUR_TAPS // 2 + 1, dtype=np.float64)
+    kernel = np.exp(-0.5 * (x / (_BLUR_TAPS / 6.0)) ** 2)
+    kernel /= kernel.sum()
 
     # blurring a one-hot column down the rows places the truncated kernel
-    # at its active row: gather the blurred columns of the identity
-    table = np.eye(image.params.h)
-    weight_rows = np.ones(image.params.h)
-    weight_cols = np.ones(image.length)
-    if kh > 1:
-        krow = _gaussian_kernel(kh, blur_sigma if blur_sigma is not None else kh / 6.0)
-        table = convolve1d(table, krow, axis=0, mode="constant", cval=0.0)
-        weight_rows = convolve1d(weight_rows, krow, mode="constant", cval=0.0)
-    out = _columns(table, rows)
-    if kw > 1:
-        kcol = _gaussian_kernel(kw, blur_sigma if blur_sigma is not None else kw / 6.0)
-        out = convolve1d(out, kcol, axis=2, mode="constant", cval=0.0)
-        weight_cols = convolve1d(weight_cols, kcol, mode="constant", cval=0.0)
-    out /= weight_rows[:, None] * weight_cols[None, :]
+    # at its active row: gather the blurred, renormalized columns of the identity
+    table = convolve1d(np.eye(image.params.h), kernel, axis=0, mode="constant", cval=0.0)
+    table /= convolve1d(np.ones(image.params.h), kernel, mode="constant", cval=0.0)[:, None]
+    out = convolve1d(_columns(table, rows), kernel, axis=2, mode="constant", cval=0.0)
     out /= out.sum(axis=1, keepdims=True)
     return SoftImageTensor(out, image.params)

@@ -251,6 +251,13 @@ def read_image(meta_path: str | Path) -> tuple[BinaryImageTensor, NormStats | No
         length = int(meta["length"])
         if channels < 1:
             raise ValueError(f"channels = {channels}")
+        stats = None
+        if "norm_mean" in meta or "norm_std" in meta:  # both or neither, one finite value per channel, std > 0
+            mean, std = (np.array([float(v) for v in meta[key].split(",")]) for key in ("norm_mean", "norm_std"))
+            if not (mean.shape == std.shape == (channels,) and np.isfinite((mean, std)).all() and np.all(std > 0)):
+                raise ValueError("malformed normalization stats")
+            # normalize stores a floored std as exactly STD_FLOOR, hence <= rather than <
+            stats = NormStats(mean=mean, std=std, floored=std <= STD_FLOOR)
     except (KeyError, ValueError) as exc:
         raise InputError(f"{meta_path}: incomplete or malformed metadata") from exc
     planes = []
@@ -265,14 +272,8 @@ def read_image(meta_path: str | Path) -> tuple[BinaryImageTensor, NormStats | No
         if plane.shape != (params.h, length):
             raise InputError(f"{meta_path}: channel {i} has shape {plane.shape}, expected {(params.h, length)}")
         planes.append(plane >= 128)
-    stats = None
-    if "norm_mean" in meta and "norm_std" in meta:
-        mean = np.array([float(v) for v in meta["norm_mean"].split(",")])
-        std = np.array([float(v) for v in meta["norm_std"].split(",")])
-        # normalize stores a floored std as exactly STD_FLOOR, hence <= rather than <
-        stats = NormStats(mean=mean, std=std, floored=std <= STD_FLOOR)
     try:
-        return BinaryImageTensor._from_active(np.stack(planes), params), stats
+        return BinaryImageTensor(np.stack(planes), params), stats
     except StructuralError as exc:  # the path as given, as `decode` errors name it
         raise StructuralError(f"{given}: {exc}") from exc
 

@@ -99,6 +99,13 @@ def test_mc_rejects_bad_arguments():
         mc_system_error(SpaceParams(), -1.0, 10, RngStream(0, 0))
 
 
+@pytest.mark.parametrize("k", [math.nan, math.inf])
+def test_mc_rejects_a_non_finite_variance_as_the_bound_does(k):
+    # a NaN or infinite k once reached the codec and failed there as "cannot encode non-finite values"
+    with pytest.raises(ConfigurationError, match=rf"^k must be positive and finite, got {k}$"):
+        mc_system_error(SpaceParams(), k, 10, RngStream(0, 0))
+
+
 # ------------------------------------------------------------- optimal scale
 
 
@@ -154,6 +161,13 @@ def test_optimal_ms_validation():
         optimal_ms(1, 1.0)
     with pytest.raises(ConfigurationError):
         optimal_ms(128, 0.0)
+
+
+@pytest.mark.parametrize("k", [math.nan, math.inf])
+def test_optimal_ms_rejects_a_non_finite_variance_as_the_bound_does(k):
+    # a NaN or infinite k once left the bracket without a sign change: "root not bracketed"
+    with pytest.raises(ConfigurationError, match=rf"^k must be positive and finite, got {k}$"):
+        optimal_ms(32, k)
 
 
 # ------------------------------------------------------------- convergence

@@ -154,6 +154,39 @@ def test_config_file_sets_defaults_and_flags_win(tmp_path):
     assert all(r["hypothesis"] == "trend" for r in rows)
 
 
+@pytest.mark.parametrize(
+    "command, ini, message",
+    [
+        ("evaluate", "[eval]\nlookbak = 96\n",
+         "[eval]: unknown key 'lookbak'; valid keys: lookback, horizons, rescale_factors, stride"),
+        ("evaluate", "[space]\nhh = 64\n", "[space]: unknown key 'hh'; valid keys: h, ms"),
+        ("encode", "[space]\nMS = 2\nmax_scale = 2\n", "[space]: unknown key 'max_scale'; valid keys: h, ms"),
+        ("generate", "[generator]\nifftb_priors = none\n",
+         "[generator]: unknown key 'ifftb_priors'; valid keys: alpha,"),
+        ("generate", "[augment]\nflipp = no\n", "[augment]: unknown key 'flipp'; valid keys: replicate,"),
+        ("solve-ms", "[solve]\nh_list = 32\nk_lists = 1\n",
+         "[solve]: unknown key 'k_lists'; valid keys: h_list, k_list"),
+    ],
+    ids=["eval", "evaluate-space", "encode-space", "generator-field-ini-cannot-hold", "augment", "solve"],
+)
+def test_an_unknown_config_key_is_an_error_before_any_output(tmp_path, capsys, monkeypatch, command, ini, message):
+    # such a key was once ignored: `[eval] lookbak = 96` ran with the default lookback 512
+    monkeypatch.chdir(tmp_path)
+    write_sine(tmp_path / "data.csv", length=700)
+    (tmp_path / "c.ini").write_text("[run]\nanything = 1\n" + ini, encoding="utf-8")
+    argv = {
+        "evaluate": ["evaluate", "--dataset", "data.csv", "--model", "persistence", "--seed", "1"],
+        "encode": ["encode", "data.csv"],
+        "generate": ["generate", "-n", "1", "--seed", "1"],
+        "solve-ms": ["solve-ms"],
+    }[command]
+    assert main(argv + ["--config", "c.ini", "-o", "out"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert not (tmp_path / "out").exists()
+
+
 def test_output_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("TSGRID_OUTPUT_DIR", str(tmp_path / "from-env"))
     assert main(["generate", "-n", "1", "--seed", "1", "--length", "16"]) == 0
@@ -360,6 +393,33 @@ def test_decode_names_a_malformed_meta_once(tmp_path, capsys, monkeypatch, edit)
     capsys.readouterr()
     assert main(["decode", "e/h1.meta", "-o", "dec"]) == 1
     assert capsys.readouterr().err == "error: e/h1.meta: incomplete or malformed metadata\n"
+    assert not (tmp_path / "dec").exists()
+
+
+@pytest.mark.parametrize(
+    "key, line",
+    [
+        ("norm_mean", "norm_mean = 0,100"),  # two channels' stats for one channel
+        ("norm_std", "norm_std = -2"),
+        ("norm_std", "norm_std = 0"),
+        ("norm_mean", "norm_mean = nan"),
+        ("norm_std", "norm_std = inf"),
+        ("norm_std", ""),  # norm_mean without norm_std
+        ("norm_mean", "norm_mean ="),
+    ],
+    ids=["count", "negative-std", "zero-std", "nan-mean", "inf-std", "lone-key", "empty"],
+)
+def test_decode_rejects_malformed_normalization_stats(tmp_path, capsys, monkeypatch, key, line):
+    # such stats once broadcast (a 2-channel CSV from a 1-channel grid), flipped signs, or were ignored
+    monkeypatch.chdir(tmp_path)
+    write_sine(tmp_path / "s.csv", length=16)
+    assert main(["encode", "s.csv", "--normalize-lookback", "4", "-o", "e"]) == 0
+    meta = tmp_path / "e" / "s.meta"
+    lines = [line if old.startswith(f"{key} =") else old for old in meta.read_text(encoding="utf-8").splitlines()]
+    meta.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["decode", "e/s.meta", "-o", "dec"]) == 1
+    assert capsys.readouterr().err == "error: e/s.meta: incomplete or malformed metadata\n"
     assert not (tmp_path / "dec").exists()
 
 
