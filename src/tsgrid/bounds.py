@@ -167,6 +167,9 @@ def optimal_ms(h: int, k: float = 1.0) -> float:
 
 def solve_ms_table(h_list: Sequence[int], k_list: Sequence[float]) -> list[tuple[int, float, float, float]]:
     """Rows (h, k, ms_star, residual) over the grid, h-major order."""
+    for name, values in (("h_list", h_list), ("k_list", k_list)):
+        if not values:
+            raise ConfigurationError(f"{name} must not be empty")
     rows = []
     for h in h_list:
         for k in k_list:

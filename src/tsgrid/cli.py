@@ -46,7 +46,10 @@ def _parse_value(tp, text: str):
         (tp,) = (a for a in args if a is not type(None))
         args = get_args(tp)
     if args:
-        return tuple(_parse_value(args[0], v) for v in text.split(",")) if text else ()
+        values = text.split(",") if text else []
+        if Ellipsis not in args and len(values) != len(args):
+            raise ValueError(f"expected {len(args)} values, got {len(values)}")
+        return tuple(_parse_value(args[0], v) for v in values)
     if tp is bool:
         try:
             return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
@@ -68,7 +71,7 @@ def _load_config_file(path: str | None) -> configparser.ConfigParser:
     if path:
         try:
             read = parser.read(path, encoding="utf-8")
-        except UnicodeDecodeError as exc:
+        except (UnicodeDecodeError, configparser.Error) as exc:
             raise TsgridError(f"{path}: {exc}") from exc
         if not read:
             raise TsgridError(f"config file not found: {path}")
@@ -107,8 +110,16 @@ def _config_from(cls, flags: dict, file_cfg: configparser.ConfigParser, section:
         if flags.get(name) is not None:
             kwargs[name] = flags[name]
         elif file_cfg.has_option(section, name):
-            kwargs[name] = _parse_value(tp, file_cfg.get(section, name))
+            kwargs[name] = _ini_value(file_cfg, section, name, tp)
     return cls(**kwargs)
+
+
+def _ini_value(file_cfg: configparser.ConfigParser, section: str, name: str, tp, fallback: str | None = None):
+    """INI ``[section] name`` parsed as type ``tp``; a bad value is an error that names the setting."""
+    try:
+        return _parse_value(tp, file_cfg.get(section, name, fallback=fallback))
+    except ValueError as exc:
+        raise ConfigurationError(f"[{section}] {name}: {exc}") from None
 
 
 def _snapshot(cfg) -> dict[str, object]:
@@ -250,9 +261,9 @@ def cmd_solve_ms(args) -> int:
     _check_keys(file_cfg, "solve", ("h_list", "k_list"))
     h_list, k_list = args.h_list, args.k_list
     if h_list is None:
-        h_list = _parse_ints(file_cfg.get("solve", "h_list", fallback="32,64,128,256,512"))
+        h_list = _ini_value(file_cfg, "solve", "h_list", tuple[int, ...], "32,64,128,256,512")
     if k_list is None:
-        k_list = _parse_floats(file_cfg.get("solve", "k_list", fallback="1,1.5,2"))
+        k_list = _ini_value(file_cfg, "solve", "k_list", tuple[float, ...], "1,1.5,2")
     rows = solve_ms_table(h_list, k_list)
     lines = ["h,k,ms_star,residual"]
     for h, k, ms, res in rows:

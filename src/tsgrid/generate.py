@@ -315,9 +315,9 @@ def _exp(v: float) -> float:
 def _expit(x: np.ndarray) -> np.ndarray:
     """The logistic 1 / (1 + exp(-x)), with libm's ``exp`` through ``math``.
 
-    This is bit-identical to ``scipy.special.expit`` (the same formula and
-    the same ``exp``) without loading scipy, which costs ~0.3 s per
-    process; numpy's vector ``exp`` differs in the last bit on ~2% of inputs.
+    This is bit-identical to the reference ``expit`` the tests compare
+    against (the same formula and the same C ``exp``); numpy's vector
+    ``exp`` differs in the last bit on ~2% of inputs.
     """
     z = (-x).tolist()
     try:

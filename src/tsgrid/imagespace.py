@@ -269,15 +269,6 @@ def _operand(image, what: str) -> np.ndarray:
     return grid
 
 
-def _columns(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Grid (channels, h, length) whose column (c, t) is ``table[:, rows[c, t]]``.
-
-    C order, as a dense grid has: the summation order of later column sums
-    follows the memory layout.
-    """
-    return np.ascontiguousarray(np.take(table, rows, axis=1).swapaxes(0, 1))
-
-
 def _one_hot(rows: np.ndarray, h: int, dtype: type = np.float64) -> np.ndarray:
     """Dense grid (channels, h, length) with a 1 at each column's row; row -1 leaves its column empty."""
     grid = np.zeros((rows.shape[0], h, rows.shape[1]), dtype=dtype)
@@ -355,20 +346,27 @@ def preprocess(image: BinaryImageTensor) -> SoftImageTensor:
     along time by the final division of each column by its own sum, which
     cancels any per-column factor.
     """
-    # the codec's only scipy use: imported here so that `import tsgrid` stays numpy-only
-    from scipy.ndimage import convolve1d
-
     if not isinstance(image, BinaryImageTensor):
         raise InputError(f"preprocess input must be a BinaryImageTensor, got {type(image).__name__}")
     rows = _operand(image, "preprocess input")
-    x = np.arange(-(_BLUR_TAPS // 2), _BLUR_TAPS // 2 + 1, dtype=np.float64)
-    kernel = np.exp(-0.5 * (x / (_BLUR_TAPS / 6.0)) ** 2)
+    radius = _BLUR_TAPS // 2
+    kernel = np.exp(-0.5 * (np.arange(-radius, radius + 1) / (_BLUR_TAPS / 6.0)) ** 2)
     kernel /= kernel.sum()
 
-    # blurring a one-hot column down the rows places the truncated kernel
-    # at its active row: gather the blurred, renormalized columns of the identity
-    table = convolve1d(np.eye(image.params.h), kernel, axis=0, mode="constant", cval=0.0)
-    table /= convolve1d(np.ones(image.params.h), kernel, mode="constant", cval=0.0)[:, None]
-    out = convolve1d(_columns(table, rows), kernel, axis=2, mode="constant", cval=0.0)
+    # the row blur of a one-hot column is the truncated kernel at its active
+    # row a: table[r, a] is tap r - a, each row divided by the mass inside the grid
+    h = image.params.h
+    offset = np.arange(h)[:, None] - np.arange(h)
+    table = np.where(np.abs(offset) <= radius, kernel[np.clip(offset + radius, 0, 2 * radius)], 0.0)
+    table /= table.sum(axis=1, keepdims=True)
+    # weights[c, a, t]: the time-blurred mass at t of the columns whose active row is a
+    channels, length = rows.shape
+    weights = np.zeros((channels, h, length))
+    chan = np.arange(channels)[:, None]
+    for off, tap in enumerate(kernel, -radius):
+        t = np.arange(max(0, -off), min(length, length - off))
+        # within one offset each (channel, t) is indexed once, so this fancy += adds every tap
+        weights[chan, rows[:, t + off], t] += tap
+    out = table @ weights
     out /= out.sum(axis=1, keepdims=True)
     return SoftImageTensor(out, image.params)

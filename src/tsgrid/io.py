@@ -211,7 +211,10 @@ def read_meta(path: str | Path) -> dict[str, str]:
         if "=" not in line:
             raise InputError(f"{path}: malformed metadata line {line!r}")
         key, _, value = line.partition("=")
-        entries[key.strip()] = value.strip()
+        key = key.strip()
+        if key in entries:
+            raise InputError(f"{path}: repeated metadata key {key!r}")
+        entries[key] = value.strip()
     return entries
 
 

@@ -146,14 +146,43 @@ def test_solve_ms_table_layout():
     assert all(abs(r[3]) < 1e-9 for r in rows)
 
 
-def test_import_loads_no_scipy():
+NO_SCIPY_RUN = """
+import contextlib, io, sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+import numpy as np
+from tsgrid import cli, encode, loss, normalize, preprocess, SpaceParams
+from tsgrid.io import read_series_csv
+
+runs = [
+    ["generate", "-n", "1", "--length", "256", "--seed", "3", "-o", "gen"],
+    ["encode", "gen/series_00000.csv", "--normalize-lookback", "64", "-o", "enc"],
+    ["decode", "enc/series_00000.meta", "-o", "dec"],
+    ["solve-ms", "--h-list", "32", "--k-list", "1", "-o", "ms"],
+    ["evaluate", "--dataset", "gen/series_00000.csv", "--model", "seasonal-naive-image", "--lookback", "96",
+     "--horizons", "24", "--betas", "1", "--perturb", "missing:0.3", "--seed", "5", "-o", "ev"],
+    ["perturb", "--dataset", "gen/series_00000.csv", "--perturb", "missing:0.3", "--seed", "5", "-o", "pert"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in runs]
+print(codes)
+target = encode(normalize(read_series_csv("gen/series_00000.csv"), 64)[0], SpaceParams())
+print(np.isfinite(loss(preprocess(target), target)))
+print(sorted(m for m in sys.modules if m.startswith("scipy") and sys.modules[m] is not None))
+"""
+
+
+def test_import_loads_no_scipy(tmp_path):
     # importing scipy costs ~0.3 s and ~18 MB peak RSS per process (2 cores, Python 3.11);
-    # only preprocess's blur loads it, when called
+    # no command and no part of the training loss needs it
     src = Path(tsgrid.__file__).resolve().parent.parent
     code = "import sys, tsgrid, tsgrid.cli, tsgrid.forecasters; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     env = {**os.environ, "PYTHONPATH": str(src)}
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, encoding="utf-8", env=env, timeout=120)
     assert result.stdout == "[]\n", result.stdout + result.stderr
+    result = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_RUN], capture_output=True, encoding="utf-8", env=env, cwd=tmp_path, timeout=120
+    )
+    assert result.stdout == "[0, 0, 0, 0, 0, 0]\nTrue\n[]\n", result.stdout + result.stderr
 
 
 def test_optimal_ms_validation():

@@ -187,6 +187,34 @@ def test_an_unknown_config_key_is_an_error_before_any_output(tmp_path, capsys, m
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "command, ini, message",
+    [
+        ("generate", "[generator]\nalpha = abc\n", "[generator] alpha: could not convert string to float: 'abc'"),
+        ("encode", "[space]\nh = 12.5\n", "[space] h: invalid literal for int() with base 10: '12.5'"),
+        ("generate", "[augment]\nflip = maybe\n", "[augment] flip: not a boolean: 'maybe'"),
+        ("solve-ms", "[solve]\nh_list = 32,x\n", "[solve] h_list: invalid literal for int() with base 10: 'x'"),
+        ("solve-ms", "[solve]\nk_list = 1,two\n", "[solve] k_list: could not convert string to float: 'two'"),
+        ("generate", "[generator]\npwb_amp_range = 1,2,3\n", "[generator] pwb_amp_range: expected 2 values, got 3"),
+        ("generate", "[generator]\npwb_amp_range = 1\n", "[generator] pwb_amp_range: expected 2 values, got 1"),
+        ("generate", "[augment]\nperturb_scale_range =\n", "[augment] perturb_scale_range: expected 2 values, got 0"),
+        ("solve-ms", "[solve]\nh_list =\n", "h_list must not be empty"),
+    ],
+    ids=["float", "int", "bool", "int-list", "float-list", "pair-of-3", "pair-of-1", "pair-of-0", "empty-list"],
+)
+def test_a_bad_config_value_names_its_setting_before_any_output(tmp_path, capsys, monkeypatch, command, ini, message):
+    # such a value once failed with the bare parser message, e.g. "too many values to unpack (expected 2)"
+    monkeypatch.chdir(tmp_path)
+    write_sine(tmp_path / "data.csv", length=64)
+    (tmp_path / "c.ini").write_text(ini, encoding="utf-8")
+    argv = {"encode": ["encode", "data.csv"], "generate": ["generate", "-n", "1", "--seed", "1"], "solve-ms": ["solve-ms"]}
+    assert main(argv[command] + ["--config", "c.ini", "-o", "out"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_output_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("TSGRID_OUTPUT_DIR", str(tmp_path / "from-env"))
     assert main(["generate", "-n", "1", "--seed", "1", "--length", "16"]) == 0
@@ -396,6 +424,20 @@ def test_decode_names_a_malformed_meta_once(tmp_path, capsys, monkeypatch, edit)
     assert not (tmp_path / "dec").exists()
 
 
+def test_decode_rejects_a_repeated_meta_key(tmp_path, capsys, monkeypatch):
+    # the last value once won: a second norm_mean = 100 shifted every decoded sample by ~97.5
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.csv").write_text("t,ch0\n0,1\n1,2\n2,3\n3,4\n", encoding="utf-8")
+    assert main(["encode", "s.csv", "--normalize-lookback", "4", "-o", "e"]) == 0
+    meta = tmp_path / "e" / "s.meta"
+    meta.write_text(meta.read_text(encoding="utf-8") + "norm_mean = 100\n", encoding="utf-8")
+    (tmp_path / "e" / "s_ch0.pgm").unlink()  # the key is checked before any graymap is read
+    capsys.readouterr()
+    assert main(["decode", "e/s.meta", "-o", "dec"]) == 1
+    assert capsys.readouterr().err == "error: e/s.meta: repeated metadata key 'norm_mean'\n"
+    assert not (tmp_path / "dec").exists()
+
+
 @pytest.mark.parametrize(
     "key, line",
     [
@@ -478,8 +520,13 @@ def test_solve_ms_spot_value(tmp_path, capsys):
 
 
 def test_solve_ms_empty_grid(tmp_path, capsys):
-    assert main(["solve-ms", "--h-list", "", "--k-list", "1", "-o", str(tmp_path)]) == 0
-    assert capsys.readouterr().out.strip() == "h,k,ms_star,residual"
+    # an empty list once wrote a header-only solve_ms.csv and exited 0
+    for name, flags in (("h_list", ["--h-list", "", "--k-list", "1"]), ("k_list", ["--h-list", "32", "--k-list", ""])):
+        assert main(["solve-ms", *flags, "-o", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {name} must not be empty\n"
+        assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------- evaluate
@@ -733,6 +780,24 @@ def test_config_file_that_is_not_utf8_is_named(tmp_path, capsys):
     rc = main(["generate", "-n", "1", "--seed", "1", "--config", str(cfg), "-o", str(tmp_path / "o")])
     assert rc == 1
     assert capsys.readouterr().err.startswith(f"error: {cfg}: 'utf-8' codec can't decode byte 0xf6")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[space]\nh = 8\nh = 9\n", "option 'h' in section 'space' already exists"),
+        ("h = 8\n", "File contains no section headers."),
+    ],
+    ids=["repeated-key", "no-section"],
+)
+def test_a_malformed_config_file_is_named(tmp_path, capsys, text, message):
+    # such a file once ended the command with a configparser traceback
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["generate", "-n", "1", "--seed", "1", "--config", str(cfg), "-o", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: ") and message in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["perturb", "decode"])

@@ -529,16 +529,25 @@ def binary_and_soft(draw):
     return binary, SoftImageTensor(weights / weights.sum(axis=1, keepdims=True), binary.params)
 
 
-@settings(max_examples=200, deadline=None)
-@given(image=binary_images())
-def test_preprocess_matches_dense_reference(image):
-    assert np.array_equal(preprocess(image).grid, reference_preprocess(image))
-
-
 def codec_shaped_image(index):
     """A normalized generated series of length 512 on the default grid, as the training loss sees it."""
     series = sample_series(GeneratorConfig(length=512), RngStream(903, index))
     return encode(normalize(series, 256)[0], P128)
+
+
+def assert_rounding_only(got, ref):
+    """Same zero pattern, and every entry within 32 eps relative of the reference."""
+    assert np.array_equal(got == 0, ref == 0)
+    assert np.all(np.abs(got - ref) <= 32 * np.finfo(np.float64).eps * ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(image=st.one_of(binary_images(), st.integers(0, 15).map(codec_shaped_image)))
+@example(image=codec_shaped_image(0))
+def test_preprocess_matches_dense_reference(image):
+    # the row-blur table times the time-blurred one-hot grid sums in another
+    # order than the scipy convolutions, so only the rounding may differ
+    assert_rounding_only(preprocess(image).grid, reference_preprocess(image))
 
 
 @settings(max_examples=200, deadline=None)
@@ -547,9 +556,7 @@ def codec_shaped_image(index):
 def test_single_renormalization_moves_preprocess_by_rounding_only(image):
     # a per-column factor cancels in the final column division, so dropping
     # the time-axis mass division changes only the rounding
-    got, old = preprocess(image).grid, two_sided_preprocess(image)
-    assert np.array_equal(got == 0, old == 0)
-    assert np.all(np.abs(got - old) <= 32 * np.finfo(np.float64).eps * old)
+    assert_rounding_only(preprocess(image).grid, two_sided_preprocess(image))
 
 
 @settings(max_examples=200, deadline=None)
@@ -784,7 +791,13 @@ def test_malformed_grids_fail_as_the_dense_checks_do(case, seed):
         dense_rows(grid, "preprocess input")
         return SoftImageTensor(reference_preprocess(image), params)
 
-    assert outcome(preprocess, image) == outcome(dense_preprocess)
+    got, want = outcome(preprocess, image), outcome(dense_preprocess)
+    if isinstance(want, list):
+        # errors compare exactly, values within the rounding of the scipy reference
+        assert isinstance(got, list), got
+        assert_rounding_only(np.array(got), np.array(want))
+    else:
+        assert got == want
 
     g = np.random.default_rng(seed)
     weights = g.random(grid.shape) + 0.01
