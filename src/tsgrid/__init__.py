@@ -4,6 +4,7 @@ rescale-based forecast evaluation harness."""
 
 from .bounds import (
     SEBoundInput,
+    SolveConfig,
     bound_convergence_profile,
     mc_system_error,
     ms_residual,
@@ -42,7 +43,6 @@ from .forecasters import (
 from .generate import (
     AugmentConfig,
     GeneratorConfig,
-    SpectralPrior,
     WaveParams,
     augment,
     gen_ifftb,

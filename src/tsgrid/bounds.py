@@ -165,6 +165,14 @@ def optimal_ms(h: int, k: float = 1.0) -> float:
     return lo if abs(flo) <= abs(fhi) else hi
 
 
+@dataclass(frozen=True)
+class SolveConfig:
+    """The grid ``solve-ms`` tabulates: resolutions times variance scales."""
+
+    h_list: tuple[int, ...] = (32, 64, 128, 256, 512)
+    k_list: tuple[float, ...] = (1.0, 1.5, 2.0)
+
+
 def solve_ms_table(h_list: Sequence[int], k_list: Sequence[float]) -> list[tuple[int, float, float, float]]:
     """Rows (h, k, ms_star, residual) over the grid, h-major order."""
     for name, values in (("h_list", h_list), ("k_list", k_list)):

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import get_args, get_type_hints
 
 from . import io
-from .bounds import solve_ms_table
+from .bounds import SolveConfig, solve_ms_table
 from .errors import ConfigurationError, TsgridError
 from .evaluation import EvalConfig, PerturbationSpec, evaluate_series, perturb
 from .forecasters import get_model, register_baselines
@@ -58,12 +58,16 @@ def _parse_value(tp, text: str):
     return tp(text)
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return _parse_value(tuple[float, ...], text)
+def _flag_type(tp):
+    """An argparse ``type`` that parses a flag as ``_parse_value`` does; its error names the bad value."""
 
+    def parse(text: str):
+        try:
+            return _parse_value(tp, text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    return _parse_value(tuple[int, ...], text)
+    return parse
 
 
 def _load_config_file(path: str | None) -> configparser.ConfigParser:
@@ -110,16 +114,11 @@ def _config_from(cls, flags: dict, file_cfg: configparser.ConfigParser, section:
         if flags.get(name) is not None:
             kwargs[name] = flags[name]
         elif file_cfg.has_option(section, name):
-            kwargs[name] = _ini_value(file_cfg, section, name, tp)
+            try:
+                kwargs[name] = _parse_value(tp, file_cfg.get(section, name))
+            except ValueError as exc:  # a bad value names its setting
+                raise ConfigurationError(f"[{section}] {name}: {exc}") from None
     return cls(**kwargs)
-
-
-def _ini_value(file_cfg: configparser.ConfigParser, section: str, name: str, tp, fallback: str | None = None):
-    """INI ``[section] name`` parsed as type ``tp``; a bad value is an error that names the setting."""
-    try:
-        return _parse_value(tp, file_cfg.get(section, name, fallback=fallback))
-    except ValueError as exc:
-        raise ConfigurationError(f"[{section}] {name}: {exc}") from None
 
 
 def _snapshot(cfg) -> dict[str, object]:
@@ -159,7 +158,7 @@ def _write_snapshot(out_dir: Path, command: str, sections: dict[str, dict[str, o
 
 def cmd_generate(args) -> int:
     file_cfg = _load_config_file(args.config)
-    augment = _config_from(AugmentConfig, {"probability": args.augment_probability}, file_cfg, "augment")
+    augment = _config_from(AugmentConfig, vars(args), file_cfg, "augment")
     cfg = _config_from(GeneratorConfig, vars(args), file_cfg, "generator", augment=augment)
     seed = _pick_seed(args)
     start = args.start_stream
@@ -257,14 +256,8 @@ def cmd_decode(args) -> int:
 
 
 def cmd_solve_ms(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    _check_keys(file_cfg, "solve", ("h_list", "k_list"))
-    h_list, k_list = args.h_list, args.k_list
-    if h_list is None:
-        h_list = _ini_value(file_cfg, "solve", "h_list", tuple[int, ...], "32,64,128,256,512")
-    if k_list is None:
-        k_list = _ini_value(file_cfg, "solve", "k_list", tuple[float, ...], "1,1.5,2")
-    rows = solve_ms_table(h_list, k_list)
+    cfg = _config_from(SolveConfig, vars(args), _load_config_file(args.config), "solve")
+    rows = solve_ms_table(cfg.h_list, cfg.k_list)
     lines = ["h,k,ms_star,residual"]
     for h, k, ms, res in rows:
         lines.append(f"{h},{k:g},{ms:.6f},{res:.3e}")
@@ -276,7 +269,7 @@ def cmd_solve_ms(args) -> int:
     _write_snapshot(
         out_dir,
         "solve-ms",
-        {"run": {"command": "solve-ms"}, "solve": {"h_list": h_list, "k_list": k_list}},
+        {"run": {"command": "solve-ms"}, "solve": _snapshot(cfg)},
     )
     return 0
 
@@ -368,7 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--noise-sigma", type=float, dest="noise_sigma_eps", metavar="NOISE_SIGMA",
         help="observation noise std (default: 5%% of signal std)",
     )
-    p.add_argument("--augment-probability", type=float, help="per-augmentation firing probability")
+    p.add_argument(
+        "--augment-probability", type=float, dest="probability", metavar="AUGMENT_PROBABILITY",
+        help="per-augmentation firing probability",
+    )
     p.add_argument("--start-stream", type=int, default=0, help="first stream index (default 0)")
     p.set_defaults(func=cmd_generate)
 
@@ -388,8 +384,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-ms", help="solve the optimal maximum scale over a grid")
     add_common(p)
-    p.add_argument("--h-list", type=_parse_ints, help="comma-separated resolutions (default 32,64,128,256,512)")
-    p.add_argument("--k-list", type=_parse_floats, help="comma-separated variance scales (default 1,1.5,2)")
+    p.add_argument(
+        "--h-list", type=_flag_type(tuple[int, ...]), help="comma-separated resolutions (default 32,64,128,256,512)"
+    )
+    p.add_argument(
+        "--k-list", type=_flag_type(tuple[float, ...]), help="comma-separated variance scales (default 1,1.5,2)"
+    )
     p.set_defaults(func=cmd_solve_ms)
 
     p = sub.add_parser("evaluate", help="benchmark a forecaster on a dataset CSV")
@@ -397,9 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True, help="input series CSV")
     p.add_argument("--model", required=True, help="forecaster id (see list-models)")
     p.add_argument("--lookback", type=int, help="lookback window (default 512)")
-    p.add_argument("--horizons", type=_parse_ints, help="forecast horizons (default 96,192,336,720)")
+    p.add_argument("--horizons", type=_flag_type(tuple[int, ...]), help="forecast horizons (default 96,192,336,720)")
     p.add_argument(
-        "--betas", type=_parse_floats, dest="rescale_factors", metavar="BETAS",
+        "--betas", type=_flag_type(tuple[float, ...]), dest="rescale_factors", metavar="BETAS",
         help="rescale factors (default 0.5,0.66,1,1.5,2)",
     )
     p.add_argument("--stride", type=int, help="window stride (default: the horizon)")

@@ -40,11 +40,15 @@ class EvalConfig:
     def __post_init__(self) -> None:
         if self.lookback < 1:
             raise ConfigurationError(f"lookback must be positive, got {self.lookback}")
-        if not self.horizons or any(h < 1 for h in self.horizons):
+        lists = (("horizons", self.horizons), ("rescale factors", self.rescale_factors))
+        for name, values in lists:
+            if not values:
+                raise ConfigurationError(f"{name} must not be empty")
+        if any(h < 1 for h in self.horizons):
             raise ConfigurationError(f"horizons must be positive, got {self.horizons}")
-        if not self.rescale_factors or not all(b > 0 and math.isfinite(b) for b in self.rescale_factors):
+        if not all(b > 0 and math.isfinite(b) for b in self.rescale_factors):
             raise ConfigurationError(f"rescale factors must be positive and finite, got {self.rescale_factors}")
-        for name, values in (("horizons", self.horizons), ("rescale factors", self.rescale_factors)):
+        for name, values in lists:
             if len(set(values)) != len(values):
                 raise ConfigurationError(f"{name} must be distinct, got {values}")
         if self.stride is not None and self.stride < 1:

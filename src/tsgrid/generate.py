@@ -3,9 +3,10 @@
 Each draw first picks a hypothesis: with probability ``alpha`` a periodic
 generator runs (inverse-FFT spectral synthesis or superimposed periodic
 waves), otherwise a trend generator runs (random walk, logistic growth, or
-trend-plus-wave).  Behavior parameters come from configurable priors and a
-fixed augmentation chain may rework the result.  All draws are pure
-functions of ``(config, stream)``.
+trend-plus-wave).  Behavior parameters are drawn from the priors of
+``GeneratorConfig``, except the inverse-FFT spectral priors, which are
+fixed; a fixed augmentation chain may rework the result.  All draws are
+pure functions of ``(config, stream)``.
 """
 
 from __future__ import annotations
@@ -52,33 +53,6 @@ def _check_interval(name: str, interval: tuple[float, float]) -> None:
     lo, hi = interval
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
         raise ConfigurationError(f"{name} must be a finite interval with lo <= hi, got {interval}")
-
-
-@dataclass(frozen=True)
-class SpectralPrior:
-    """Parametric prior over half-spectrum amplitudes.
-
-    ``power_law`` decays amplitudes as bin**(-gamma) with gamma drawn from
-    ``gamma_range``; ``flat_band`` keeps a uniform low-frequency band whose
-    width fraction is drawn from ``band_frac_range``.  Every active bin is
-    multiplied by an independent jitter factor so the dominant bin of a
-    draw is almost surely unique.
-    """
-
-    kind: str = "power_law"
-    gamma_range: tuple[float, float] = (0.5, 1.5)
-    band_frac_range: tuple[float, float] = (0.05, 0.5)
-    jitter_range: tuple[float, float] = (0.5, 1.5)
-    scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("power_law", "flat_band"):
-            raise ConfigurationError(f"unknown spectral prior kind {self.kind!r}")
-        _check_interval("gamma_range", self.gamma_range)
-        _check_interval("band_frac_range", self.band_frac_range)
-        _check_interval("jitter_range", self.jitter_range)
-        if self.scale <= 0:
-            raise ConfigurationError(f"scale must be positive, got {self.scale}")
 
 
 @dataclass(frozen=True)
@@ -137,10 +111,6 @@ class GeneratorConfig:
     twdb_a_range: tuple[float, float] = (-1.0, 1.0)
     twdb_b_range: tuple[float, float] = (-10.0, 10.0)
     noise_sigma_eps: float | None = None
-    ifftb_priors: tuple[SpectralPrior, ...] = (
-        SpectralPrior(kind="power_law"),
-        SpectralPrior(kind="flat_band"),
-    )
     ifftb_phase_range: tuple[float, float] = (-math.pi, math.pi)
     augment: AugmentConfig = field(default_factory=AugmentConfig)
 
@@ -161,17 +131,16 @@ class GeneratorConfig:
             raise ConfigurationError(f"pwb_k_max must be positive, got {self.pwb_k_max}")
         if not self.pwb_waveforms or any(w not in WAVEFORMS for w in self.pwb_waveforms):
             raise ConfigurationError(f"pwb_waveforms must name shapes in {sorted(WAVEFORMS)}, got {self.pwb_waveforms}")
-        if self.rwb_sigma <= 0:
-            raise ConfigurationError(f"rwb_sigma must be positive, got {self.rwb_sigma}")
+        if not (self.rwb_sigma > 0 and math.isfinite(self.rwb_sigma)):
+            raise ConfigurationError(f"rwb_sigma must be positive and finite, got {self.rwb_sigma}")
         _check_interval("lgb_logK_range", self.lgb_logK_range)
         _check_interval("lgb_logr_range", self.lgb_logr_range)
         _check_interval("lgb_mid_frac_range", self.lgb_mid_frac_range)
         _check_interval("twdb_a_range", self.twdb_a_range)
         _check_interval("twdb_b_range", self.twdb_b_range)
-        if self.noise_sigma_eps is not None and self.noise_sigma_eps < 0:
-            raise ConfigurationError(f"noise_sigma_eps must be nonnegative, got {self.noise_sigma_eps}")
-        if not self.ifftb_priors:
-            raise ConfigurationError("ifftb_priors must not be empty")
+        sigma = self.noise_sigma_eps
+        if sigma is not None and not (sigma >= 0 and math.isfinite(sigma)):
+            raise ConfigurationError(f"noise_sigma_eps must be nonnegative and finite, got {sigma}")
         _check_interval("ifftb_phase_range", self.ifftb_phase_range)
 
     def logfreq_bounds(self, length: int) -> tuple[float, float]:
@@ -229,18 +198,26 @@ def synthesize_from_spectrum(amplitudes: np.ndarray, phases: np.ndarray, length:
     return np.fft.irfft(spectrum * scale, n=length)
 
 
-def _sample_amplitudes(prior: SpectralPrior, length: int, g: np.random.Generator) -> np.ndarray:
+# ifftb's half-spectrum priors, picked with equal odds: ``power_law`` decays
+# amplitudes as bin**(-gamma), ``flat_band`` keeps a uniform low-frequency
+# band whose width is a fraction of the bins.  Every active bin gets an
+# independent jitter factor, so a draw's dominant bin is almost surely unique.
+IFFTB_PRIORS = ("power_law", "flat_band")
+IFFTB_GAMMA_RANGE = (0.5, 1.5)
+IFFTB_BAND_FRAC_RANGE = (0.05, 0.5)
+IFFTB_JITTER_RANGE = (0.5, 1.5)
+
+
+def _sample_amplitudes(prior: str, length: int, g: np.random.Generator) -> np.ndarray:
     n_bins = length // 2 + 1
     amps = np.zeros(n_bins)
     m = np.arange(1, n_bins, dtype=np.float64)
-    if prior.kind == "power_law":
-        gamma = g.uniform(*prior.gamma_range)
-        envelope = m**-gamma
+    if prior == "power_law":
+        envelope = m ** -g.uniform(*IFFTB_GAMMA_RANGE)
     else:
-        frac = g.uniform(*prior.band_frac_range)
-        width = max(1.0, round(frac * (n_bins - 1)))
+        width = max(1.0, round(g.uniform(*IFFTB_BAND_FRAC_RANGE) * (n_bins - 1)))
         envelope = np.where(m <= width, 1.0, 0.0)
-    amps[1:] = prior.scale * envelope * g.uniform(*prior.jitter_range, size=m.size)
+    amps[1:] = envelope * g.uniform(*IFFTB_JITTER_RANGE, size=m.size)
     if length % 2 == 0:
         amps[-1] = 0.0  # keep the top bin out of play; its phase is not representable
     return amps
@@ -258,7 +235,7 @@ def gen_ifftb(cfg: GeneratorConfig, length: int, rng: RngStream) -> TimeSeries:
     if length < 2:
         raise InputError(f"length must be at least 2, got {length}")
     g = rng.child(CHILD_PARAMS).generator()
-    prior = cfg.ifftb_priors[int(g.integers(0, len(cfg.ifftb_priors)))]
+    prior = IFFTB_PRIORS[int(g.integers(0, len(IFFTB_PRIORS)))]
     amps = _sample_amplitudes(prior, length, g)
     phases = g.uniform(*cfg.ifftb_phase_range, size=amps.size)
     values = synthesize_from_spectrum(amps, phases, length)
@@ -267,7 +244,7 @@ def gen_ifftb(cfg: GeneratorConfig, length: int, rng: RngStream) -> TimeSeries:
         tags={
             "hypothesis": "periodic",
             "behavior": "ifftb",
-            "prior": prior.kind,
+            "prior": prior,
             "amp_argmax": int(np.argmax(amps)),
         },
     )

@@ -1,8 +1,11 @@
+import argparse
 import configparser
 import csv
+import dataclasses
 import filecmp
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,9 +14,20 @@ import numpy as np
 import pytest
 
 import tsgrid
-from tsgrid import PerturbationSpec, RngStream, SpaceParams, TimeSeries, cli, from_1d
+from tsgrid import (
+    AugmentConfig,
+    EvalConfig,
+    GeneratorConfig,
+    PerturbationSpec,
+    RngStream,
+    SolveConfig,
+    SpaceParams,
+    TimeSeries,
+    cli,
+    from_1d,
+)
 from tsgrid.cli import main
-from tsgrid.generate import GeneratorConfig, sample_series
+from tsgrid.generate import sample_series
 from tsgrid.io import read_series_csv, write_series_csv
 
 
@@ -161,8 +175,7 @@ def test_config_file_sets_defaults_and_flags_win(tmp_path):
          "[eval]: unknown key 'lookbak'; valid keys: lookback, horizons, rescale_factors, stride"),
         ("evaluate", "[space]\nhh = 64\n", "[space]: unknown key 'hh'; valid keys: h, ms"),
         ("encode", "[space]\nMS = 2\nmax_scale = 2\n", "[space]: unknown key 'max_scale'; valid keys: h, ms"),
-        ("generate", "[generator]\nifftb_priors = none\n",
-         "[generator]: unknown key 'ifftb_priors'; valid keys: alpha,"),
+        ("generate", "[generator]\naugment = none\n", "[generator]: unknown key 'augment'; valid keys: alpha,"),
         ("generate", "[augment]\nflipp = no\n", "[augment]: unknown key 'flipp'; valid keys: replicate,"),
         ("solve-ms", "[solve]\nh_list = 32\nk_lists = 1\n",
          "[solve]: unknown key 'k_lists'; valid keys: h_list, k_list"),
@@ -369,11 +382,15 @@ def test_readme_cli_walkthrough_runs_and_replays_byte_exactly(tmp_path):
          "beta=1 horizon=20: error sums overflow float64"),
         (["encode", "tail.csv", "--normalize-lookback", "20"],
          "tail.csv: channel 0: standardized values overflow float64"),
+        # a non-finite sigma once failed at the first series it reached, after earlier series were written
+        (["generate", "-n", "20", "--seed", "3", "--noise-sigma", "nan"],
+         "noise_sigma_eps must be nonnegative and finite, got nan"),
+        (["generate", "-n", "20", "--seed", "3", "--config", "rwb.ini"], "rwb_sigma must be positive and finite, got inf"),
     ],
     ids=[
         "encode", "decode", "evaluate-dataset", "evaluate-model", "evaluate-horizon",
         "evaluate-duplicate-horizons", "evaluate-duplicate-betas", "perturb", "evaluate-error-overflow",
-        "encode-standardized-overflow",
+        "encode-standardized-overflow", "generate-noise-sigma-flag", "generate-rwb-sigma-ini",
     ],
 )
 def test_a_failed_command_leaves_no_output_dir(tmp_path, capsys, monkeypatch, argv, message):
@@ -384,6 +401,7 @@ def test_a_failed_command_leaves_no_output_dir(tmp_path, capsys, monkeypatch, ar
     write_series_csv(tmp_path / "huge.csv", from_1d(np.where(np.arange(600) < 550, 5.0, 1e300)))
     # a lookback of 1s and 2s, then 1e308: finite statistics, standardized 2e308
     write_series_csv(tmp_path / "tail.csv", from_1d(np.where(np.arange(30) < 20, 1.0 + np.arange(30) % 2, 1e308)))
+    (tmp_path / "rwb.ini").write_text("[generator]\nrwb_sigma = inf\n", encoding="utf-8")
     seed = ["--seed", "1"] if argv[0] in ("evaluate", "perturb") else []
     assert main(argv + seed + ["-o", "out"]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -527,6 +545,29 @@ def test_solve_ms_empty_grid(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err == f"error: {name} must not be empty\n"
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["solve-ms", "--h-list", "32,x"],
+         "tsgrid solve-ms: error: argument --h-list: invalid literal for int() with base 10: 'x'"),
+        (["solve-ms", "--k-list", "1,two"],
+         "tsgrid solve-ms: error: argument --k-list: could not convert string to float: 'two'"),
+        (["evaluate", "--dataset", "d.csv", "--model", "persistence", "--horizons", "96,1.5"],
+         "tsgrid evaluate: error: argument --horizons: invalid literal for int() with base 10: '1.5'"),
+        (["evaluate", "--dataset", "d.csv", "--model", "persistence", "--betas", "1,x"],
+         "tsgrid evaluate: error: argument --betas: could not convert string to float: 'x'"),
+    ],
+    ids=["h-list", "k-list", "horizons", "betas"],
+)
+def test_a_bad_list_flag_names_the_bad_element(tmp_path, capsys, argv, line):
+    # such a flag once named the parsing function instead: "invalid _parse_ints value: '32,x'"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["-o", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == line
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------- evaluate
@@ -819,6 +860,27 @@ def test_help_exits_zero_for_every_subcommand(capsys):
         assert exc.value.code == 0
         assert sub in capsys.readouterr().out or sub == "list-models"
 
+
+
+def test_help_defaults_match_the_config_defaults():
+    # a help text restates its field's default, so a changed dataclass default would leave it stale
+    defaults = {
+        f.name: f.default
+        for cls in (GeneratorConfig, AugmentConfig, SpaceParams, EvalConfig, SolveConfig)
+        for f in dataclasses.fields(cls)
+    }
+    (subparsers,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    checked = []
+    for command, parser in subparsers.choices.items():
+        for action in parser._actions:
+            stated = re.search(r"\(default ([^)]*)\)", action.help or "")
+            if stated and action.dest in defaults:
+                assert action.type(stated.group(1)) == defaults[action.dest], (command, action.option_strings)
+                checked.append(f"{command} {action.option_strings[0]}")
+    assert sorted(checked) == [
+        "encode --h", "encode --ms", "evaluate --betas", "evaluate --h", "evaluate --horizons",
+        "evaluate --lookback", "evaluate --ms", "solve-ms --h-list", "solve-ms --k-list",
+    ]
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="main sets an allocator policy on glibc only")

@@ -10,7 +10,6 @@ from tsgrid import (
     InputError,
     PerturbationSpec,
     SpaceParams,
-    SpectralPrior,
     TimeSeries,
 )
 
@@ -53,17 +52,15 @@ def test_generator_config_rejects_bad_scalars():
         GeneratorConfig(noise_sigma_eps=-0.5)
     with pytest.raises(ConfigurationError):
         GeneratorConfig(pwb_waveforms=("sine", "sawtooth"))
-    with pytest.raises(ConfigurationError):
-        GeneratorConfig(ifftb_priors=())
 
 
-def test_spectral_prior_validation():
-    with pytest.raises(ConfigurationError):
-        SpectralPrior(kind="white")
-    with pytest.raises(ConfigurationError):
-        SpectralPrior(gamma_range=(2.0, 1.0))
-    with pytest.raises(ConfigurationError):
-        SpectralPrior(scale=0.0)
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_generator_config_rejects_non_finite_sigmas(bad):
+    # such a sigma once failed only at write time, after earlier series were on disk
+    with pytest.raises(ConfigurationError, match=f"^rwb_sigma must be positive and finite, got {bad}$"):
+        GeneratorConfig(rwb_sigma=bad)
+    with pytest.raises(ConfigurationError, match=f"^noise_sigma_eps must be nonnegative and finite, got {bad}$"):
+        GeneratorConfig(noise_sigma_eps=bad)
 
 
 def test_augment_config_validation():
@@ -89,8 +86,10 @@ def test_space_params_validation():
 def test_eval_config_validation():
     with pytest.raises(ConfigurationError):
         EvalConfig(lookback=0)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match=r"^horizons must not be empty$"):
         EvalConfig(horizons=())
+    with pytest.raises(ConfigurationError, match=r"^rescale factors must not be empty$"):
+        EvalConfig(rescale_factors=())
     with pytest.raises(ConfigurationError):
         EvalConfig(horizons=(96, 0))
     with pytest.raises(ConfigurationError):

@@ -111,6 +111,15 @@ def test_golden_generate_bytes(tmp_path):
     assert_golden("commands", "generate", output_digest(run(["generate", "-n", "20", "--seed", "5"], tmp_path / "out")))
 
 
+@pytest.mark.parametrize("length", [127, 128])
+def test_golden_ifftb_generate_bytes(tmp_path, length):
+    # every draw inverse-FFT; an even length zeroes the top bin, an odd one keeps it
+    config = tmp_path / "ifftb.ini"
+    config.write_text("[generator]\nalpha = 1\nperiodic_behaviors = ifftb\n", encoding="utf-8")
+    argv = ["generate", "-n", "20", "--seed", "5", "--length", str(length), "--config", str(config)]
+    assert_golden("commands", f"generate/ifftb/{length}", output_digest(run(argv, tmp_path / "out")))
+
+
 def test_golden_solve_ms_bytes(tmp_path):
     assert_golden("commands", "solve-ms", output_digest(run(["solve-ms"], tmp_path / "out")))
 
