@@ -172,6 +172,11 @@ class SolveConfig:
     h_list: tuple[int, ...] = (32, 64, 128, 256, 512)
     k_list: tuple[float, ...] = (1.0, 1.5, 2.0)
 
+    def __post_init__(self) -> None:
+        for name, values in (("h_list", self.h_list), ("k_list", self.k_list)):
+            if len(set(values)) != len(values):  # a repeated value would repeat its table rows
+                raise ConfigurationError(f"{name} must be distinct, got {values}")
+
 
 def solve_ms_table(h_list: Sequence[int], k_list: Sequence[float]) -> list[tuple[int, float, float, float]]:
     """Rows (h, k, ms_star, residual) over the grid, h-major order."""

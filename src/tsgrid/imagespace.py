@@ -78,13 +78,14 @@ class BinaryImageTensor:
 
     def __init__(self, grid: np.ndarray, params: SpaceParams) -> None:
         g = _checked_grid(grid, None, params)
-        active = g == 1
-        if not np.all(active | (g == 0)):
+        channels, _, length = g.shape
+        channel, row, column = np.unravel_index(np.flatnonzero(g), g.shape)
+        if not np.all(g[channel, row, column] == 1):
             raise StructuralError("binary grid entries must be 0 or 1")
-        counts = active.sum(axis=1)
-        if np.any(counts > 1):
+        if np.bincount(channel * length + column).max(initial=0) > 1:
             raise StructuralError("some columns have more than one active cell")
-        self.rows = np.where(counts == 1, active.argmax(axis=1), -1)
+        self.rows = np.full((channels, length), -1, dtype=np.int64)
+        self.rows[channel, column] = row
         self.params = params
 
     @classmethod

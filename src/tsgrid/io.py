@@ -9,6 +9,7 @@ empty CSV fields.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 from contextlib import contextmanager
@@ -60,21 +61,37 @@ def atomic_write(path: str | Path, mode: str = "w"):
 def write_series_csv(path: str | Path, series: TimeSeries) -> None:
     """Header ``t,ch0[,ch1,...]``, one row per time index.
 
-    The body is one ``%`` format: ``%d`` per index, ``,%.9g`` per observed
-    cell (the same text as ``_fmt``) and a bare ``,`` per missing cell.
+    The body is one ``%`` format whose row indices are literal text, so only
+    the values are formatted: ``,%.9g`` per observed cell (the same text as
+    ``_fmt``) and a bare ``,`` per missing cell.
     """
-    observed = np.ones((series.length, series.channels + 1), dtype=bool)
-    if series.missing is not None:
-        observed[:, 1:] = ~series.missing.T
-    tokens = np.array([",", ",%.9g"], dtype=object)[observed.astype(np.uint8)]
-    tokens[:, 0] = "\n%d"
-    table = np.empty(observed.shape, dtype=object)
-    table[:, 0] = range(series.length)
-    table[:, 1:] = series.values.T
+    if series.missing is None:
+        template = _gap_free_template(series.length, series.channels)
+        cells = series.values.T.ravel().tolist()
+    else:
+        observed = ~series.missing.T
+        tokens = np.full((series.length, series.channels + 1), ",", dtype=object)
+        tokens[:, 0] = _row_starts(series.length)
+        tokens[:, 1:][observed] = ",%.9g"
+        template = "".join(tokens.ravel().tolist())
+        cells = series.values.T[observed].tolist()
     header = ",".join(["t"] + [f"ch{i}" for i in range(series.channels)])
-    body = "".join(tokens.ravel().tolist()) % tuple(table[observed].tolist())
+    body = template % tuple(cells)
     with atomic_write(path) as handle:
         handle.write(header + body + "\n")
+
+
+@functools.lru_cache(maxsize=1)
+def _row_starts(length: int) -> tuple[str, ...]:
+    """The literal start of each body row: ``"\\n0"``, ``"\\n1"``, ..."""
+    return tuple(f"\n{t}" for t in range(length))
+
+
+@functools.lru_cache(maxsize=1)
+def _gap_free_template(length: int, channels: int) -> str:
+    """Body template of a series with no gaps; a corpus repeats one shape."""
+    cells = ",%.9g" * channels
+    return cells.join(_row_starts(length)) + cells
 
 
 def read_series_csv(path: str | Path) -> TimeSeries:
@@ -222,7 +239,6 @@ def write_image(stem: str | Path, image: BinaryImageTensor, stats: NormStats | N
     """Write one graymap per channel, {0, 1} mapped to {0, 255}, plus a
     ``<stem>.meta`` sidecar.  Returns the metadata path."""
     stem = Path(stem)
-    grid = image.grid
     entries: dict[str, str] = {
         "format": "binary",
         "h": str(image.params.h),
@@ -233,9 +249,12 @@ def write_image(stem: str | Path, image: BinaryImageTensor, stats: NormStats | N
     if stats is not None:
         entries["norm_mean"] = ",".join(_fmt(v) for v in stats.mean)
         entries["norm_std"] = ",".join(_fmt(v) for v in stats.std)
-    for i in range(image.channels):
+    for i, rows in enumerate(image.rows):
         name = f"{stem.name}_ch{i}.pgm"
-        write_pgm(stem.parent / name, grid[i] * 255)
+        plane = np.zeros((image.params.h, image.length), dtype=np.uint8)
+        active = np.flatnonzero(rows >= 0)
+        plane[rows[active], active] = 255
+        write_pgm(stem.parent / name, plane)
         entries[f"file_ch{i}"] = name
     meta_path = stem.parent / f"{stem.name}.meta"
     write_meta(meta_path, entries)

@@ -212,8 +212,12 @@ def test_an_unknown_config_key_is_an_error_before_any_output(tmp_path, capsys, m
         ("generate", "[generator]\npwb_amp_range = 1\n", "[generator] pwb_amp_range: expected 2 values, got 1"),
         ("generate", "[augment]\nperturb_scale_range =\n", "[augment] perturb_scale_range: expected 2 values, got 0"),
         ("solve-ms", "[solve]\nh_list =\n", "h_list must not be empty"),
+        ("solve-ms", "[solve]\nk_list = 1,1.5,1\n", "k_list must be distinct, got (1.0, 1.5, 1.0)"),
     ],
-    ids=["float", "int", "bool", "int-list", "float-list", "pair-of-3", "pair-of-1", "pair-of-0", "empty-list"],
+    ids=[
+        "float", "int", "bool", "int-list", "float-list", "pair-of-3", "pair-of-1", "pair-of-0", "empty-list",
+        "repeated-list",
+    ],
 )
 def test_a_bad_config_value_names_its_setting_before_any_output(tmp_path, capsys, monkeypatch, command, ini, message):
     # such a value once failed with the bare parser message, e.g. "too many values to unpack (expected 2)"
@@ -375,6 +379,8 @@ def test_readme_cli_walkthrough_runs_and_replays_byte_exactly(tmp_path):
          "horizons must be distinct, got (96, 96)"),
         (["evaluate", "--dataset", "data.csv", "--model", "persistence", "--betas", "0.5,1,1"],
          "rescale factors must be distinct, got (0.5, 1.0, 1.0)"),
+        # a repeated value once wrote each of its rows twice, to stdout and to solve_ms.csv
+        (["solve-ms", "--h-list", "32,32"], "h_list must be distinct, got (32, 32)"),
         (["perturb", "--dataset", "nope.csv", "--perturb", "missing"],
          "nope.csv: [Errno 2] No such file or directory: 'nope.csv'"),
         (["evaluate", "--dataset", "huge.csv", "--model", "persistence", "--lookback", "512", "--horizons", "20",
@@ -389,7 +395,7 @@ def test_readme_cli_walkthrough_runs_and_replays_byte_exactly(tmp_path):
     ],
     ids=[
         "encode", "decode", "evaluate-dataset", "evaluate-model", "evaluate-horizon",
-        "evaluate-duplicate-horizons", "evaluate-duplicate-betas", "perturb", "evaluate-error-overflow",
+        "evaluate-duplicate-horizons", "evaluate-duplicate-betas", "solve-ms-duplicate-h-list", "perturb", "evaluate-error-overflow",
         "encode-standardized-overflow", "generate-noise-sigma-flag", "generate-rwb-sigma-ini",
     ],
 )

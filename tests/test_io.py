@@ -186,6 +186,18 @@ def test_series_csv_matches_reference_writer(series):
     assert np.array_equal(back.values, np.where(missing, 0.0, expected))
 
 
+def test_series_csv_shapes_in_turn_match_reference_writer(tmp_path):
+    # 2x3 and 3x2 have the same cell count: a body template cached on the cell
+    # count, or kept across shapes, writes the second with the first's rows
+    g = np.random.default_rng(5)
+    gappy = TimeSeries(g.standard_normal((2, 3)), np.array([[False, True, False], [True, False, False]]))
+    for i, series in enumerate([TimeSeries(g.standard_normal((2, 3))), TimeSeries(g.standard_normal((3, 2))), gappy]):
+        got, want = tmp_path / f"got{i}.csv", tmp_path / f"want{i}.csv"
+        write_series_csv(got, series)
+        reference_write_series_csv(want, series)
+        assert got.read_bytes() == want.read_bytes()
+
+
 def test_manifest_roundtrip(tmp_path):
     path = tmp_path / "manifest.csv"
     records = [
