@@ -243,7 +243,8 @@ def _check_normalized(grid: np.ndarray, what: str) -> None:
     colsums = grid.sum(axis=1)
     if np.any(grid < 0):
         raise InputError(f"{what} must be nonnegative")
-    if np.any(np.abs(colsums - 1.0) > _TOL):
+    # written so that a NaN column sum fails it too
+    if not np.all(np.abs(colsums - 1.0) <= _TOL):
         raise InputError(f"{what} columns must each sum to 1 within {_TOL}")
 
 
@@ -285,9 +286,10 @@ def _emd(x: np.ndarray, y: np.ndarray) -> float:
         x, y = y, x
     if y.ndim == 2:
         # against a point mass at row r a column's transport distance is
-        # its expected distance to r; one code path for both argument orders
-        dist = np.arange(x.shape[1], dtype=np.float64)[:, None] - y[:, None, :]
-        return float(np.einsum("chl,chl->", x, np.abs(dist, out=dist)))
+        # its expected distance to r; one code path for both argument orders.
+        # The rows are cast first: a float-int subtract casts every cell.
+        dist = np.arange(x.shape[1], dtype=np.float64)[:, None] - y[:, None, :].astype(np.float64)
+        return float(np.vdot(x, np.abs(dist, out=dist)))
     return float(np.abs(np.cumsum(x, axis=1) - np.cumsum(y, axis=1)).sum())
 
 
@@ -297,13 +299,15 @@ def _kld(x: np.ndarray, y: np.ndarray, h: int) -> float:
     ps = gp + eps
     ps /= gp.sum(axis=1, keepdims=True) + h * eps
     if y.ndim == 2:
-        # the smoothed one-hot q is hi at the active row and lo elsewhere
+        # the smoothed one-hot q is hi at the active row and lo elsewhere, so
+        # log(ps / q) is log(ps) less a constant that differs at one row per column
         lo, hi = eps / (1.0 + h * eps), (1.0 + eps) / (1.0 + h * eps)
-        ratio = ps / lo
-        active = np.take_along_axis(ps, y[:, None, :], axis=1)
-        np.put_along_axis(ratio, y[:, None, :], active / hi, axis=1)
-    else:
-        ratio = ps / ((y + eps) / (y.sum(axis=1, keepdims=True) + h * eps))
+        log_ratio = np.log(ps)
+        active = np.take_along_axis(log_ratio, y[:, None, :], axis=1)
+        log_ratio -= math.log(lo)
+        np.put_along_axis(log_ratio, y[:, None, :], active - math.log(hi), axis=1)
+        return float(np.vdot(ps, log_ratio))
+    ratio = ps / ((y + eps) / (y.sum(axis=1, keepdims=True) + h * eps))
     np.log(ratio, out=ratio)
     ratio *= ps
     return float(ratio.sum())
@@ -336,6 +340,7 @@ def loss(pred, target, alpha: float = 0.2) -> float:
 
 
 _BLUR_TAPS = 31  # the Gaussian kernel length on both axes; sigma is a sixth of it
+_ROW_BLOCK = 16  # output rows per block of the banded row blur
 
 
 def preprocess(image: BinaryImageTensor) -> SoftImageTensor:
@@ -360,14 +365,24 @@ def preprocess(image: BinaryImageTensor) -> SoftImageTensor:
     offset = np.arange(h)[:, None] - np.arange(h)
     table = np.where(np.abs(offset) <= radius, kernel[np.clip(offset + radius, 0, 2 * radius)], 0.0)
     table /= table.sum(axis=1, keepdims=True)
-    # weights[c, a, t]: the time-blurred mass at t of the columns whose active row is a
+    # weights[c, a, t]: the time-blurred mass at t of the columns whose active
+    # row is a, built flat: source column s of channel c puts its tap for
+    # offset off at (c * h + rows[c, s]) * length + s - off
     channels, length = rows.shape
-    weights = np.zeros((channels, h, length))
-    chan = np.arange(channels)[:, None]
+    weights = np.zeros(channels * h * length)
+    cells = (rows + h * np.arange(channels)[:, None]) * length + np.arange(length)
     for off, tap in enumerate(kernel, -radius):
-        t = np.arange(max(0, -off), min(length, length - off))
-        # within one offset each (channel, t) is indexed once, so this fancy += adds every tap
-        weights[chan, rows[:, t + off], t] += tap
-    out = table @ weights
+        s0, s1 = max(0, off), min(length, length + off)
+        if s0 < s1:  # an empty range would wrap around as a negative slice bound
+            # within one offset each (channel, t) is indexed once, so this fancy += adds every tap
+            weights[cells[:, s0:s1] - off] += tap
+    weights = weights.reshape(channels, h, length)
+    # table @ weights as a banded product: table is zero past the kernel
+    # radius, so each block of output rows needs only its band of weights rows
+    out = np.empty_like(weights)
+    for r0 in range(0, h, _ROW_BLOCK):
+        r1 = min(h, r0 + _ROW_BLOCK)
+        a0, a1 = max(0, r0 - radius), min(h, r1 + radius)
+        np.matmul(table[r0:r1, a0:a1], weights[:, a0:a1], out=out[:, r0:r1])
     out /= out.sum(axis=1, keepdims=True)
     return SoftImageTensor(out, image.params)

@@ -168,12 +168,14 @@ def write_pgm(path: str | Path, rows: np.ndarray) -> None:
     arr = np.asarray(rows)
     if arr.ndim != 2:
         raise InputError(f"graymap data must be 2-D, got ndim={arr.ndim}")
-    if arr.min(initial=0) < 0 or arr.max(initial=0) > 255:
-        raise InputError("graymap values must lie in [0, 255]")
+    if arr.dtype != np.uint8:
+        if arr.min(initial=0) < 0 or arr.max(initial=0) > 255:
+            raise InputError("graymap values must lie in [0, 255]")
+        arr = arr.astype(np.uint8)
     height, width = arr.shape
     with atomic_write(path, "wb") as handle:
         handle.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-        handle.write(arr.astype(np.uint8).tobytes())
+        handle.write(arr.tobytes())
 
 
 def read_pgm(path: str | Path) -> np.ndarray:

@@ -529,9 +529,9 @@ def binary_and_soft(draw):
     return binary, SoftImageTensor(weights / weights.sum(axis=1, keepdims=True), binary.params)
 
 
-def codec_shaped_image(index):
-    """A normalized generated series of length 512 on the default grid, as the training loss sees it."""
-    series = sample_series(GeneratorConfig(length=512), RngStream(903, index))
+def codec_shaped_image(index, length=512):
+    """A normalized generated series on the default grid, as the training loss sees it."""
+    series = sample_series(GeneratorConfig(length=length), RngStream(903, index))
     return encode(normalize(series, 256)[0], P128)
 
 
@@ -557,6 +557,54 @@ def test_single_renormalization_moves_preprocess_by_rounding_only(image):
     # a per-column factor cancels in the final column division, so dropping
     # the time-axis mass division changes only the rounding
     assert_rounding_only(preprocess(image).grid, two_sided_preprocess(image))
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("length", [1, 2, 14, 15, 16, 30, 31, 32])
+@pytest.mark.parametrize("h", [2, 15, 16, 17, 31, 32, 33, 128])
+def test_preprocess_at_row_block_and_kernel_radius_edges(h, length, channels):
+    # h around the 16-row blocks of the row blur and its 15-row radius, length
+    # around the time radius, where some kernel offsets reach no column at all
+    rows = np.random.default_rng([h, length, channels]).integers(0, h, (channels, 1, length))
+    grid = np.zeros((channels, h, length), dtype=np.uint8)
+    np.put_along_axis(grid, rows, 1, axis=1)
+    image = BinaryImageTensor(grid, SpaceParams(h=h, ms=1.0))
+    assert_rounding_only(preprocess(image).grid, reference_preprocess(image))
+
+
+def full_table_preprocess(image):
+    """The row blur as one product with the whole table, ``table @ weights``:
+    table[r, a] is tap r - a divided by the kernel mass of row r inside the
+    grid, and weights is the time-blurred one-hot grid.  Then each column is
+    divided by its sum."""
+    h, kernel = image.params.h, blur_kernel()
+    offset = np.arange(h)[:, None] - np.arange(h)
+    table = np.where(np.abs(offset) <= 15, kernel[np.clip(offset + 15, 0, 30)], 0.0)
+    table /= table.sum(axis=1, keepdims=True)
+    out = table @ blur(image.grid.astype(np.float64), 2)
+    return out / out.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_banded_row_blur_matches_the_full_table_product_at_codec_size(index):
+    image = codec_shaped_image(index, length=4096)
+    assert_rounding_only(preprocess(image).grid, full_table_preprocess(image))
+
+
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_training_loss_at_codec_size_matches_dense_reference(index):
+    # 512k cells per grid: the summation order of the binary-target paths at the size the loss step runs
+    target = codec_shaped_image(index, length=4096)
+    pred = preprocess(target)
+    dense = target.grid.astype(np.float64)
+    want_emd, want_kld = reference_emd(pred.grid, dense), reference_kld(pred.grid, dense)
+    assert emd(pred, target) == pytest.approx(want_emd, rel=1e-12, abs=0.0)
+    assert emd(target, pred) == emd(pred, target)
+    assert kld(pred, target) == pytest.approx(want_kld, rel=1e-12, abs=0.0)
+    assert loss(pred, target) == pytest.approx(want_emd + 0.2 * want_kld, rel=1e-12, abs=0.0)
+    assert loss(pred, target) == emd(pred, target) + 0.2 * kld(pred, target)
+    one_hot = SoftImageTensor(dense, target.params)
+    assert emd(one_hot, target) == kld(one_hot, target) == loss(one_hot, target) == 0.0
 
 
 @settings(max_examples=200, deadline=None)
@@ -623,6 +671,24 @@ def test_binary_operands_reject_bad_columns(defect):
                 metric(bad, other)
             with pytest.raises(InputError, match=f"right grid {message}"):
                 metric(other, bad)
+
+
+@pytest.mark.parametrize("cell", [np.nan, np.inf])
+def test_soft_operands_reject_a_non_finite_cell(cell):
+    params = SpaceParams(h=8, ms=1.0)
+    binary = one_hot_image(np.array([1, 4, 6]), params)
+    grid = binary.grid.astype(np.float64)
+    grid[0, 3, 1] = cell
+    soft = SoftImageTensor(grid, params)
+    message = "columns must each sum to 1 within 1e-09"
+    for metric in (emd, kld, loss):
+        for other in (binary, SoftImageTensor(binary.grid.astype(np.float64), params)):
+            with pytest.raises(InputError, match=f"^left grid {message}$"):
+                metric(soft, other)
+            with pytest.raises(InputError, match=f"^right grid {message}$"):
+                metric(other, soft)
+    with pytest.raises(InputError, match=f"^soft grid {message}$"):
+        soft_decode(soft)
 
 
 # ------------------------------------------- malformed grids vs the dense checks

@@ -219,6 +219,19 @@ def test_pgm_roundtrip(tmp_path):
     assert np.array_equal(read_pgm(path), plane)
 
 
+@pytest.mark.parametrize("value", [256, -1])
+def test_pgm_rejects_a_wide_integer_plane_outside_the_byte_range(tmp_path, value):
+    plane = np.zeros((3, 4), dtype=np.int64)
+    plane[1, 2] = value
+    with pytest.raises(InputError, match=r"^graymap values must lie in \[0, 255\]$"):
+        write_pgm(tmp_path / "plane.pgm", plane)
+    assert not (tmp_path / "plane.pgm").exists()
+    # in range, a wide plane is written as its bytes
+    plane[1, 2] = 255
+    write_pgm(tmp_path / "plane.pgm", plane)
+    assert np.array_equal(read_pgm(tmp_path / "plane.pgm"), plane)
+
+
 def test_pgm_header_with_comment(tmp_path):
     path = tmp_path / "commented.pgm"
     payload = bytes(range(6))
