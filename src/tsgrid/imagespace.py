@@ -239,19 +239,22 @@ _TOL = 1e-9
 _KLD_EPS = 1e-8
 
 
-def _check_normalized(grid: np.ndarray, what: str) -> None:
-    colsums = grid.sum(axis=1)
+def _check_normalized(grid: np.ndarray, what: str) -> np.ndarray:
+    """Check a soft grid's columns; returns their sums, shape (channels, 1, length)."""
+    colsums = grid.sum(axis=1, keepdims=True)
     if np.any(grid < 0):
         raise InputError(f"{what} must be nonnegative")
     # written so that a NaN column sum fails it too
     if not np.all(np.abs(colsums - 1.0) <= _TOL):
         raise InputError(f"{what} columns must each sum to 1 within {_TOL}")
+    return colsums
 
 
-def _operands(a, b) -> tuple[np.ndarray, np.ndarray]:
+def _operands(a, b) -> tuple[tuple[np.ndarray, np.ndarray | None], tuple[np.ndarray, np.ndarray | None]]:
     """Check that two grids are comparable and that their columns are
     distributions.  A binary operand comes back as its active rows
-    (channels, length), a soft one as its float64 grid."""
+    (channels, length) and None, a soft one as its float64 grid and its
+    column sums."""
     shape_a, shape_b = ((x.channels, x.params.h, x.length) for x in (a, b))
     if shape_a != shape_b:
         raise InputError(f"grid shapes differ: {shape_a} vs {shape_b}")
@@ -260,15 +263,14 @@ def _operands(a, b) -> tuple[np.ndarray, np.ndarray]:
     return _operand(a, "left grid"), _operand(b, "right grid")
 
 
-def _operand(image, what: str) -> np.ndarray:
+def _operand(image, what: str) -> tuple[np.ndarray, np.ndarray | None]:
     if isinstance(image, BinaryImageTensor):
         # a binary column sums to 1 exactly when it has one active row
         if image.rows.min(initial=0) < 0:
             raise InputError(f"{what} columns must each sum to 1 within {_TOL}")
-        return image.rows
+        return image.rows, None
     grid = np.asarray(image.grid, dtype=np.float64)
-    _check_normalized(grid, what)
-    return grid
+    return grid, _check_normalized(grid, what)
 
 
 def _one_hot(rows: np.ndarray, h: int, dtype: type = np.float64) -> np.ndarray:
@@ -293,11 +295,14 @@ def _emd(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.abs(np.cumsum(x, axis=1) - np.cumsum(y, axis=1)).sum())
 
 
-def _kld(x: np.ndarray, y: np.ndarray, h: int) -> float:
+def _kld(
+    x: np.ndarray, y: np.ndarray, h: int, x_sums: np.ndarray | None = None, y_sums: np.ndarray | None = None
+) -> float:
+    """Smoothed KL(x || y); ``x_sums`` and ``y_sums`` are soft operands' column sums from their check."""
     eps = _KLD_EPS
     gp = _one_hot(x, h) if x.ndim == 2 else x
     ps = gp + eps
-    ps /= gp.sum(axis=1, keepdims=True) + h * eps
+    ps /= (gp.sum(axis=1, keepdims=True) if x_sums is None else x_sums) + h * eps
     if y.ndim == 2:
         # the smoothed one-hot q is hi at the active row and lo elsewhere, so
         # log(ps / q) is log(ps) less a constant that differs at one row per column
@@ -307,7 +312,7 @@ def _kld(x: np.ndarray, y: np.ndarray, h: int) -> float:
         log_ratio -= math.log(lo)
         np.put_along_axis(log_ratio, y[:, None, :], active - math.log(hi), axis=1)
         return float(np.vdot(ps, log_ratio))
-    ratio = ps / ((y + eps) / (y.sum(axis=1, keepdims=True) + h * eps))
+    ratio = ps / ((y + eps) / ((y.sum(axis=1, keepdims=True) if y_sums is None else y_sums) + h * eps))
     np.log(ratio, out=ratio)
     ratio *= ps
     return float(ratio.sum())
@@ -321,7 +326,8 @@ def emd(a, b) -> float:
     distance between their cumulative sums.  Against a binary grid it is
     the distance of each column's mass to the active row.
     """
-    return _emd(*_operands(a, b))
+    (x, _), (y, _) = _operands(a, b)
+    return _emd(x, y)
 
 
 def kld(p, q) -> float:
@@ -330,13 +336,14 @@ def kld(p, q) -> float:
     Both arguments are smoothed (add eps = 1e-8, as :func:`loss` does, and
     renormalize) so the result is finite even for one-hot columns.
     """
-    return _kld(*_operands(p, q), p.params.h)
+    (x, x_sums), (y, y_sums) = _operands(p, q)
+    return _kld(x, y, p.params.h, x_sums, y_sums)
 
 
 def loss(pred, target, alpha: float = 0.2) -> float:
     """Transport distance plus ``alpha`` times the smoothed KL divergence."""
-    x, y = _operands(pred, target)
-    return _emd(x, y) + alpha * _kld(x, y, pred.params.h)
+    (x, x_sums), (y, y_sums) = _operands(pred, target)
+    return _emd(x, y) + alpha * _kld(x, y, pred.params.h, x_sums, y_sums)
 
 
 _BLUR_TAPS = 31  # the Gaussian kernel length on both axes; sigma is a sixth of it
@@ -354,7 +361,7 @@ def preprocess(image: BinaryImageTensor) -> SoftImageTensor:
     """
     if not isinstance(image, BinaryImageTensor):
         raise InputError(f"preprocess input must be a BinaryImageTensor, got {type(image).__name__}")
-    rows = _operand(image, "preprocess input")
+    rows, _ = _operand(image, "preprocess input")
     radius = _BLUR_TAPS // 2
     kernel = np.exp(-0.5 * (np.arange(-radius, radius + 1) / (_BLUR_TAPS / 6.0)) ** 2)
     kernel /= kernel.sum()

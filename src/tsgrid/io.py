@@ -13,6 +13,7 @@ import functools
 import math
 import os
 from contextlib import contextmanager
+from io import BytesIO, TextIOWrapper
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -100,10 +101,69 @@ def read_series_csv(path: str | Path) -> TimeSeries:
     Empty fields become missing samples (placeholder value 0.0); a
     non-numeric first column (e.g. timestamps) is accepted and dropped.  A
     non-numeric or non-finite cell is an error that names its line.
+
+    The file is read once.  A plain, gap-free file is parsed by numpy's C
+    text reader (:func:`_parse_plain`); every other file takes the ``csv``
+    path on the same bytes, which names the line of each error.
     """
     path = Path(path)
     try:
-        with path.open(newline="", encoding="utf-8") as handle:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+    rows = _parse_plain(data)
+    if rows is None:
+        return _parse_csv(path, data)
+    del data  # the bytes are not needed beside the transposed copy
+    return TimeSeries(np.ascontiguousarray(rows.T))
+
+
+# Bytes that make csv's tokenization more than a split on ',' and '\n' ('"'
+# and '\r'), that numpy strips from a cell where float() does not ('\x1c' to
+# '\x1f'), or that csv rejects on some Python versions ('\0').
+_NOT_PLAIN = (b'"', b"\r", b"\x1c", b"\x1d", b"\x1e", b"\x1f", b"\0")
+
+
+def _parse_plain(data: bytes) -> np.ndarray | None:
+    """The (rows, channels) values of a plain, gap-free, all-finite series
+    CSV, or None when the ``csv`` path must read it.
+
+    numpy's reader strips the same whitespace as ``float()`` and hands the
+    rest to the same string-to-double routine, so an accepted file gives the
+    ``csv`` path's floats bit for bit.  It accepts less than ``float()``
+    (``1_000`` and non-ASCII digits raise), and an error falls back.  It
+    ignores fields past ``usecols``, so the comma count must show that every
+    row has exactly the header's width.
+    """
+    if any(byte in data for byte in _NOT_PLAIN):
+        return None
+    header_end = data.find(b"\n")
+    width = data.count(b",", 0, header_end) + 1
+    # a data row holds a comma, so loadtxt returns at least one row (or raises)
+    if header_end < 0 or width < 2 or data.find(b",", header_end) < 0:
+        return None
+    try:
+        rows = np.loadtxt(
+            BytesIO(data),
+            delimiter=",",
+            comments=None,
+            skiprows=1,
+            usecols=range(1, width),
+            ndmin=2,
+            dtype=np.float64,
+            encoding="utf-8",
+        )
+    except ValueError:  # a gap, a short row, a cell numpy cannot parse, or bytes that are not UTF-8
+        return None
+    if data.count(b",") != (len(rows) + 1) * (width - 1) or not np.isfinite(rows).all():
+        return None
+    return rows
+
+
+def _parse_csv(path: Path, data: bytes) -> TimeSeries:
+    """The general reader: quoting, any line ends, gaps, and errors that name their line."""
+    try:
+        with TextIOWrapper(BytesIO(data), encoding="utf-8", newline="") as handle:
             reader = csv.reader(handle)
             header = next(reader, None)
             if header is None or len(header) < 2:
@@ -119,8 +179,10 @@ def read_series_csv(path: str | Path) -> TimeSeries:
                         raise InputError(f"{path}:{reader.line_num}: row has {len(row)} fields, expected {width}")
                     cells += row
                     lines.append(reader.line_num)
-    except (OSError, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError as exc:
         raise InputError(f"{path}: {exc}") from exc
+    except csv.Error as exc:  # e.g. a field over csv's size limit
+        raise InputError(f"{path}:{reader.line_num}: {exc}") from exc
     if not lines:
         raise InputError(f"{path}: no data rows")
     values = np.empty((width - 1, len(lines)))

@@ -392,11 +392,15 @@ def test_readme_cli_walkthrough_runs_and_replays_byte_exactly(tmp_path):
         (["generate", "-n", "20", "--seed", "3", "--noise-sigma", "nan"],
          "noise_sigma_eps must be nonnegative and finite, got nan"),
         (["generate", "-n", "20", "--seed", "3", "--config", "rwb.ini"], "rwb_sigma must be positive and finite, got inf"),
+        # csv's own error once escaped main as a traceback
+        (["evaluate", "--dataset", "big.csv", "--model", "persistence"],
+         "big.csv:3: field larger than field limit (131072)"),
     ],
     ids=[
         "encode", "decode", "evaluate-dataset", "evaluate-model", "evaluate-horizon",
         "evaluate-duplicate-horizons", "evaluate-duplicate-betas", "solve-ms-duplicate-h-list", "perturb", "evaluate-error-overflow",
         "encode-standardized-overflow", "generate-noise-sigma-flag", "generate-rwb-sigma-ini",
+        "evaluate-oversized-field",
     ],
 )
 def test_a_failed_command_leaves_no_output_dir(tmp_path, capsys, monkeypatch, argv, message):
@@ -408,6 +412,7 @@ def test_a_failed_command_leaves_no_output_dir(tmp_path, capsys, monkeypatch, ar
     # a lookback of 1s and 2s, then 1e308: finite statistics, standardized 2e308
     write_series_csv(tmp_path / "tail.csv", from_1d(np.where(np.arange(30) < 20, 1.0 + np.arange(30) % 2, 1e308)))
     (tmp_path / "rwb.ini").write_text("[generator]\nrwb_sigma = inf\n", encoding="utf-8")
+    (tmp_path / "big.csv").write_text("t,ch0\n0,1\n1," + "x" * 200_000 + "\n", encoding="utf-8")
     seed = ["--seed", "1"] if argv[0] in ("evaluate", "perturb") else []
     assert main(argv + seed + ["-o", "out"]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"

@@ -1,7 +1,9 @@
 import csv
+import math
 import os
 import stat
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ from tsgrid import (
 from tsgrid.evaluation import ReportRow
 from tsgrid.io import (
     _fmt,
+    _parse_plain,
     atomic_write,
     read_image,
     read_meta,
@@ -196,6 +199,184 @@ def test_series_csv_shapes_in_turn_match_reference_writer(tmp_path):
         write_series_csv(got, series)
         reference_write_series_csv(want, series)
         assert got.read_bytes() == want.read_bytes()
+
+
+def reference_read_series_csv(path):
+    """Reference: the ``csv``-module reader that every file once took."""
+    path = Path(path)
+    try:
+        with path.open(newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None or len(header) < 2:
+                raise InputError(f"{path}: expected a header with an index column and at least one channel")
+            width = len(header)
+            cells: list[str] = []
+            lines: list[int] = []
+            for row in reader:
+                if row:
+                    if len(row) != width:
+                        raise InputError(f"{path}:{reader.line_num}: row has {len(row)} fields, expected {width}")
+                    cells += row
+                    lines.append(reader.line_num)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"{path}: {exc}") from exc
+    if not lines:
+        raise InputError(f"{path}: no data rows")
+    values = np.empty((width - 1, len(lines)))
+    missing = np.zeros(values.shape, dtype=bool)
+    for i in range(width - 1):
+        column = cells[i + 1 :: width]
+        try:
+            values[i] = np.fromiter(map(float, column), dtype=np.float64, count=len(lines))
+            if np.isfinite(values[i]).all():
+                continue
+        except ValueError:
+            pass
+        values[i], missing[i] = zip(*(reference_parse_cell(path, line, cell) for line, cell in zip(lines, column)))
+    return TimeSeries(values, missing if missing.any() else None)
+
+
+def reference_parse_cell(path, line, cell):
+    if not cell.strip():
+        return 0.0, True
+    try:
+        value = float(cell)
+    except ValueError as exc:
+        raise InputError(f"{path}:{line}: non-numeric value {cell.strip()!r}") from exc
+    if not math.isfinite(value):
+        raise InputError(f"{path}:{line}: non-finite value {cell.strip()!r}")
+    return value, False
+
+
+def assert_reads_like_reference(path):
+    """read_series_csv gives the reference's values, sign bits included, and mask, or raises its error."""
+    try:
+        want = reference_read_series_csv(path)
+    except csv.Error as exc:  # the reference let csv's own errors escape; the reader names their line
+        with pytest.raises(InputError) as info:
+            read_series_csv(path)
+        assert str(info.value).startswith(f"{path}:") and str(info.value).endswith(f": {exc}")
+        return
+    except InputError as exc:
+        with pytest.raises(InputError) as info:
+            read_series_csv(path)
+        assert type(info.value) is type(exc) and str(info.value) == str(exc)
+        return
+    got = read_series_csv(path)
+    assert got.values.shape == want.values.shape and got.values.flags.c_contiguous
+    assert got.values.tobytes() == want.values.tobytes()
+    assert (got.missing is None) == (want.missing is None)
+    if got.missing is not None:
+        assert np.array_equal(got.missing, want.missing)
+
+
+# byte strings that a text mutation splices in: csv syntax, line ends, padding
+# float() and numpy strip differently, and cells only one of them parses
+_CSV_TOKENS = [
+    b'"', b"\r", b"\r\n", b"\n", b"\n\n", b",", b" ", b"\t", b"\x1c", b"\x1f", b"\x00", "\xa0".encode(),
+    " ".encode(), "١".encode(), b"\xff", b"1_000", b"nan", b"-inf", b"1e400", b"0x1p3", b"x",
+    b"-", b".", b"e", b"+", b"5e-324",
+]
+
+
+_EDITS = ["insert", "replace", "delete", "cell", "pad"]
+
+
+def edit_csv(data, i, kind, token):
+    """Insert ``token`` at byte ``i``, or put it in place of that byte or of
+    the cell around it, or before that cell; or delete the byte."""
+    if kind in ("insert", "replace", "delete"):
+        return data[:i] + (b"" if kind == "delete" else token) + data[i + (kind != "insert") :]
+    start = max(data.rfind(b",", 0, i), data.rfind(b"\n", 0, i)) + 1
+    end = min((j for j in (data.find(b",", i), data.find(b"\n", i)) if j >= 0), default=len(data))
+    return data[:start] + token + data[start if kind == "pad" else end :]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    series=gappy_series(),
+    edits=st.lists(
+        st.tuples(st.floats(0, 1, exclude_max=True), st.sampled_from(_EDITS), st.sampled_from(_CSV_TOKENS)),
+        max_size=3,
+    ),
+)
+def test_series_csv_reader_matches_reference_reader(series, edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "series.csv"
+        write_series_csv(path, series)
+        data = path.read_bytes()
+        if not edits and series.missing is None:
+            assert _parse_plain(data) is not None  # a written gap-free file takes numpy's reader
+        for where, kind, token in edits:
+            data = edit_csv(data, int(where * len(data)), kind, token)
+        path.write_bytes(data)
+        assert_reads_like_reference(path)
+
+
+@pytest.mark.parametrize(
+    "data, plain",
+    [
+        (b"t,ch0,ch1\n0,1.5,-0\n1,+.5e-3,1E5\n", True),
+        (b"t,ch0\r\n0,1\r\n1,2\r\n", False),
+        (b"t,ch0\r0,1\r1,2\r", False),
+        (b'"t","ch0"\n0,1\n', False),
+        (b't,ch0\n0,"1.5"\n', False),
+        (b"t,ch0\n0,1\n\n1,2\n", True),  # both readers skip a blank line
+        (b"t,ch0\n0,1\n  \n1,2\n", False),
+        (b"t,ch0\n0,1\n1,2,3\n", False),
+        (b"t,ch0\n0,1,\n", False),
+        (b"t,ch0,ch1\n0,1\n", False),
+        (b"t,ch0\n0,1_000\n", False),
+        ("t,ch0\n0,١\n".encode(), False),
+        (b"t,ch0\n0,\x1c1\n", False),
+        ("t,ch0\n0,\xa01\xa0\n".encode(), True),  # both strip a non-breaking space
+        (b"t,ch0\n0,1\n1,nan\n", False),
+        (b"t,ch0\n0,inf\n", False),
+        (b"t,ch0\n0,1e400\n", False),
+        (b"t,ch0\n0,1\n1,\n", False),
+        (b"t,ch0\n0\x00,1\n", False),
+        (b"date,HUFL,HULL\n2016-07-01 00:00:00,5.827,2.009\n2016-07-01 01:00:00,5.693,2.076\n", True),
+        (b"t,ch0\n", False),
+        (b"t,ch0\n\n", False),
+        ("t,H\xf6he\n0,1\n".encode("latin-1"), False),
+        (b"t,ch0\n0,1\n1,\xff\n", False),
+    ],
+    ids=[
+        "plain", "crlf", "bare-cr", "quoted-header", "quoted-field", "blank-line", "whitespace-line", "extra-field",
+        "trailing-comma", "short-row", "underscore", "arabic-indic-digit", "x1c-padding", "nbsp-padding", "nan",
+        "inf", "overflow", "gap", "nul", "timestamp-index", "header-only", "header-and-blank-line", "latin1-header",
+        "non-utf8-cell",
+    ],
+)
+def test_series_csv_reader_paths_match_reference(tmp_path, data, plain):
+    path = tmp_path / "case.csv"
+    path.write_bytes(data)
+    assert (_parse_plain(data) is not None) == plain
+    assert_reads_like_reference(path)
+
+
+def test_an_oversized_field_is_named_by_its_line(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("t,ch0\n0,1\n1," + "x" * 200_000 + "\n", encoding="utf-8")
+    with pytest.raises(InputError) as info:
+        read_series_csv(path)
+    assert str(info.value) == f"{path}:3: field larger than field limit (131072)"
+
+
+def test_series_csv_read_peak_memory_is_bounded(tmp_path):
+    # the file's bytes, the parsed rows and their transposed copy peak near
+    # 1.8x the file; holding every cell as a str once peaked at 6.9x
+    path = tmp_path / "wide.csv"
+    write_series_csv(path, TimeSeries(100.0 * np.random.default_rng(3).standard_normal((64, 4096))))
+    read_series_csv(path)  # imports and first-call caches stay out of the count
+    tracemalloc.start()
+    try:
+        read_series_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * path.stat().st_size
 
 
 def test_manifest_roundtrip(tmp_path):
