@@ -450,7 +450,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TsgridError, ValueError, OSError) as exc:
+    except (TsgridError, ValueError, OSError, MemoryError) as exc:  # a rescale set can ask for too much
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

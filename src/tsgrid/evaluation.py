@@ -271,9 +271,10 @@ def _cell_errors(
     are folded into the row axis as one stream (series by series, start by
     start, one row per channel), because every model is channel-independent,
     and one ``_window_predictions`` call scores a block of up to
-    ``WINDOW_BLOCK_SAMPLES`` samples (rows x (lookback + H)).  Each window's
-    errors are summed on their own and accumulated into its cell in window
-    order, so the result is bit-identical to scoring window by window.
+    ``WINDOW_BLOCK_SAMPLES`` samples (rows x (lookback + H)).  A window's
+    sums are one pairwise ``np.sum`` over its errors, where a masked target
+    adds zero, and each cell adds its window sums in window order: the
+    result is bit-identical to scoring window by window.
     """
     lookback = cfg.lookback
     fit = [(b, s) for b, s in enumerate(rescaled) if s is not None and s.length > lookback]
@@ -332,27 +333,19 @@ def _cell_errors(
                     idx = first_window[h][cell[sel]] + local[sel] // strides[h]
                     # every start forecast at H has an H-window: that horizon needs no gather
                     diff = (errs if h == H else errs[sel, :, :h]).reshape(-1, channels * h)
-                    if gap is None:
-                        sq[h][idx] = np.sum(diff * diff, axis=1)
-                        ab[h][idx] = np.sum(np.abs(diff), axis=1)
-                        scored[h][idx] = diff.shape[1]
-                    else:
-                        # compressed errors per window: zero-filling masked cells would change the summation order
+                    if gap is not None:  # a masked target's error is zero, whatever its placeholder
                         keep = ~gap[sel, :, lookback : lookback + h].reshape(diff.shape)
-                        counts = keep.sum(axis=1)
-                        kept = np.split(diff[keep], np.cumsum(counts)[:-1])
-                        scored[h][idx] = counts
-                        sq[h][idx] = [np.sum(d * d) for d in kept]
-                        ab[h][idx] = [np.sum(np.abs(d)) for d in kept]
+                        diff = np.where(keep, diff, 0.0)
+                    scored[h][idx] = diff.shape[1] if gap is None else keep.sum(axis=1)
+                    sq[h][idx] = np.sum(diff * diff, axis=1)
+                    ab[h][idx] = np.sum(np.abs(diff), axis=1)
 
     errors = {}
     for (k, h), n in windows.items():
         lo = first_window[h][k]
-        sq_sum = 0.0
-        abs_sum = 0.0
-        for s, a in zip(sq[h][lo : lo + n].tolist(), ab[h][lo : lo + n].tolist()):
-            sq_sum += s
-            abs_sum += a
+        with np.errstate(over="ignore"):  # cumsum adds in window order, as a loop would
+            sq_sum = float(np.cumsum(sq[h][lo : lo + n])[-1])
+            abs_sum = float(np.cumsum(ab[h][lo : lo + n])[-1])
         if not (math.isfinite(sq_sum) and math.isfinite(abs_sum)):
             beta = _exact(cfg.rescale_factors[fit[k][0]])
             raise InputError(f"beta={beta} horizon={h}: error sums overflow float64")
@@ -415,7 +408,9 @@ def remetrics(
             problem = "every target is masked in every (rescale factor, horizon) pair with a window"
         else:
             problem = "series too short for every (rescale factor, horizon) pair"
-        raise EvaluationError(f"{problem}: length {truth.length}, lookback {cfg.lookback}, horizons {cfg.horizons}")
+        raise EvaluationError(
+            f"scenario {scenario}: {problem}: length {truth.length}, lookback {cfg.lookback}, horizons {cfg.horizons}"
+        )
     return EvalReport(rows)
 
 

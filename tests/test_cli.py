@@ -395,12 +395,20 @@ def test_readme_cli_walkthrough_runs_and_replays_byte_exactly(tmp_path):
         # csv's own error once escaped main as a traceback
         (["evaluate", "--dataset", "big.csv", "--model", "persistence"],
          "big.csv:3: field larger than field limit (131072)"),
+        # of several scenarios, the error names the one that left no target
+        (["evaluate", "--dataset", "data.csv", "--model", "persistence", "--perturb", "missing:0.5",
+          "--perturb", "missing:1"],
+         "scenario missing:1: every target is masked in every (rescale factor, horizon) pair with a window: "
+         "length 2600, lookback 512, horizons (96, 192, 336, 720)"),
+        # numpy's MemoryError once escaped main as a traceback; a 2.6e15-sample request allocates nothing
+        (["evaluate", "--dataset", "data.csv", "--model", "persistence", "--betas", "1,1e12"],
+         "Unable to allocate 18.5 PiB for an array with shape (2600000000000000,) and data type float64"),
     ],
     ids=[
         "encode", "decode", "evaluate-dataset", "evaluate-model", "evaluate-horizon",
         "evaluate-duplicate-horizons", "evaluate-duplicate-betas", "solve-ms-duplicate-h-list", "perturb", "evaluate-error-overflow",
         "encode-standardized-overflow", "generate-noise-sigma-flag", "generate-rwb-sigma-ini",
-        "evaluate-oversized-field",
+        "evaluate-oversized-field", "evaluate-all-masked-scenario", "evaluate-unallocatable-beta",
     ],
 )
 def test_a_failed_command_leaves_no_output_dir(tmp_path, capsys, monkeypatch, argv, message):

@@ -258,9 +258,9 @@ def test_all_masked_targets_raise_with_their_own_reason():
     missing[:, 32:] = True  # every cell has windows, but no observed target
     truth = TimeSeries(walk(200).values, missing)
     cfg = EvalConfig(lookback=32, horizons=(8,), rescale_factors=(1.0,))
-    with pytest.raises(EvaluationError, match=r"^every target is masked in every \(rescale factor, horizon\) pair"):
+    with pytest.raises(EvaluationError, match=r"^scenario none: every target is masked in every \(rescale factor, horizon\) pair"):
         remetrics(truth, get_model("persistence"), cfg)
-    with pytest.raises(EvaluationError, match=r"^series too short for every \(rescale factor, horizon\) pair"):
+    with pytest.raises(EvaluationError, match=r"^scenario none: series too short for every \(rescale factor, horizon\) pair"):
         remetrics(walk(18), get_model("persistence"), SMALL)
 
 
@@ -274,6 +274,24 @@ def test_masked_targets_do_not_contribute():
     report = remetrics(truth, get_model("persistence"), cfg)
     # with the outlier masked the persistence forecast is exact
     assert report.remse(16) == 0.0
+
+
+@pytest.mark.parametrize("model", ["seasonal-naive", "persistence", "seasonal-naive-image", "linear-trend-image"])
+def test_a_masked_target_never_changes_a_metric(model):
+    # one window per cell, at beta 1 (a copy), with masked samples among the targets only
+    lookback, horizon = 64, 24
+    t = np.arange(lookback + horizon)
+    values = np.stack([np.sin(2 * np.pi * t / 12) + 0.01 * t, np.cos(2 * np.pi * t / 8)])
+    missing = np.zeros(values.shape, dtype=bool)
+    missing[0, lookback + 3 :: 5] = True
+    missing[1, lookback:] = True  # every target of one channel
+    cfg = EvalConfig(lookback=lookback, horizons=(horizon,), rescale_factors=(1.0,))
+    reports = []
+    for placeholder in (0.0, 7.5, 1e300, -1e300):
+        filled = np.where(missing, placeholder, values)
+        reports.append(remetrics(TimeSeries(filled, missing), get_model(model), cfg).rows)
+    assert reports[0][0].windows == 1 and reports[0][0].mse is not None
+    assert all(rows == reports[0] for rows in reports[1:])
 
 
 def test_multichannel_channel_independent_average():
@@ -477,11 +495,13 @@ def window_loop_remetrics(truth, model, cfg, *, perturbation=None, rng=None, spa
 
                 preds = _window_predictions(model, look_values, look_missing, horizon, target_values, space)
                 diff = preds - target_values
-                if target_missing is not None:
-                    diff = diff[~target_missing]
+                kept = diff.size
+                if target_missing is not None:  # a masked target adds zero and is not counted
+                    diff = np.where(target_missing, 0.0, diff)
+                    kept = int((~target_missing).sum())
                 sq_sum += float(np.sum(diff * diff))
                 abs_sum += float(np.sum(np.abs(diff)))
-                count += diff.size
+                count += kept
                 n_windows += 1
 
             if count == 0:
