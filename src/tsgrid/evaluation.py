@@ -189,16 +189,22 @@ def tsi_rescale(series: TimeSeries, beta: float) -> TimeSeries:
 
     Endpoints are preserved and degree-1 signals reproduce exactly; the
     length rounding is half-to-even.  A factor of 1 returns an identical
-    copy.  Missing masks are carried by nearest-position lookup.
+    copy.  Missing masks are carried by nearest-position lookup.  A
+    rescaled length that cannot be allocated is an ``EvaluationError``.
     """
     if beta <= 0 or not math.isfinite(beta):
         raise InputError(f"rescale factor must be positive and finite, got {beta}")
     new_length = round(beta * series.length)
-    values = linear_resample(series.values, new_length)
-    missing = None
-    if series.missing is not None:
-        positions = np.linspace(0.0, series.length - 1.0, new_length)
-        missing = series.missing[:, np.rint(positions).astype(int)]
+    try:
+        values = linear_resample(series.values, new_length)
+        missing = None
+        if series.missing is not None:
+            positions = np.linspace(0.0, series.length - 1.0, new_length)
+            missing = series.missing[:, np.rint(positions).astype(int)]
+    except MemoryError as exc:  # not an InputError: that would read as a series too short to rescale
+        raise EvaluationError(
+            f"rescale factor {beta}: a rescaled length of {new_length} samples cannot be allocated"
+        ) from exc
     return TimeSeries(values, missing, dict(series.tags))
 
 

@@ -281,6 +281,14 @@ def _one_hot(rows: np.ndarray, h: int, dtype: type = np.float64) -> np.ndarray:
     return grid
 
 
+_ROW_BLOCK = 16  # rows per block of the banded row blur and of the metrics against a binary grid
+
+
+def _row_blocks(h: int) -> list[tuple[int, int]]:
+    """Consecutive ``_ROW_BLOCK``-row slices [r0, r1) covering ``h`` rows."""
+    return [(r0, min(h, r0 + _ROW_BLOCK)) for r0 in range(0, h, _ROW_BLOCK)]
+
+
 def _emd(x: np.ndarray, y: np.ndarray) -> float:
     if x.ndim == 2 and y.ndim == 2:
         return float(np.abs(x - y).sum())
@@ -290,8 +298,14 @@ def _emd(x: np.ndarray, y: np.ndarray) -> float:
         # against a point mass at row r a column's transport distance is
         # its expected distance to r; one code path for both argument orders.
         # The rows are cast first: a float-int subtract casts every cell.
-        dist = np.arange(x.shape[1], dtype=np.float64)[:, None] - y[:, None, :].astype(np.float64)
-        return float(np.vdot(x, np.abs(dist, out=dist)))
+        # The distances are built one block of rows at a time.
+        rows = y[:, None, :].astype(np.float64)
+        total = 0.0
+        for r0, r1 in _row_blocks(x.shape[1]):
+            dist = np.arange(r0, r1, dtype=np.float64)[:, None] - rows
+            total += np.vdot(x[:, r0:r1], np.abs(dist, out=dist))
+            del dist  # freed before the next block's is built
+        return float(total)
     return float(np.abs(np.cumsum(x, axis=1) - np.cumsum(y, axis=1)).sum())
 
 
@@ -301,17 +315,28 @@ def _kld(
     """Smoothed KL(x || y); ``x_sums`` and ``y_sums`` are soft operands' column sums from their check."""
     eps = _KLD_EPS
     gp = _one_hot(x, h) if x.ndim == 2 else x
-    ps = gp + eps
-    ps /= (gp.sum(axis=1, keepdims=True) if x_sums is None else x_sums) + h * eps
+    scale = (gp.sum(axis=1, keepdims=True) if x_sums is None else x_sums) + h * eps
     if y.ndim == 2:
         # the smoothed one-hot q is hi at the active row and lo elsewhere, so
-        # log(ps / q) is log(ps) less a constant that differs at one row per column
+        # log(ps / q) is log(ps) less a constant that differs at one row per
+        # column; the smoothed p and its log are held one block of rows at a time
         lo, hi = eps / (1.0 + h * eps), (1.0 + eps) / (1.0 + h * eps)
-        log_ratio = np.log(ps)
-        active = np.take_along_axis(log_ratio, y[:, None, :], axis=1)
-        log_ratio -= math.log(lo)
-        np.put_along_axis(log_ratio, y[:, None, :], active - math.log(hi), axis=1)
-        return float(np.vdot(ps, log_ratio))
+        block_of = y // _ROW_BLOCK
+        total = 0.0
+        for r0, r1 in _row_blocks(h):
+            ps = gp[:, r0:r1] + eps
+            ps /= scale
+            log_ratio = np.log(ps)
+            c, t = np.nonzero(block_of == r0 // _ROW_BLOCK)
+            r = y[c, t] - r0
+            active = log_ratio[c, r, t]
+            log_ratio -= math.log(lo)
+            log_ratio[c, r, t] = active - math.log(hi)
+            total += np.vdot(ps, log_ratio)
+            del ps, log_ratio  # freed before the next block's are built
+        return float(total)
+    ps = gp + eps
+    ps /= scale
     ratio = ps / ((y + eps) / ((y.sum(axis=1, keepdims=True) if y_sums is None else y_sums) + h * eps))
     np.log(ratio, out=ratio)
     ratio *= ps
@@ -347,7 +372,6 @@ def loss(pred, target, alpha: float = 0.2) -> float:
 
 
 _BLUR_TAPS = 31  # the Gaussian kernel length on both axes; sigma is a sixth of it
-_ROW_BLOCK = 16  # output rows per block of the banded row blur
 
 
 def preprocess(image: BinaryImageTensor) -> SoftImageTensor:
@@ -384,12 +408,19 @@ def preprocess(image: BinaryImageTensor) -> SoftImageTensor:
             # within one offset each (channel, t) is indexed once, so this fancy += adds every tap
             weights[cells[:, s0:s1] - off] += tap
     weights = weights.reshape(channels, h, length)
-    # table @ weights as a banded product: table is zero past the kernel
-    # radius, so each block of output rows needs only its band of weights rows
-    out = np.empty_like(weights)
-    for r0 in range(0, h, _ROW_BLOCK):
-        r1 = min(h, r0 + _ROW_BLOCK)
+    # table @ weights as a banded product, in place: table is zero past the
+    # kernel radius, so each block of output rows needs only its band of
+    # weights rows.  A block's product is held until no later band reaches
+    # its rows, then written over them
+    pending: list[tuple[int, int, np.ndarray]] = []
+    for r0, r1 in _row_blocks(h):
         a0, a1 = max(0, r0 - radius), min(h, r1 + radius)
-        np.matmul(table[r0:r1, a0:a1], weights[:, a0:a1], out=out[:, r0:r1])
-    out /= out.sum(axis=1, keepdims=True)
-    return SoftImageTensor(out, image.params)
+        while pending and pending[0][1] <= a0:
+            p0, p1, block = pending.pop(0)
+            weights[:, p0:p1] = block
+            del block  # freed before the next product is built
+        pending.append((r0, r1, table[r0:r1, a0:a1] @ weights[:, a0:a1]))
+    for p0, p1, block in pending:
+        weights[:, p0:p1] = block
+    weights /= weights.sum(axis=1, keepdims=True)
+    return SoftImageTensor(weights, image.params)

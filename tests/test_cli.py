@@ -400,9 +400,10 @@ def test_readme_cli_walkthrough_runs_and_replays_byte_exactly(tmp_path):
           "--perturb", "missing:1"],
          "scenario missing:1: every target is masked in every (rescale factor, horizon) pair with a window: "
          "length 2600, lookback 512, horizons (96, 192, 336, 720)"),
-        # numpy's MemoryError once escaped main as a traceback; a 2.6e15-sample request allocates nothing
+        # numpy's MemoryError once escaped main as a traceback, then named neither the factor nor the
+        # length; a 2.6e15-sample request allocates nothing
         (["evaluate", "--dataset", "data.csv", "--model", "persistence", "--betas", "1,1e12"],
-         "Unable to allocate 18.5 PiB for an array with shape (2600000000000000,) and data type float64"),
+         "rescale factor 1000000000000.0: a rescaled length of 2600000000000000 samples cannot be allocated"),
     ],
     ids=[
         "encode", "decode", "evaluate-dataset", "evaluate-model", "evaluate-horizon",

@@ -72,6 +72,18 @@ def test_rescale_rejects_degenerate_output():
         tsi_rescale(from_1d(np.zeros(4)), -1.0)
 
 
+def test_an_unallocatable_rescaled_length_names_the_factor():
+    # 4e15 samples: numpy refuses the request at once and allocates nothing
+    series = from_1d(np.zeros(4))
+    message = "rescale factor 1000000000000000.0: a rescaled length of 4000000000000000 samples cannot be allocated"
+    with pytest.raises(EvaluationError, match=f"^{message}$"):
+        tsi_rescale(series, 1e15)
+    # not the InputError that remetrics records as a factor with no windows
+    cfg = EvalConfig(lookback=2, horizons=(1,), rescale_factors=(1.0, 1e15))
+    with pytest.raises(EvaluationError, match=f"^{message}$"):
+        remetrics(series, get_model("persistence"), cfg)
+
+
 def test_rescale_carries_missing_mask():
     series = TimeSeries(np.arange(10, dtype=float)[None, :], np.zeros((1, 10), dtype=bool))
     series.missing[0, 4] = True

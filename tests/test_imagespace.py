@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -30,6 +32,7 @@ from tsgrid import (
     soft_decode,
     value_to_row,
 )
+from tsgrid import imagespace
 from tsgrid.imagespace import _emd, _kld, decode_rows
 
 P128 = SpaceParams(h=128, ms=3.5)
@@ -605,6 +608,97 @@ def test_training_loss_at_codec_size_matches_dense_reference(index):
     assert loss(pred, target) == emd(pred, target) + 0.2 * kld(pred, target)
     one_hot = SoftImageTensor(dense, target.params)
     assert emd(one_hot, target) == kld(one_hot, target) == loss(one_hot, target) == 0.0
+
+
+def out_of_place_preprocess(image):
+    """The banded row blur with a separate output grid: each block of
+    ``imagespace._ROW_BLOCK`` output rows is the product of its table rows
+    with its band of the untouched time-blurred grid."""
+    h, kernel = image.params.h, blur_kernel()
+    offset = np.arange(h)[:, None] - np.arange(h)
+    table = np.where(np.abs(offset) <= 15, kernel[np.clip(offset + 15, 0, 30)], 0.0)
+    table /= table.sum(axis=1, keepdims=True)
+    rows = image.rows
+    channels, length = rows.shape
+    weights = np.zeros(channels * h * length)
+    cells = (rows + h * np.arange(channels)[:, None]) * length + np.arange(length)
+    for off, tap in enumerate(kernel, -15):
+        s0, s1 = max(0, off), min(length, length + off)
+        if s0 < s1:
+            weights[cells[:, s0:s1] - off] += tap
+    weights = weights.reshape(channels, h, length)
+    out = np.empty_like(weights)
+    for r0 in range(0, h, imagespace._ROW_BLOCK):
+        r1 = min(h, r0 + imagespace._ROW_BLOCK)
+        a0, a1 = max(0, r0 - 15), min(h, r1 + 15)
+        np.matmul(table[r0:r1, a0:a1], weights[:, a0:a1], out=out[:, r0:r1])
+    out /= out.sum(axis=1, keepdims=True)
+    return out
+
+
+# blocks of 4 and 8 rows are below the 15-row radius: a block is written back
+# only after several later blocks have read its rows
+@pytest.mark.parametrize("row_block", [16, 4, 8])
+@pytest.mark.parametrize("h", [2, 15, 16, 17, 31, 32, 33, 128, 200])
+def test_in_place_row_blur_is_bit_identical_to_the_out_of_place_product(monkeypatch, row_block, h):
+    monkeypatch.setattr(imagespace, "_ROW_BLOCK", row_block)
+    for channels in (1, 2, 3):
+        for length in (1, 14, 15, 16, 17, 31, 32):
+            rows = np.random.default_rng([h, length, channels, row_block]).integers(0, h, (channels, length))
+            image = BinaryImageTensor._from_rows(rows, SpaceParams(h=h, ms=1.0))
+            assert preprocess(image).grid.tobytes() == out_of_place_preprocess(image).tobytes(), (channels, length)
+
+
+@pytest.mark.parametrize("row_block", [16, 4, 8])
+def test_in_place_row_blur_is_bit_identical_at_codec_size(monkeypatch, row_block):
+    monkeypatch.setattr(imagespace, "_ROW_BLOCK", row_block)
+    for index in (0, 1):
+        image = codec_shaped_image(index, length=4096)
+        assert preprocess(image).grid.tobytes() == out_of_place_preprocess(image).tobytes()
+    three = BinaryImageTensor._from_rows(np.concatenate([codec_shaped_image(i).rows for i in range(3)]), P128)
+    assert preprocess(three).grid.tobytes() == out_of_place_preprocess(three).tobytes()
+
+
+@pytest.mark.parametrize("row_block", [16, 4, 8])
+@pytest.mark.parametrize("h", [15, 33, 128])
+def test_row_blocked_metrics_against_a_binary_grid_match_dense_reference(monkeypatch, row_block, h):
+    # h not a multiple of the block leaves a short last block; three channels
+    # put every block's active rows in several channels
+    monkeypatch.setattr(imagespace, "_ROW_BLOCK", row_block)
+    rows = np.random.default_rng([h, row_block]).integers(0, h, (3, 50))
+    target = BinaryImageTensor._from_rows(rows, SpaceParams(h=h, ms=1.0))
+    pred = preprocess(target)
+    dense = target.grid.astype(np.float64)
+    want_emd, want_kld = reference_emd(pred.grid, dense), reference_kld(pred.grid, dense)
+    assert emd(pred, target) == emd(target, pred) == pytest.approx(want_emd, rel=1e-12, abs=0.0)
+    assert kld(pred, target) == pytest.approx(want_kld, rel=1e-12, abs=0.0)
+    assert loss(pred, target) == emd(pred, target) + 0.2 * kld(pred, target)
+    one_hot = SoftImageTensor(dense, target.params)
+    assert emd(one_hot, target) == kld(one_hot, target) == loss(one_hot, target) == 0.0
+
+
+def traced_peak(fn, *args):
+    """The ``tracemalloc`` peak of one call, in bytes above what was held before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_the_training_loss_step_holds_about_one_grid(channels):
+    # the output grid plus two 16-row blocks is 1.25 grids and the metrics hold
+    # a few 16-row blocks; an out-of-place blur peaks at 2.1 grids and dense
+    # working copies in loss at 2.0
+    rows = np.concatenate([codec_shaped_image(i, length=4096).rows for i in range(channels)])
+    target = BinaryImageTensor._from_rows(rows, P128)
+    grid_bytes = channels * 128 * 4096 * 8
+    assert traced_peak(preprocess, target) <= 1.5 * grid_bytes
+    pred = preprocess(target)
+    assert traced_peak(loss, pred, target) <= 0.5 * grid_bytes
 
 
 @settings(max_examples=200, deadline=None)
