@@ -24,7 +24,7 @@ from .errors import ConfigurationError, TsgridError
 from .evaluation import EvalConfig, PerturbationSpec, evaluate_series, perturb
 from .forecasters import get_model, register_baselines
 from .generate import AugmentConfig, GeneratorConfig, sample_series
-from .imagespace import SpaceParams, decode, denormalize, encode, normalize
+from .imagespace import SpaceParams, encode, normalize
 from .rng import RngStream
 
 OUTPUT_DIR_ENV = "TSGRID_OUTPUT_DIR"
@@ -233,13 +233,13 @@ def cmd_decode(args) -> int:
     for meta_path in args.inputs:
         image, stats = io.read_image(meta_path)
         try:
-            series = decode(image, allow_missing=args.allow_missing)
-            decoded.append((meta_path, series if stats is None else denormalize(series, stats)))
+            decoded.append((meta_path, io.decoded_series_csv(image, stats, args.allow_missing)))
         except TsgridError as exc:
             raise TsgridError(f"{meta_path}: {exc}") from exc
-    for meta_path, series in decoded:
+    for meta_path, text in decoded:
         target = out_dir / f"{Path(meta_path).stem}.decoded.csv"
-        io.write_series_csv(target, series)
+        with io.atomic_write(target) as handle:
+            handle.write(text)
         print(f"decoded {meta_path} -> {target}")
     _write_snapshot(
         out_dir,

@@ -10,6 +10,7 @@ column; the Gaussian blur :func:`preprocess` builds them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -159,8 +160,18 @@ def normalize(series: TimeSeries, lookback: int) -> tuple[TimeSeries, NormStats]
 
 
 def denormalize(series: TimeSeries, stats: NormStats) -> TimeSeries:
-    values = series.values * stats.std[:, None] + stats.mean[:, None]
+    """Undo :func:`normalize`; a value whose denormalized form overflows raises ``InputError``."""
+    with np.errstate(over="ignore"):  # a scale near float64's limit: caught below
+        values = series.values * stats.std[:, None] + stats.mean[:, None]
+    check_denormalized(values)
     return TimeSeries(values, None if series.missing is None else series.missing.copy(), dict(series.tags))
+
+
+def check_denormalized(values: np.ndarray) -> None:
+    """Raise ``InputError`` naming the first channel (row of ``values``) with a non-finite value."""
+    overflow = ~np.isfinite(values).all(axis=1)
+    if overflow.any():
+        raise InputError(f"channel {int(np.argmax(overflow))}: denormalized values overflow float64")
 
 
 def value_to_row(values: np.ndarray, params: SpaceParams) -> np.ndarray:
@@ -219,9 +230,14 @@ def decode(image: BinaryImageTensor, allow_missing: bool = False) -> TimeSeries:
     All-zero columns are a structural error unless ``allow_missing`` is set,
     in which case they surface in the result's missing mask (value 0.0).
     """
+    check_decodable(image, allow_missing)
+    return decode_rows(image.rows, image.params)
+
+
+def check_decodable(image: BinaryImageTensor, allow_missing: bool = False) -> None:
+    """The check :func:`decode` makes: an all-zero column is an error unless ``allow_missing`` is set."""
     if not allow_missing and image.rows.min(initial=0) < 0:
         raise StructuralError("some columns have no active cell (no missing markers expected)")
-    return decode_rows(image.rows, image.params)
 
 
 def soft_decode(image: SoftImageTensor) -> TimeSeries:
@@ -319,19 +335,23 @@ def _kld(
     if y.ndim == 2:
         # the smoothed one-hot q is hi at the active row and lo elsewhere, so
         # log(ps / q) is log(ps) less a constant that differs at one row per
-        # column; the smoothed p and its log are held one block of rows at a time
-        lo, hi = eps / (1.0 + h * eps), (1.0 + eps) / (1.0 + h * eps)
+        # column; the smoothed p and its log are held one block of rows at a
+        # time.  p is scaled by one reciprocal per column, and lo and hi by
+        # q's, so a one-hot p gives lo and hi bit for bit and scores 0.0
+        inv_scale = 1.0 / scale
+        inv_q = 1.0 / (1.0 + h * eps)
+        log_lo, log_hi = math.log(eps * inv_q), math.log((1.0 + eps) * inv_q)
         block_of = y // _ROW_BLOCK
         total = 0.0
         for r0, r1 in _row_blocks(h):
             ps = gp[:, r0:r1] + eps
-            ps /= scale
+            ps *= inv_scale
             log_ratio = np.log(ps)
             c, t = np.nonzero(block_of == r0 // _ROW_BLOCK)
             r = y[c, t] - r0
             active = log_ratio[c, r, t]
-            log_ratio -= math.log(lo)
-            log_ratio[c, r, t] = active - math.log(hi)
+            log_ratio -= log_lo
+            log_ratio[c, r, t] = active - log_hi
             total += np.vdot(ps, log_ratio)
             del ps, log_ratio  # freed before the next block's are built
         return float(total)
@@ -372,6 +392,23 @@ def loss(pred, target, alpha: float = 0.2) -> float:
 
 
 _BLUR_TAPS = 31  # the Gaussian kernel length on both axes; sigma is a sixth of it
+_BLUR_RADIUS = _BLUR_TAPS // 2
+_BLUR_KERNEL = np.exp(-0.5 * (np.arange(-_BLUR_RADIUS, _BLUR_RADIUS + 1) / (_BLUR_TAPS / 6.0)) ** 2)
+_BLUR_KERNEL /= _BLUR_KERNEL.sum()
+_BLUR_KERNEL.setflags(write=False)
+
+
+@functools.lru_cache(maxsize=4)  # a few heights: the table of height h holds 8 h**2 bytes
+def _row_blur_table(h: int) -> np.ndarray:
+    """The row blur of a one-hot column is the truncated kernel at its active
+    row a: table[r, a] is tap r - a, each row divided by the mass inside the
+    grid.  Read-only, as every call of this height shares it."""
+    radius, kernel = _BLUR_RADIUS, _BLUR_KERNEL
+    offset = np.arange(h)[:, None] - np.arange(h)
+    table = np.where(np.abs(offset) <= radius, kernel[np.clip(offset + radius, 0, 2 * radius)], 0.0)
+    table /= table.sum(axis=1, keepdims=True)
+    table.setflags(write=False)
+    return table
 
 
 def preprocess(image: BinaryImageTensor) -> SoftImageTensor:
@@ -381,21 +418,15 @@ def preprocess(image: BinaryImageTensor) -> SoftImageTensor:
     at the grid borders and renormalized there, so no probability mass
     leaks outside: down the rows by the kernel mass inside the grid, and
     along time by the final division of each column by its own sum, which
-    cancels any per-column factor.
+    cancels any per-column factor.  The row-blur table is built once per
+    height.
     """
     if not isinstance(image, BinaryImageTensor):
         raise InputError(f"preprocess input must be a BinaryImageTensor, got {type(image).__name__}")
     rows, _ = _operand(image, "preprocess input")
-    radius = _BLUR_TAPS // 2
-    kernel = np.exp(-0.5 * (np.arange(-radius, radius + 1) / (_BLUR_TAPS / 6.0)) ** 2)
-    kernel /= kernel.sum()
-
-    # the row blur of a one-hot column is the truncated kernel at its active
-    # row a: table[r, a] is tap r - a, each row divided by the mass inside the grid
+    radius, kernel = _BLUR_RADIUS, _BLUR_KERNEL
     h = image.params.h
-    offset = np.arange(h)[:, None] - np.arange(h)
-    table = np.where(np.abs(offset) <= radius, kernel[np.clip(offset + radius, 0, 2 * radius)], 0.0)
-    table /= table.sum(axis=1, keepdims=True)
+    table = _row_blur_table(h)
     # weights[c, a, t]: the time-blurred mass at t of the columns whose active
     # row is a, built flat: source column s of channel c puts its tap for
     # offset off at (c * h + rows[c, s]) * length + s - off

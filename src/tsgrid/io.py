@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InputError, StructuralError
-from .imagespace import STD_FLOOR, BinaryImageTensor, NormStats, SpaceParams
+from .imagespace import STD_FLOOR, BinaryImageTensor, NormStats, SpaceParams, check_decodable, check_denormalized
 from .series import TimeSeries
 
 
@@ -66,20 +66,53 @@ def write_series_csv(path: str | Path, series: TimeSeries) -> None:
     the values are formatted: ``,%.9g`` per observed cell (the same text as
     ``_fmt``) and a bare ``,`` per missing cell.
     """
-    if series.missing is None:
-        template = _gap_free_template(series.length, series.channels)
-        cells = series.values.T.ravel().tolist()
-    else:
-        observed = ~series.missing.T
-        tokens = np.full((series.length, series.channels + 1), ",", dtype=object)
-        tokens[:, 0] = _row_starts(series.length)
-        tokens[:, 1:][observed] = ",%.9g"
-        template = "".join(tokens.ravel().tolist())
-        cells = series.values.T[observed].tolist()
-    header = ",".join(["t"] + [f"ch{i}" for i in range(series.channels)])
-    body = template % tuple(cells)
+    text = _series_text(series.values, series.missing, ",%.9g")
     with atomic_write(path) as handle:
-        handle.write(header + body + "\n")
+        handle.write(text)
+
+
+def decoded_series_csv(image: BinaryImageTensor, stats: NormStats | None = None, allow_missing: bool = False) -> str:
+    """The text ``write_series_csv`` writes for ``denormalize(decode(image,
+    allow_missing), stats)`` (no ``denormalize`` when ``stats`` is None),
+    built from the image's active rows.
+
+    A channel has only ``h`` decoded values, its denormalized cell centers,
+    so each used one is formatted once and the body is filled from that
+    table.  The errors are decode's and denormalize's: a cell value that
+    overflows is an error only when a sample uses it.
+    """
+    check_decodable(image, allow_missing)
+    rows = image.rows
+    observed = rows >= 0
+    used = np.zeros((image.channels, image.params.h), dtype=bool)
+    used[np.nonzero(observed)[0], rows[observed]] = True
+    table = np.broadcast_to(image.params.centers(), used.shape)
+    if stats is not None:
+        with np.errstate(over="ignore"):  # a scale near float64's limit: only the used cells are checked
+            table = table * stats.std[:, None] + stats.mean[:, None]
+        check_denormalized(np.where(used, table, 0.0))
+    texts = np.empty(used.shape, dtype=object)
+    texts[used] = ["%.9g" % v for v in table[used].tolist()]
+    cells = np.take_along_axis(texts, np.maximum(rows, 0), axis=1)
+    return _series_text(cells, None if observed.all() else ~observed, ",%s")
+
+
+def _series_text(cells: np.ndarray, missing: np.ndarray | None, token: str) -> str:
+    """Header and body of a series CSV with cells (channels, length): ``token``
+    formats each observed cell and a missing cell is a bare ``,``."""
+    channels, length = cells.shape
+    if missing is None:
+        template = _gap_free_template(length, channels, token)
+        flat = cells.T.ravel().tolist()
+    else:
+        observed = ~missing.T
+        tokens = np.full((length, channels + 1), ",", dtype=object)
+        tokens[:, 0] = _row_starts(length)
+        tokens[:, 1:][observed] = token
+        template = "".join(tokens.ravel().tolist())
+        flat = cells.T[observed].tolist()
+    header = ",".join(["t"] + [f"ch{i}" for i in range(channels)])
+    return header + template % tuple(flat) + "\n"
 
 
 @functools.lru_cache(maxsize=1)
@@ -89,9 +122,9 @@ def _row_starts(length: int) -> tuple[str, ...]:
 
 
 @functools.lru_cache(maxsize=1)
-def _gap_free_template(length: int, channels: int) -> str:
+def _gap_free_template(length: int, channels: int, token: str) -> str:
     """Body template of a series with no gaps; a corpus repeats one shape."""
-    cells = ",%.9g" * channels
+    cells = token * channels
     return cells.join(_row_starts(length)) + cells
 
 

@@ -28,7 +28,8 @@ from tsgrid import (
 )
 from tsgrid.cli import main
 from tsgrid.generate import sample_series
-from tsgrid.io import read_series_csv, write_series_csv
+from tsgrid.imagespace import NormStats, encode
+from tsgrid.io import read_series_csv, write_image, write_series_csv
 
 
 def read_manifest_csv(path):
@@ -404,12 +405,15 @@ def test_readme_cli_walkthrough_runs_and_replays_byte_exactly(tmp_path):
         # length; a 2.6e15-sample request allocates nothing
         (["evaluate", "--dataset", "data.csv", "--model", "persistence", "--betas", "1,1e12"],
          "rescale factor 1000000000000.0: a rescaled length of 2600000000000000 samples cannot be allocated"),
+        # numpy's overflow warnings once came first, then an error that did not name the denormalization
+        (["decode", "over.meta"], "over.meta: channel 0: denormalized values overflow float64"),
     ],
     ids=[
         "encode", "decode", "evaluate-dataset", "evaluate-model", "evaluate-horizon",
         "evaluate-duplicate-horizons", "evaluate-duplicate-betas", "solve-ms-duplicate-h-list", "perturb", "evaluate-error-overflow",
         "encode-standardized-overflow", "generate-noise-sigma-flag", "generate-rwb-sigma-ini",
         "evaluate-oversized-field", "evaluate-all-masked-scenario", "evaluate-unallocatable-beta",
+        "decode-denormalized-overflow",
     ],
 )
 def test_a_failed_command_leaves_no_output_dir(tmp_path, capsys, monkeypatch, argv, message):
@@ -422,6 +426,9 @@ def test_a_failed_command_leaves_no_output_dir(tmp_path, capsys, monkeypatch, ar
     write_series_csv(tmp_path / "tail.csv", from_1d(np.where(np.arange(30) < 20, 1.0 + np.arange(30) % 2, 1e308)))
     (tmp_path / "rwb.ini").write_text("[generator]\nrwb_sigma = inf\n", encoding="utf-8")
     (tmp_path / "big.csv").write_text("t,ch0\n0,1\n1," + "x" * 200_000 + "\n", encoding="utf-8")
+    # norm_mean = norm_std = 1e308: a sample in the cell centered at 2.98 denormalizes to 3.98e308
+    overflow = NormStats(mean=np.array([1e308]), std=np.array([1e308]), floored=np.array([False]))
+    write_image(tmp_path / "over", encode(from_1d(np.full(4, 3.0)), SpaceParams()), overflow)
     seed = ["--seed", "1"] if argv[0] in ("evaluate", "perturb") else []
     assert main(argv + seed + ["-o", "out"]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"

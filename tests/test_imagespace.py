@@ -33,7 +33,7 @@ from tsgrid import (
     value_to_row,
 )
 from tsgrid import imagespace
-from tsgrid.imagespace import _emd, _kld, decode_rows
+from tsgrid.imagespace import NormStats, _emd, _kld, decode_rows, denormalize
 
 P128 = SpaceParams(h=128, ms=3.5)
 
@@ -102,6 +102,16 @@ def test_normalize_rejects_bad_lookback():
         normalize(from_1d([1.0, 2.0]), 3)
     with pytest.raises(InputError):
         normalize(from_1d([1.0, 2.0]), 0)
+
+
+def test_denormalize_names_the_channel_whose_values_overflow():
+    # -1 * 1e308 + 1e308 is 0, while 1e308 + 1e308 overflows in the add and 3 * 1e308 in the multiply
+    stats = NormStats(mean=np.array([0.0, 1e308, 1e308]), std=np.array([1.0, 1e308, 1e308]), floored=np.zeros(3, bool))
+    values = np.array([[3.0, 3.0], [-1.0, -1.0], [1.0, 3.0]])
+    with pytest.raises(InputError, match=r"^channel 2: denormalized values overflow float64$"):
+        denormalize(TimeSeries(values), stats)
+    first_two = NormStats(mean=stats.mean[:2], std=stats.std[:2], floored=stats.floored[:2])
+    assert denormalize(TimeSeries(values[:2]), first_two).values.tolist() == [[3.0, 3.0], [0.0, 0.0]]
 
 
 # ---------------------------------------------------------------- encoding
@@ -634,6 +644,21 @@ def out_of_place_preprocess(image):
         np.matmul(table[r0:r1, a0:a1], weights[:, a0:a1], out=out[:, r0:r1])
     out /= out.sum(axis=1, keepdims=True)
     return out
+
+
+def test_row_blur_table_is_cached_per_height_and_read_only():
+    # a table cached under the wrong height would blur the second 128-row grid with the 64-row table
+    for h in (128, 64, 128):
+        rows = np.random.default_rng(h).integers(0, h, (2, 40))
+        image = BinaryImageTensor._from_rows(rows, SpaceParams(h=h, ms=1.0))
+        assert preprocess(image).grid.tobytes() == out_of_place_preprocess(image).tobytes(), h
+        table = imagespace._row_blur_table(h)
+        assert table.shape == (h, h)
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+    assert imagespace._row_blur_table(128) is imagespace._row_blur_table(128)
+    with pytest.raises(ValueError):
+        imagespace._BLUR_KERNEL[0] = 1.0
 
 
 # blocks of 4 and 8 rows are below the 15-row radius: a block is written back

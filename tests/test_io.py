@@ -22,10 +22,12 @@ from tsgrid import (
     normalize,
 )
 from tsgrid.evaluation import ReportRow
+from tsgrid.imagespace import STD_FLOOR, NormStats, decode, denormalize
 from tsgrid.io import (
     _fmt,
     _parse_plain,
     atomic_write,
+    decoded_series_csv,
     read_image,
     read_meta,
     read_pgm,
@@ -199,6 +201,59 @@ def test_series_csv_shapes_in_turn_match_reference_writer(tmp_path):
         write_series_csv(got, series)
         reference_write_series_csv(want, series)
         assert got.read_bytes() == want.read_bytes()
+
+
+def reference_decoded_csv(path, image, stats):
+    """Reference: the decoded series with its dense values, then ``write_series_csv``."""
+    series = decode(image, allow_missing=True)
+    write_series_csv(path, series if stats is None else denormalize(series, stats))
+
+
+@st.composite
+def decodable_images(draw):
+    """A binary image with gaps (row -1) and its normalization stats: none, a
+    floored std, or a large mean."""
+    channels = draw(st.integers(1, 3))
+    params = SpaceParams(h=draw(st.integers(2, 200)), ms=draw(st.sampled_from([0.5, 3.5, 1e3])))
+    length = draw(st.integers(1, 600))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = g.integers(0, params.h, (channels, length))
+    rows[g.random(rows.shape) < draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))] = -1
+    kind = draw(st.sampled_from(["none", "floored", "large-mean"]))
+    if kind == "none":
+        return BinaryImageTensor._from_rows(rows, params), None
+    mean = g.standard_normal(channels) * (1e300 if kind == "large-mean" else 10.0)
+    std = 10.0 ** g.uniform(-3, 3, channels)
+    if kind == "floored":
+        std[g.random(channels) < 0.5] = STD_FLOOR
+        std[0] = STD_FLOOR
+    return BinaryImageTensor._from_rows(rows, params), NormStats(mean=mean, std=std, floored=std <= STD_FLOOR)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=decodable_images())
+def test_decoded_csv_matches_decode_then_write(case):
+    image, stats = case
+    with tempfile.TemporaryDirectory() as tmp:
+        want = Path(tmp) / "want.csv"
+        reference_decoded_csv(want, image, stats)
+        assert decoded_series_csv(image, stats, allow_missing=True).encode() == want.read_bytes()
+
+
+def test_decoded_csv_fails_only_at_a_used_overflowing_cell(tmp_path):
+    # h = 8: centers -3.0625 ... 3.0625 in steps of 0.875.  With mean = std =
+    # 1e308 only rows 2, 3 and 4 (centers -1.3125 to 0.4375) stay finite
+    params = SpaceParams(h=8, ms=3.5)
+    stats = NormStats(mean=np.array([1e308]), std=np.array([1e308]), floored=np.array([False]))
+    usable = BinaryImageTensor._from_rows(np.array([[2, 3, -1, 4]]), params)
+    reference_decoded_csv(tmp_path / "want.csv", usable, stats)
+    assert decoded_series_csv(usable, stats, allow_missing=True).encode() == (tmp_path / "want.csv").read_bytes()
+    overflowing = BinaryImageTensor._from_rows(np.array([[2, 3, 5, 4]]), params)
+    for decoded in (lambda: decoded_series_csv(overflowing, stats), lambda: denormalize(decode(overflowing), stats)):
+        with pytest.raises(InputError, match=r"^channel 0: denormalized values overflow float64$"):
+            decoded()
+    with pytest.raises(StructuralError, match=r"^some columns have no active cell \(no missing markers expected\)$"):
+        decoded_series_csv(usable, stats)
 
 
 def reference_read_series_csv(path):
