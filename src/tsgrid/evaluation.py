@@ -216,15 +216,28 @@ def _dominant_frequency(x: np.ndarray) -> float:
 
 
 def perturb(series: TimeSeries, spec: PerturbationSpec, rng: RngStream) -> TimeSeries:
-    """Apply one perturbation scenario; missing data only grows the mask."""
+    """Apply one perturbation scenario; missing data only grows the mask.
+    The result shares no array with ``series``."""
+    out = _perturbed(series, spec, rng)
+    if out.values is series.values:
+        out.values = series.values.copy()
+    if out.missing is not None and out.missing is series.missing:
+        out.missing = series.missing.copy()
+    return out
+
+
+def _perturbed(series: TimeSeries, spec: PerturbationSpec, rng: RngStream) -> TimeSeries:
+    """:func:`perturb`, but an array the scenario leaves as it was is
+    ``series``' own: the missing kind keeps its values."""
     g = rng.generator()
-    values = series.values.copy()
-    missing = None if series.missing is None else series.missing.copy()
+    values = series.values
+    missing = series.missing
 
     if spec.kind == "gaussian_noise":
         if spec.noise_std > 0:
             values = values + spec.noise_std * g.standard_normal(values.shape)
     elif spec.kind == "harmonic":
+        values = values.copy()
         t = np.arange(series.length, dtype=np.float64)
         for i in range(series.channels):
             amp = spec.harmonic_amplitude
@@ -385,18 +398,37 @@ def remetrics(
     """
     if perturbation is not None and rng is None:
         raise ConfigurationError("a random stream is required for perturbation scenarios")
+    return _scenario_report(truth, _rescale_set(truth, cfg), model, cfg, dataset, perturbation, rng, space)
+
+
+def _rescale_set(truth: TimeSeries, cfg: EvalConfig) -> list[TimeSeries | None]:
+    """The truth at each rescale factor; None where it is too short to rescale."""
+    rescaled: list[TimeSeries | None] = []
+    for beta in cfg.rescale_factors:
+        try:
+            rescaled.append(tsi_rescale(truth, beta))
+        except InputError:
+            rescaled.append(None)
+    return rescaled
+
+
+def _scenario_report(
+    truth: TimeSeries,
+    rescaled: list[TimeSeries | None],
+    model: ForecasterHandle,
+    cfg: EvalConfig,
+    dataset: str,
+    perturbation: PerturbationSpec | None,
+    rng: RngStream | None,
+    space: SpaceParams | None,
+) -> EvalReport:
+    """:func:`remetrics` of one scenario on ``truth``'s rescale set
+    ``rescaled``, which it leaves as it was: a perturbed series shares only
+    the arrays its scenario does not change, and nothing below writes them."""
     space = space or SpaceParams()
     scenario = "none" if perturbation is None else perturbation.label()
-
-    rescaled: list[TimeSeries | None] = []
-    for b_idx, beta in enumerate(cfg.rescale_factors):
-        try:
-            series = tsi_rescale(truth, beta)
-        except InputError:
-            series = None
-        if series is not None and perturbation is not None:
-            series = perturb(series, perturbation, rng.child(b_idx))
-        rescaled.append(series)
+    if perturbation is not None:
+        rescaled = [None if s is None else _perturbed(s, perturbation, rng.child(b)) for b, s in enumerate(rescaled)]
 
     errors = _cell_errors(model, rescaled, cfg, space)
 
@@ -430,10 +462,14 @@ def evaluate_series(
     dataset: str = "series",
     space: SpaceParams | None = None,
 ) -> EvalReport:
-    """Sweep horizons x rescale factors x scenarios; deterministic per seed.  Prints nothing."""
+    """Sweep horizons x rescale factors x scenarios; deterministic per seed.  Prints nothing.
+
+    The rescale set is built once and shared by every scenario.
+    """
     rng = RngStream(seed)
+    rescaled = _rescale_set(truth, cfg)
     rows: list[ReportRow] = []
     for s_idx, spec in enumerate((None, *perturbations)):
-        report = remetrics(truth, model, cfg, dataset=dataset, perturbation=spec, rng=rng.child(s_idx), space=space)
+        report = _scenario_report(truth, rescaled, model, cfg, dataset, spec, rng.child(s_idx), space)
         rows.extend(report.rows)
     return EvalReport(rows)

@@ -15,6 +15,7 @@ block at once.  Grid-space forecasts, in the harness and in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -92,6 +93,9 @@ class ForecasterHandle:
         if horizon < 1:
             raise InputError(f"horizon must be positive, got {horizon}")
         self.check_capability(X.shape[1], horizon)
+        if not np.isfinite(X).all():  # a forgotten gap fails here, not as a quiet forecast
+            row = int(np.argmin(np.isfinite(X).all(axis=1)))
+            raise InputError(f"{self.id}: lookback row {row} is not finite (NaN/Inf)")
         if self.needs_future:
             if future is None:
                 raise InputError(f"{self.id}: this handle requires the true future")
@@ -127,6 +131,8 @@ def detect_period(x: np.ndarray) -> int:
     fit through its neighbors and rounded back to an integer lag.
     """
     x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise InputError("detect_period needs a finite series (no NaN/Inf)")
     n = x.size
     max_lag = n // 2
     if max_lag < MIN_LAG:
@@ -164,6 +170,43 @@ def _fft_length(m: int) -> int:
     return best
 
 
+@lru_cache(maxsize=8)
+def _screen_constants(n: int) -> tuple[int, np.ndarray, float]:
+    """The FFT length of lookback ``n``, the overlaps n - k of its lags k in
+    [MIN_LAG, n // 2] (read-only, as every caller shares them), and the
+    largest margin factor ``mu_max``, that of lag n // 2 (see :func:`_periods`)."""
+    max_lag = n // 2
+    nfft = _fft_length(n + max_lag)  # no circular wrap up to max_lag
+    overlap = n - np.arange(MIN_LAG, max_lag + 1, dtype=np.float64)
+    overlap.setflags(write=False)
+    least = float(n - max_lag)
+    mu_max = (least + 8.0 * np.log2(nfft) + 1.0) * float(np.finfo(np.float64).eps) / least
+    return nfft, overlap, mu_max
+
+
+def _centered_spectrum(X: np.ndarray, nfft: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row minus its mean, and the ``rfft`` of that row zero-padded to
+    ``nfft``: the rows are centered straight into a zeroed buffer, so the
+    result is bit-equal to ``np.fft.rfft(xc, n=nfft, axis=1)`` without its
+    internal padded copy."""
+    padded = np.zeros((X.shape[0], nfft))
+    xc = np.subtract(X, X.mean(axis=1)[:, None], out=padded[:, : X.shape[1]])
+    return xc, np.fft.rfft(padded, axis=1)
+
+
+def _screen(r: np.ndarray, energy: np.ndarray, mu_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's argmax lag index in ``r`` and the rows whose argmax rounding
+    could have changed (see :func:`_periods`).  ``r`` is left as it was."""
+    at = np.arange(r.shape[0])
+    best = np.argmax(r, axis=1)
+    top = r[at, best]
+    r[at, best] = -np.inf
+    second = r.max(axis=1)
+    r[at, best] = top
+    sure = (top - second > 2.0 * energy * mu_max) & np.isfinite(top)
+    return best, np.flatnonzero(~sure)
+
+
 def _periods(X: np.ndarray) -> np.ndarray:
     """``[detect_period(x) for x in X]``, from one FFT screen of the block.
 
@@ -185,9 +228,20 @@ def _periods(X: np.ndarray) -> np.ndarray:
     (nfft = 768) and 0.62 at n = 96 (nfft = 144), the largest over lookbacks
     4 to 4096, so c = 8 leaves 12x headroom or more.  Divided by the
     overlap (n - k), plus one eps * S for the two divisions, this is
-    ``margin[k]``, a bound on the gap between the two computed values at
-    lag k.  If every other lag k lies more than margin[best] + margin[k]
+    ``S * mu[k]``, a bound on the gap between the two computed values at
+    lag k.  If every other lag k lies more than S * mu[best] + S * mu[k]
     below the top lag, ``np.correlate`` ranks the top lag first as well.
+
+    The runner-up test.  ``mu[k] = eps * (1 + (c log2(nfft) + 1) / (n - k))``
+    grows with k, so ``mu_max``, that of the last lag, bounds it.  The
+    screen only compares the top lag with the runner-up ``second``: a row
+    with ``top - second > 2 * S * mu_max`` passes the all-lag test above,
+    in floating point too.  Rounding is monotone, so r[k] <= second gives
+    fl(top - r[k]) >= fl(top - second), mu[k] <= mu_max gives fl(S * mu[k])
+    <= fl(S * mu_max), and doubling is exact.  The other rows, and the
+    rows with a non-finite top, go through :func:`detect_period`: a few
+    more than the all-lag test would flag, those within about eps * S of
+    its margin, with the same periods.
 
     Such a row needs no parabolic refinement either: at a strict local
     maximum the shift is 0.5 * (a - b) / (a + b) with a, b > 0 the drops to
@@ -200,24 +254,15 @@ def _periods(X: np.ndarray) -> np.ndarray:
     max_lag = n // 2
     if max_lag < MIN_LAG:
         return np.full(rows, max(1, max_lag), dtype=np.int64)
-    nfft = _fft_length(n + max_lag)  # no circular wrap up to max_lag
-    lags = np.arange(MIN_LAG, max_lag + 1)
-    with np.errstate(all="ignore"):  # non-finite rows are flagged and rerun below
-        xc = X - X.mean(axis=1)[:, None]
-        spectrum = np.fft.rfft(xc, n=nfft, axis=1)
-        power = spectrum.real**2 + spectrum.imag**2
-        r = np.fft.irfft(power, n=nfft, axis=1)[:, MIN_LAG : max_lag + 1] / (n - lags)
-        energy = np.einsum("ij,ij->i", xc, xc)
-        margin = ((n - lags) + 8.0 * np.log2(nfft) + 1.0) * np.finfo(np.float64).eps / (n - lags)
-        margin = energy[:, None] * margin
-        best = np.argmax(r, axis=1)
-        at = np.arange(rows)
-        top = r[at, best]
-        # the top lag itself always counts once
-        close = (top[:, None] - r <= margin[at, best][:, None] + margin).sum(axis=1)
-        flagged = (close != 1) | ~np.isfinite(top) | ~np.isfinite(energy)
+    nfft, overlap, mu_max = _screen_constants(n)
+    with np.errstate(all="ignore"):  # non-finite rows are flagged, and detect_period rejects them
+        xc, spectrum = _centered_spectrum(X, nfft)
+        power = np.square(spectrum.real)  # ** 2 takes a general loop on these strided views, about 5x slower
+        power += np.square(spectrum.imag)
+        r = np.fft.irfft(power, n=nfft, axis=1)[:, MIN_LAG : max_lag + 1] / overlap
+        best, flagged = _screen(r, np.einsum("ij,ij->i", xc, xc), mu_max)
     periods = best + MIN_LAG
-    for i in np.flatnonzero(flagged):
+    for i in flagged:
         periods[i] = detect_period(X[i])
     return periods
 
@@ -227,10 +272,11 @@ def _persistence_rows(X: np.ndarray, horizon: int) -> np.ndarray:
 
 
 def _seasonal_naive_rows(X: np.ndarray, horizon: int) -> np.ndarray:
-    # the last period of each row, repeated: X[i, n - p_i + (j mod p_i)]
+    # the last period of each row, repeated: X[i, n - p_i + (j mod p_i)], as one flat gather
     periods = _periods(X)[:, None]
-    cols = X.shape[1] - periods + np.arange(horizon) % periods
-    return np.take_along_axis(X, cols, axis=1)
+    rows, n = X.shape
+    flat = (np.arange(1, rows + 1) * n)[:, None] - periods + np.arange(horizon) % periods
+    return np.take(X, flat)
 
 
 def _linear_trend_rows(X: np.ndarray, horizon: int) -> np.ndarray:

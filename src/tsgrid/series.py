@@ -87,10 +87,13 @@ def carry_forward(values: np.ndarray, missing: np.ndarray | None) -> np.ndarray:
     if missing is None:
         return v.copy()
     observed = ~np.atleast_2d(np.asarray(missing, dtype=bool))
-    # index of the last observed position so far (-1 before the first one)
-    idx = np.where(observed, np.arange(v.shape[1]), -1)
+    rows, n = v.shape
+    first = observed.argmax(axis=1)  # 0 in an all-missing row
+    # one past the last observed position so far; a leading gap starts at one past the first
+    idx = observed * np.arange(1, n + 1)
+    idx[:, 0] = first + 1
     np.maximum.accumulate(idx, axis=1, out=idx)
-    idx = np.where(idx < 0, observed.argmax(axis=1)[:, None], idx)
-    v = np.take_along_axis(v, idx, axis=1)
-    v[~observed.any(axis=1)] = 0.0
+    idx += (np.arange(rows) * n - 1)[:, None]  # shifted back one, as flat indices of v
+    v = np.take(v, idx)
+    v[~observed[np.arange(rows), first]] = 0.0
     return v

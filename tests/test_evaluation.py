@@ -22,7 +22,7 @@ from tsgrid import (
     tsi_rescale,
 )
 from tsgrid import evaluation, forecasters
-from tsgrid.evaluation import ReportRow, _window_predictions
+from tsgrid.evaluation import ReportRow, _perturbed, _window_predictions
 from tsgrid.forecasters import ForecasterHandle
 from tsgrid.imagespace import SoftImageTensor, SpaceParams, denormalize, encode, normalize, soft_decode
 from tsgrid.series import carry_forward
@@ -124,6 +124,28 @@ def test_perturb_missing_density():
     assert abs(density - p) <= 3.0 * sigma
     # values are untouched; only the mask grows
     assert np.array_equal(out.values, series.values)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        PerturbationSpec(kind="gaussian_noise", noise_std=0.0),
+        PerturbationSpec(kind="gaussian_noise", noise_std=0.2),
+        PerturbationSpec(kind="harmonic"),
+        PerturbationSpec(kind="missing", missing_probability=0.3),
+    ],
+    ids=lambda spec: spec.label(),
+)
+def test_perturb_returns_arrays_of_its_own(spec):
+    g = np.random.default_rng(8)
+    series = TimeSeries(np.cumsum(g.standard_normal((2, 256)), axis=1), g.uniform(size=(2, 256)) < 0.1)
+    out = perturb(series, spec, RngStream(7, 0))
+    assert not np.shares_memory(out.values, series.values)
+    assert not np.shares_memory(out.missing, series.missing)
+    # the evaluation's variant keeps the arrays the scenario leaves as they were, with the same result
+    shared = _perturbed(series, spec, RngStream(7, 0))
+    assert np.array_equal(shared.values, out.values) and np.array_equal(shared.missing, out.missing)
+    assert (shared.values is series.values) == (spec.kind == "missing" or spec.noise_std == 0.0)
 
 
 def test_perturb_harmonic_adds_configured_sinusoid():
@@ -686,3 +708,82 @@ def test_carry_forward_matches_per_channel_loop(data):
     got = carry_forward(values, missing)
     assert np.array_equal(got, loop_carry_forward(values, missing))
     assert not np.shares_memory(got, values)
+
+
+def where_carry_forward(values, missing):
+    """Reference: ``carry_forward`` as two ``np.where`` passes and a ``take_along_axis`` gather."""
+    v = np.atleast_2d(np.asarray(values, dtype=np.float64))
+    if missing is None:
+        return v.copy()
+    observed = ~np.atleast_2d(np.asarray(missing, dtype=bool))
+    idx = np.where(observed, np.arange(v.shape[1]), -1)
+    np.maximum.accumulate(idx, axis=1, out=idx)
+    idx = np.where(idx < 0, observed.argmax(axis=1)[:, None], idx)
+    v = np.take_along_axis(v, idx, axis=1)
+    v[~observed.any(axis=1)] = 0.0
+    return v
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_carry_forward_is_bit_equal_to_the_where_version(data):
+    channels = data.draw(st.integers(1, 5))
+    length = data.draw(st.integers(1, 40))
+    spare = data.draw(st.integers(0, 7))  # columns past the lookback, as in a block of windows
+    values = data.draw(arrays(np.float64, (channels, length + spare)))  # NaN, inf and -0.0 included
+    missing = data.draw(arrays(np.bool_, (channels, length + spare)))
+    missing[0, : data.draw(st.integers(0, length))] = True  # leading gap, up to the whole row
+    if data.draw(st.booleans()):
+        missing[-1] = True  # an all-missing row
+    # the slices _cell_errors hands over: the lookback columns of a wider block
+    values, missing = values[:, :length], missing[:, :length]
+    got = carry_forward(values, missing)
+    want = where_carry_forward(values, missing)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert not np.shares_memory(got, values)
+
+
+def test_carry_forward_edge_rows():
+    values = np.array([[7.0], [-0.0], [3.0]])
+    assert carry_forward(values, np.array([[True], [False], [True]])).tolist() == [[0.0], [-0.0], [0.0]]
+    got = carry_forward(np.array([1.0, 2.0, 3.0, 4.0]), np.array([True, True, False, True]))
+    assert got.tolist() == [[3.0, 3.0, 3.0, 3.0]]
+
+
+SCENARIOS = (
+    PerturbationSpec(kind="gaussian_noise", noise_std=0.2),
+    PerturbationSpec(kind="harmonic"),
+    PerturbationSpec(kind="missing", missing_probability=0.3),
+)
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_evaluate_series_rescales_the_truth_once_per_factor(count, monkeypatch):
+    calls = []
+
+    def counted(series, beta):
+        calls.append(beta)
+        return tsi_rescale(series, beta)
+
+    monkeypatch.setattr(evaluation, "tsi_rescale", counted)
+    cfg = EvalConfig(lookback=32, horizons=(8, 16), rescale_factors=(0.5, 1.0, 2.0, 1e-3))
+    evaluate_series(walk(300, seed=2), get_model("persistence"), cfg, SCENARIOS[:count], seed=3)
+    assert calls == list(cfg.rescale_factors)
+
+
+@pytest.mark.parametrize("model_id", ["seasonal-naive", "seasonal-naive-image", "linear-trend"])
+def test_evaluate_series_rows_are_those_of_one_remetrics_call_per_scenario(model_id):
+    g = np.random.default_rng(9)
+    values = np.cumsum(g.standard_normal((2, 300)), axis=1)
+    truth = TimeSeries(values.copy(), g.uniform(size=values.shape) < 0.1)
+    # 1e-3 leaves too few samples to rescale: a None in the shared set
+    cfg = EvalConfig(lookback=32, horizons=(8, 16), rescale_factors=(0.5, 1e-3, 1.0, 1.5))
+    got = evaluate_series(truth, get_model(model_id), cfg, SCENARIOS, seed=4, dataset="d")
+    streams = RngStream(4)
+    want = []
+    for s_idx, spec in enumerate((None, *SCENARIOS)):
+        report = remetrics(truth, get_model(model_id), cfg, dataset="d", perturbation=spec, rng=streams.child(s_idx))
+        want.extend(report.rows)
+    assert got.rows == want
+    assert np.array_equal(truth.values, values)

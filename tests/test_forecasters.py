@@ -25,7 +25,7 @@ from tsgrid import (
 )
 from tsgrid import forecasters
 from tsgrid.evaluation import _window_predictions
-from tsgrid.forecasters import _fft_length, _periods
+from tsgrid.forecasters import MIN_LAG, _centered_spectrum, _fft_length, _periods, _screen, _screen_constants
 
 P64 = SpaceParams(h=64, ms=3.5)
 
@@ -464,3 +464,216 @@ def test_forecast_decode_roundtrip_through_binary_image():
 
     decoded = decode(BinaryImageTensor(hardened, P64))
     assert np.all(np.isfinite(decoded.values))
+
+
+# ---------------------------------------------------------------- the period screen
+
+
+def margin_factors(n):
+    """Reference: the margin factor mu[k] of every lag k in [MIN_LAG, n // 2]."""
+    lags = np.arange(MIN_LAG, n // 2 + 1)
+    nfft = _fft_length(n + n // 2)
+    return ((n - lags) + 8.0 * np.log2(nfft) + 1.0) * np.finfo(np.float64).eps / (n - lags)
+
+
+def all_lag_screen(r, energy, n):
+    """Reference: the screen before its runner-up test, which compares the top lag with every lag."""
+    with np.errstate(all="ignore"):
+        margin = energy[:, None] * margin_factors(n)
+        best = np.argmax(r, axis=1)
+        at = np.arange(r.shape[0])
+        top = r[at, best]
+        close = (top[:, None] - r <= margin[at, best][:, None] + margin).sum(axis=1)
+        flagged = (close != 1) | ~np.isfinite(top) | ~np.isfinite(energy)
+    return best, np.flatnonzero(flagged)
+
+
+def reference_periods(X):
+    """Reference: ``_periods`` with rfft(xc, n=nfft) and the all-lag screen; also the rows it rechecks."""
+    X = np.asarray(X, dtype=np.float64)
+    rows, n = X.shape
+    max_lag = n // 2
+    if max_lag < MIN_LAG:
+        return np.full(rows, max(1, max_lag), dtype=np.int64), []
+    nfft = _fft_length(n + max_lag)
+    lags = np.arange(MIN_LAG, max_lag + 1)
+    with np.errstate(all="ignore"):
+        xc = X - X.mean(axis=1)[:, None]
+        spectrum = np.fft.rfft(xc, n=nfft, axis=1)
+        power = spectrum.real**2 + spectrum.imag**2
+        r = np.fft.irfft(power, n=nfft, axis=1)[:, MIN_LAG : max_lag + 1] / (n - lags)
+        energy = np.einsum("ij,ij->i", xc, xc)
+    best, flagged = all_lag_screen(r, energy, n)
+    periods = best + MIN_LAG
+    for i in flagged:
+        periods[i] = detect_period(X[i])
+    return periods, flagged.tolist()
+
+
+@st.composite
+def near_tie_blocks(draw):
+    """``lookback_blocks`` plus rows whose autocorrelation peaks nearly tie: periodic rows
+    with relative noise of 1e-13 to 1e-9, constant rows and cell centers."""
+    X, _ = draw(lookback_blocks())
+    n = X.shape[1]
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = np.arange(n)
+    rows = list(X)
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["sine", "saw", "tiled", "constant", "centers"]))
+        period = draw(st.integers(2, max(2, n // 4)))
+        if kind == "sine":
+            row = np.sin(2 * np.pi * t / period)
+        elif kind == "saw":
+            row = (t % period) / period
+        elif kind == "tiled":
+            row = np.tile(g.standard_normal(period), n // period + 1)[:n]
+        elif kind == "constant":
+            row = np.full(n, draw(st.sampled_from([0.0, 1.0, -3.5])))
+        else:
+            row = P64.centers()[np.tile(g.integers(0, P64.h, period), n // period + 1)[:n]]
+        noise = 10.0 ** draw(st.floats(-13.0, -9.0))
+        rows.append(row * (1.0 + noise * g.standard_normal(n)))
+    return np.array(rows)
+
+
+def recheck_recorder(mp):
+    """Patch ``detect_period`` in the forecasters module to record the rows it is given."""
+    seen = []
+
+    def recording(row):
+        seen.append(row)
+        return detect_period(row)
+
+    mp.setattr(forecasters, "detect_period", recording)
+    return seen
+
+
+@settings(max_examples=300, deadline=None)
+@given(X=near_tie_blocks())
+@example(X=np.stack([np.sin(2 * np.pi * np.arange(256) / 32.0), np.zeros(256)]))
+@example(X=np.ones((3, 4)))
+def test_the_runner_up_screen_gives_the_periods_of_the_all_lag_screen(X):
+    want, want_rechecked = reference_periods(X)
+    with pytest.MonkeyPatch.context() as mp:
+        seen = recheck_recorder(mp)
+        got = _periods(X)
+    assert got.tolist() == want.tolist()
+    rechecked = [next(i for i, x in enumerate(X) if np.shares_memory(x, row)) for row in seen]
+    assert rechecked == sorted(set(rechecked))
+    assert set(want_rechecked) <= set(rechecked)
+
+
+@st.composite
+def autocorrelation_rows(draw):
+    """Overlap-normalized autocorrelations with a runner-up placed near the margin boundary."""
+    n = draw(st.integers(4, 600))
+    lags = n // 2 - MIN_LAG + 1
+    rows = draw(st.integers(1, 5))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    energy = np.array([draw(st.sampled_from([1e-6, 1.0, 256.0, 3e7])) for _ in range(rows)])
+    mu = margin_factors(n)
+    r = -energy[:, None] * g.uniform(0.5, 1.0, (rows, lags))  # far below any top
+    for i in range(rows):
+        best, runner_up = (int(v) for v in g.integers(0, lags, 2))
+        top = energy[i] * draw(st.floats(-0.4, 1.0))
+        r[i, best] = top
+        if runner_up != best:
+            scale = draw(st.sampled_from([0.0, 0.5, 0.99, 0.999999, 1.0, 1.000001, 1.01, 2.0]))
+            r[i, runner_up] = top - scale * energy[i] * (mu[best] + mu[runner_up])
+    return r, energy, n
+
+
+# a top at the first lag and its runner-up at the last, just inside the all-lag margin: bounding by
+# mu[0] instead of mu_max, or by one mu_max instead of two, lets the runner-up test pass it
+_N = 16
+_MU = margin_factors(_N)
+EDGE = np.concatenate([[0.0], np.full(5, -1.0), [-0.99 * (_MU[0] + _MU[-1])]])[None]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=autocorrelation_rows())
+@example(case=(EDGE, np.ones(1), _N))
+@example(case=(np.array([[0.5, np.nan, 0.25]]), np.ones(1), 8))
+@example(case=(np.array([[0.5, 0.25]]), np.array([np.inf]), 7))
+@example(case=(np.array([[0.25, np.inf, -np.inf]]), np.ones(1), 8))
+def test_the_runner_up_test_flags_every_row_the_all_lag_test_flags(case):
+    r, energy, n = case
+    before = r.copy()
+    best, flagged = _screen(r, energy, _screen_constants(n)[2])
+    want_best, want_flagged = all_lag_screen(before, energy, n)
+    assert np.array_equal(r, before, equal_nan=True)  # restored in place
+    assert best.tolist() == want_best.tolist()
+    assert flagged.tolist() == sorted(set(flagged.tolist()))
+    assert set(want_flagged.tolist()) <= set(flagged.tolist())
+
+
+def test_the_edge_row_is_flagged():
+    # the all-lag test keeps the runner-up of EDGE within the margin
+    assert _screen(EDGE.copy(), np.ones(1), _screen_constants(_N)[2])[1].tolist() == [0]
+
+
+@pytest.mark.parametrize("n", [4, 5, 16, 96, 512, 513, 4096])
+def test_screen_constants_are_read_only_and_match_the_margin_formula(n):
+    nfft, overlap, mu_max = _screen_constants(n)
+    assert nfft == _fft_length(n + n // 2)
+    assert np.array_equal(overlap, n - np.arange(MIN_LAG, n // 2 + 1))
+    mu = margin_factors(n)
+    assert np.all(np.diff(mu) > 0)  # the last lag's factor bounds every lag's
+    assert mu_max == mu[-1]
+    assert _screen_constants(n) is _screen_constants(n)
+    assert not overlap.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        overlap[0] = 1.0
+
+
+@pytest.mark.parametrize("rows, n", [(1, 4), (3, 17), (88, 512), (5, 1000)])
+def test_the_padded_buffer_rfft_is_bit_equal_to_rfft_with_n(rows, n):
+    g = np.random.default_rng(n)
+    X = 250.0 * g.standard_normal((rows, n)) - 1e3
+    nfft = _fft_length(n + n // 2)
+    xc, spectrum = _centered_spectrum(X, nfft)
+    want = X - X.mean(axis=1)[:, None]
+    assert np.array_equal(xc, want)
+    assert np.array_equal(spectrum, np.fft.rfft(want, n=nfft, axis=1))
+    assert np.array_equal(np.einsum("ij,ij->i", xc, xc), np.einsum("ij,ij->i", want, want))
+
+
+# ---------------------------------------------------------------- non-finite lookbacks
+
+
+@pytest.mark.filterwarnings("error")  # a RuntimeWarning would reach stderr outside pytest
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("model_id", [h.id for h in register_baselines()])
+def test_every_handle_rejects_a_non_finite_lookback_by_row(model_id, bad, capfd):
+    # seasonal-naive once forecast [[4, 5, 4]] from a NaN row: detect_period took an all-NaN argmax
+    model = get_model(model_id)
+    X = np.tile(np.array([1.0, 2.0, 2.0, 3.0, 4.0, 5.0]), (3, 1))
+    X[1, 1] = X[2, 4] = bad
+    future = np.zeros((3, 3))
+    with pytest.raises(InputError, match=rf"^{model_id}: lookback row 1 is not finite \(NaN/Inf\)$"):
+        model.predict_rows(X, 3, future)
+    with pytest.raises(InputError, match=rf"^{model_id}: lookback row 0 is not finite \(NaN/Inf\)$"):
+        model.predict(X[2], 3, future[0])
+    # the shape, horizon and capability checks come first
+    with pytest.raises(InputError, match=r"^horizon must be positive, got 0$"):
+        model.predict_rows(X, 0, future)
+    with pytest.raises(CapabilityError, match="lookback 8193 exceeds limit 8192"):
+        model.predict_rows(np.full((1, 8193), bad), 3, future[:1])
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_detect_period_rejects_a_non_finite_series(bad, capfd):
+    with pytest.raises(InputError, match=r"^detect_period needs a finite series \(no NaN/Inf\)$"):
+        detect_period(np.array([1.0, bad, 2.0, 3.0, 4.0, 5.0]))
+    assert capfd.readouterr() == ("", "")
+
+
+def test_the_core_never_sees_a_non_finite_lookback():
+    seen = []
+    handle = ForecasterHandle("spy", "numeric", lambda X, n: seen.append(X) or np.zeros((len(X), n)))
+    with pytest.raises(InputError, match="^spy: lookback row 0 is not finite"):
+        handle.predict_rows(np.array([[np.nan, 1.0]]), 2)
+    assert seen == []
