@@ -341,7 +341,9 @@ def cmd_list_models(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(prog="tsgrid", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigurationError, EvaluationError, InputError, LookbackOverflow
 from .forecasters import ForecasterHandle
@@ -265,12 +265,17 @@ def _window_predictions(
 ) -> np.ndarray:
     """Predictions for a block of channel-independent rows from one ``predict_rows`` call;
     image models see the block through the grid codec (``predict_grid``).  The
-    targets go along as ``future``, which only an oracle reads."""
+    targets go along as ``future``, which only an oracle reads.  A gap-free
+    value-space block reaches ``predict_rows`` as the view it was given."""
     if model.space == "numeric":
-        return model.predict_rows(carry_forward(look_values, look_missing), horizon, target_values)
+        if look_missing is not None and look_missing.any():
+            look_values = carry_forward(look_values, look_missing)
+        return model.predict_rows(look_values, horizon, target_values)
 
     z, stats = normalize(TimeSeries(look_values, look_missing), look_values.shape[1])
-    rows = model.predict_grid(encode_rows(z, space), horizon, space)
+    rows = encode_rows(z, space)
+    del z  # binned: the standardized block is not held through the forecast
+    rows = model.predict_grid(rows, horizon, space)
     return denormalize(TimeSeries(space.centers()[rows]), stats).values
 
 
@@ -290,33 +295,36 @@ def _cell_errors(
     are folded into the row axis as one stream (series by series, start by
     start, one row per channel), because every model is channel-independent,
     and one ``_window_predictions`` call scores a block of up to
-    ``WINDOW_BLOCK_SAMPLES`` samples (rows x (lookback + H)).  A window's
-    sums are one pairwise ``np.sum`` over its errors, where a masked target
-    adds zero, and each cell adds its window sums in window order: the
-    result is bit-identical to scoring window by window.
+    ``WINDOW_BLOCK_SAMPLES`` samples (rows x (lookback + H)).  A block is
+    gathered from each series' own sliding windows, so nothing the size of
+    the rescale set is built beside it.  A window's sums are one pairwise
+    ``np.sum`` over its errors, where a masked target adds zero, and each
+    cell adds its window sums in window order: the result is bit-identical
+    to scoring window by window.
     """
     lookback = cfg.lookback
     fit = [(b, s) for b, s in enumerate(rescaled) if s is not None and s.length > lookback]
     if not fit:
         return {}
     strides = {h: cfg.stride or h for h in cfg.horizons}
-    # the series one after another on one time axis: a block of windows is one gather from it
-    first_sample = np.cumsum([0] + [s.length for _, s in fit])
-    joined = np.concatenate([s.values for _, s in fit], axis=1).T  # (samples, channels)
-    gaps = None if fit[0][1].missing is None else np.concatenate([s.missing for _, s in fit], axis=1).T
-    channels = joined.shape[1]
-
-    windows: dict[tuple[int, int], int] = {}  # per (series k of fit, horizon)
-    longest = np.zeros(joined.shape[0], dtype=np.int64)  # the longest horizon with a window at each start
-    for k, (_, s) in enumerate(fit):
-        for h in cfg.horizons:
-            if s.length >= lookback + h:
-                at = first_sample[k] + np.arange(0, s.length - lookback - h + 1, strides[h])
-                windows[k, h] = at.size
-                longest[at] = np.maximum(longest[at], h)
+    channels = fit[0][1].channels
+    # the last window start of each (series k of fit, horizon) with a window
+    last = {(k, h): s.length - lookback - h for k, (_, s) in enumerate(fit) for h in cfg.horizons}
+    last = {key: t for key, t in last.items() if t >= 0}
+    windows = {key: t // strides[key[1]] + 1 for key, t in last.items()}
     for h in cfg.horizons:
         if any(key[1] == h for key in windows):
             model.check_capability(lookback, h)  # in horizon order, before the first forecast
+
+    def forecast_starts(k: int, H: int) -> np.ndarray:
+        """The starts of series k whose longest horizon with a window is H."""
+        if (k, H) not in last:
+            return np.empty(0, dtype=np.int64)
+        at = np.arange(0, last[k, H] + 1, strides[H])
+        for h in cfg.horizons:
+            if h > H and (k, h) in last:
+                at = at[(at % strides[h] != 0) | (at > last[k, h])]
+        return at
 
     # per horizon, its cells' windows one cell after another; cell k's first window is first_window[h][k]
     first_window = {h: np.cumsum([0] + [windows.get((k, h), 0) for k in range(len(fit))]) for h in cfg.horizons}
@@ -324,20 +332,23 @@ def _cell_errors(
     ab = {h: np.empty(f[-1]) for h, f in first_window.items()}
     scored = {h: np.empty(f[-1], dtype=np.int64) for h, f in first_window.items()}
     for H in cfg.horizons:
-        starts = np.flatnonzero(longest == H)
-        if not starts.size:
+        per_series = [forecast_starts(k, H) for k in range(len(fit))]
+        first = np.cumsum([0] + [at.size for at in per_series])  # series k's are starts[first[k] : first[k + 1]]
+        if not first[-1]:
             continue
+        cells = np.repeat(np.arange(len(fit)), np.diff(first))
+        starts = np.concatenate(per_series)
         span = lookback + H
-        value_windows = sliding_window_view(joined, span, axis=0)  # (starts, channels, span)
-        gap_windows = None if gaps is None else sliding_window_view(gaps, span, axis=0)
+        # per series, its windows as (starts, channels, span) views; a block is gathered from them
+        value_windows = {k: _windows(fit[k][1].values, span) for k in range(len(fit)) if first[k + 1] > first[k]}
+        gap_windows = {k: _windows(fit[k][1].missing, span) for k in value_windows if fit[k][1].missing is not None}
         per_block = max(1, WINDOW_BLOCK_SAMPLES // (channels * span))
         for lo in range(0, starts.size, per_block):
-            at = starts[lo : lo + per_block]
-            cell = np.searchsorted(first_sample, at, side="right") - 1
-            local = at - first_sample[cell]
-            block = value_windows[at]  # (windows, channels, span)
+            hi = min(lo + per_block, starts.size)
+            cell, local = cells[lo:hi], starts[lo:hi]
+            block = _gather(value_windows, starts, first, lo, hi)  # (windows, channels, span)
+            gap = _gather(gap_windows, starts, first, lo, hi) if gap_windows else None
             rows = block.reshape(-1, span)
-            gap = None if gap_windows is None else gap_windows[at]
             look_missing = None if gap is None else gap.reshape(-1, span)[:, :lookback]
             try:
                 preds = _window_predictions(model, rows[:, :lookback], look_missing, H, rows[:, lookback:], space)
@@ -372,6 +383,27 @@ def _cell_errors(
     return errors
 
 
+def _windows(array: np.ndarray, span: int) -> np.ndarray:
+    """Every ``span``-sample window of a (channels, length) array, as a
+    read-only (starts, channels, span) view (``as_strided`` directly: a
+    quarter of ``sliding_window_view``'s call cost, paid per series and horizon)."""
+    (channels, length), (row, step) = array.shape, array.strides
+    return as_strided(array, (length - span + 1, channels, span), (step, row, step), writeable=False)
+
+
+def _gather(windows: dict[int, np.ndarray], starts: np.ndarray, first: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Windows ``lo`` to ``hi`` of a stream, as one new (windows, channels,
+    span) block: series k's windows, at ``starts[first[k] : first[k + 1]]``,
+    are taken from its own view ``windows[k]``.  (``np.take`` would first
+    copy a whole view into a contiguous array.)"""
+    parts = [
+        view[starts[max(lo, first[k]) : min(hi, first[k + 1])]]
+        for k, view in windows.items()
+        if max(lo, first[k]) < min(hi, first[k + 1])
+    ]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def remetrics(
     truth: TimeSeries,
     model: ForecasterHandle,
@@ -398,7 +430,12 @@ def remetrics(
     """
     if perturbation is not None and rng is None:
         raise ConfigurationError("a random stream is required for perturbation scenarios")
-    return _scenario_report(truth, _rescale_set(truth, cfg), model, cfg, dataset, perturbation, rng, space)
+    rescaled = _rescale_set(truth, cfg)
+    if perturbation is not None:  # the set is this call's own: each perturbed copy replaces its factor's series
+        for b in range(len(rescaled)):
+            if rescaled[b] is not None:
+                rescaled[b] = _perturbed(rescaled[b], perturbation, rng.child(b))
+    return _scenario_report(truth, rescaled, model, cfg, dataset, perturbation, space)
 
 
 def _rescale_set(truth: TimeSeries, cfg: EvalConfig) -> list[TimeSeries | None]:
@@ -419,17 +456,12 @@ def _scenario_report(
     cfg: EvalConfig,
     dataset: str,
     perturbation: PerturbationSpec | None,
-    rng: RngStream | None,
     space: SpaceParams | None,
 ) -> EvalReport:
-    """:func:`remetrics` of one scenario on ``truth``'s rescale set
-    ``rescaled``, which it leaves as it was: a perturbed series shares only
-    the arrays its scenario does not change, and nothing below writes them."""
+    """:func:`remetrics` of one scenario on ``rescaled``, ``truth``'s
+    rescale set as that scenario perturbed it; nothing here writes it."""
     space = space or SpaceParams()
     scenario = "none" if perturbation is None else perturbation.label()
-    if perturbation is not None:
-        rescaled = [None if s is None else _perturbed(s, perturbation, rng.child(b)) for b, s in enumerate(rescaled)]
-
     errors = _cell_errors(model, rescaled, cfg, space)
 
     rows: list[ReportRow] = []
@@ -464,12 +496,18 @@ def evaluate_series(
 ) -> EvalReport:
     """Sweep horizons x rescale factors x scenarios; deterministic per seed.  Prints nothing.
 
-    The rescale set is built once and shared by every scenario.
+    The rescale set is built once and shared by every scenario.  A
+    scenario's perturbed copy shares only the arrays it does not change,
+    and nothing writes the set, so the scenarios see it as it was built.
     """
     rng = RngStream(seed)
     rescaled = _rescale_set(truth, cfg)
     rows: list[ReportRow] = []
     for s_idx, spec in enumerate((None, *perturbations)):
-        report = _scenario_report(truth, rescaled, model, cfg, dataset, spec, rng.child(s_idx), space)
-        rows.extend(report.rows)
+        perturbed = rescaled
+        if spec is not None:
+            stream = rng.child(s_idx)
+            perturbed = [None if s is None else _perturbed(s, spec, stream.child(b)) for b, s in enumerate(rescaled)]
+        rows.extend(_scenario_report(truth, perturbed, model, cfg, dataset, spec, space).rows)
+        del perturbed  # before the next scenario perturbs a copy of its own
     return EvalReport(rows)

@@ -49,6 +49,9 @@ class ForecasterHandle:
     (rows, lookback) maps to predictions (rows, horizon), one row per
     series.  A handle implements it with ``predict_rows_fn``, which takes
     the whole block; its result must have that shape and finite values.
+    The block may be a view, say with rows longer than the lookback (the
+    harness passes the lookback columns of its windows), so a
+    ``predict_rows_fn`` must not write into its lookbacks.
     It must also be prefix-consistent: ``predict_rows(X, h)`` equals
     ``predict_rows(X, H)[:, :h]`` for every h <= H, because the harness
     forecasts each lookback once, at the longest horizon it scores there.
@@ -118,8 +121,9 @@ class ForecasterHandle:
         saturate into the edge cells.
         """
         empty = rows < 0
-        # a gap-free block takes carry_forward's plain copy
-        visible = carry_forward(params.centers()[rows], empty if empty.any() else None)
+        visible = params.centers()[rows]  # a fresh gather: a gap-free block is forecast from it as it is
+        if empty.any():
+            visible = carry_forward(visible, empty)
         return value_to_row(self.predict_rows(visible, horizon), params)
 
 
@@ -185,13 +189,14 @@ def _screen_constants(n: int) -> tuple[int, np.ndarray, float]:
 
 
 def _centered_spectrum(X: np.ndarray, nfft: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each row minus its mean, and the ``rfft`` of that row zero-padded to
-    ``nfft``: the rows are centered straight into a zeroed buffer, so the
-    result is bit-equal to ``np.fft.rfft(xc, n=nfft, axis=1)`` without its
-    internal padded copy."""
+    """The energy ``sum(xc**2)`` of each centered row xc (the row minus its
+    mean), and the ``rfft`` of xc zero-padded to ``nfft``.  The rows are
+    centered straight into a zeroed buffer, so the spectrum is bit-equal to
+    ``np.fft.rfft(xc, n=nfft, axis=1)`` without its internal padded copy;
+    the energies are taken before the FFT, and the buffer goes on return."""
     padded = np.zeros((X.shape[0], nfft))
     xc = np.subtract(X, X.mean(axis=1)[:, None], out=padded[:, : X.shape[1]])
-    return xc, np.fft.rfft(padded, axis=1)
+    return np.einsum("ij,ij->i", xc, xc), np.fft.rfft(padded, axis=1)
 
 
 def _screen(r: np.ndarray, energy: np.ndarray, mu_max: float) -> tuple[np.ndarray, np.ndarray]:
@@ -256,11 +261,15 @@ def _periods(X: np.ndarray) -> np.ndarray:
         return np.full(rows, max(1, max_lag), dtype=np.int64)
     nfft, overlap, mu_max = _screen_constants(n)
     with np.errstate(all="ignore"):  # non-finite rows are flagged, and detect_period rejects them
-        xc, spectrum = _centered_spectrum(X, nfft)
+        # each transform's input is dropped once used: a block holds at most two of them at a time
+        energy, spectrum = _centered_spectrum(X, nfft)
         power = np.square(spectrum.real)  # ** 2 takes a general loop on these strided views, about 5x slower
         power += np.square(spectrum.imag)
-        r = np.fft.irfft(power, n=nfft, axis=1)[:, MIN_LAG : max_lag + 1] / overlap
-        best, flagged = _screen(r, np.einsum("ij,ij->i", xc, xc), mu_max)
+        del spectrum
+        r = np.fft.irfft(power, n=nfft, axis=1)
+        del power
+        r = r[:, MIN_LAG : max_lag + 1] / overlap
+        best, flagged = _screen(r, energy, mu_max)
     periods = best + MIN_LAG
     for i in flagged:
         periods[i] = detect_period(X[i])

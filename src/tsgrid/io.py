@@ -135,20 +135,27 @@ def read_series_csv(path: str | Path) -> TimeSeries:
     non-numeric first column (e.g. timestamps) is accepted and dropped.  A
     non-numeric or non-finite cell is an error that names its line.
 
-    The file is read once.  A plain, gap-free file is parsed by numpy's C
-    text reader (:func:`_parse_plain`); every other file takes the ``csv``
-    path on the same bytes, which names the line of each error.
+    The file is read once.  A plain file is parsed by numpy's C text reader
+    (:func:`_parse_plain`), its gaps too when no cell can be a literal
+    ``nan`` or ``inf``; every other file takes the ``csv`` path on the same
+    bytes, which names the line of each error.
     """
     path = Path(path)
     try:
         data = path.read_bytes()
     except OSError as exc:
         raise InputError(f"{path}: {exc}") from exc
-    rows = _parse_plain(data)
+    rows = _parse_plain(data, gaps=True)
     if rows is None:
         return _parse_csv(path, data)
     del data  # the bytes are not needed beside the transposed copy
-    return TimeSeries(np.ascontiguousarray(rows.T))
+    values = np.ascontiguousarray(rows.T)
+    del rows
+    missing = np.isnan(values)  # only a gap reads as NaN
+    if not missing.any():
+        return TimeSeries(values)
+    values[missing] = 0.0
+    return TimeSeries(values, missing)
 
 
 # Bytes that make csv's tokenization more than a split on ',' and '\n' ('"'
@@ -157,9 +164,10 @@ def read_series_csv(path: str | Path) -> TimeSeries:
 _NOT_PLAIN = (b'"', b"\r", b"\x1c", b"\x1d", b"\x1e", b"\x1f", b"\0")
 
 
-def _parse_plain(data: bytes) -> np.ndarray | None:
+def _parse_plain(data: bytes, gaps: bool = False) -> np.ndarray | None:
     """The (rows, channels) values of a plain, gap-free, all-finite series
-    CSV, or None when the ``csv`` path must read it.
+    CSV, or None when the ``csv`` path must read it.  With ``gaps``, an
+    empty cell between two commas or before a line end reads as NaN.
 
     numpy's reader strips the same whitespace as ``float()`` and hands the
     rest to the same string-to-double routine, so an accepted file gives the
@@ -167,6 +175,13 @@ def _parse_plain(data: bytes) -> np.ndarray | None:
     (``1_000`` and non-ASCII digits raise), and an error falls back.  It
     ignores fields past ``usecols``, so the comma count must show that every
     row has exactly the header's width.
+
+    A file that fails to parse is parsed once more with each gap rewritten
+    to ``nan``, if its body has no ``n`` or ``N`` byte: there no cell can be
+    a literal ``nan`` or ``inf``, so every NaN read is a gap.  The rewrite
+    adds no comma.  An empty cell it leaves (a whitespace-only cell, a gap
+    at the file's last byte) is a parse error, and the file falls back.
+    Gap-free files, the common case, pay no search for gaps.
     """
     if any(byte in data for byte in _NOT_PLAIN):
         return None
@@ -175,9 +190,24 @@ def _parse_plain(data: bytes) -> np.ndarray | None:
     # a data row holds a comma, so loadtxt returns at least one row (or raises)
     if header_end < 0 or width < 2 or data.find(b",", header_end) < 0:
         return None
+    rows = _loadtxt(data, width)
+    gapped = rows is None and gaps and data.find(b"n", header_end) < 0 and data.find(b"N", header_end) < 0
+    if gapped:  # twice: one pass rewrites every other gap of a run of them
+        rows = _loadtxt(data.replace(b",,", b",nan,").replace(b",,", b",nan,").replace(b",\n", b",nan\n"), width)
+    if rows is None or data.count(b",") != (len(rows) + 1) * (width - 1):
+        return None
+    if (np.isinf(rows) if gapped else ~np.isfinite(rows)).any():
+        return None
+    return rows
+
+
+def _loadtxt(text: bytes, width: int) -> np.ndarray | None:
+    """numpy's parse of a series CSV's cells past the index column, or None
+    where it fails: a gap, a short row, a cell numpy cannot parse, or bytes
+    that are not UTF-8."""
     try:
-        rows = np.loadtxt(
-            BytesIO(data),
+        return np.loadtxt(
+            BytesIO(text),
             delimiter=",",
             comments=None,
             skiprows=1,
@@ -186,11 +216,8 @@ def _parse_plain(data: bytes) -> np.ndarray | None:
             dtype=np.float64,
             encoding="utf-8",
         )
-    except ValueError:  # a gap, a short row, a cell numpy cannot parse, or bytes that are not UTF-8
+    except ValueError:
         return None
-    if data.count(b",") != (len(rows) + 1) * (width - 1) or not np.isfinite(rows).all():
-        return None
-    return rows
 
 
 def _parse_csv(path: Path, data: bytes) -> TimeSeries:

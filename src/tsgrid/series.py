@@ -74,7 +74,10 @@ def linear_resample(values: np.ndarray, new_length: int) -> np.ndarray:
         return v.copy()
     positions = np.linspace(0.0, old_length - 1.0, new_length)
     grid = np.arange(old_length, dtype=np.float64)
-    return np.stack([np.interp(positions, grid, row) for row in v])
+    out = np.empty((v.shape[0], new_length))
+    for channel, row in zip(out, v):  # row by row into the result: no list of rows beside it
+        channel[:] = np.interp(positions, grid, row)
+    return out
 
 
 def carry_forward(values: np.ndarray, missing: np.ndarray | None) -> np.ndarray:

@@ -941,6 +941,44 @@ def test_main_runs_where_the_c_library_has_no_mallopt(tmp_path, monkeypatch):
         cli._keep_freed_memory.cache_clear()
     assert opened == ([None] if platform.libc_ver()[0] == "glibc" else [])
 
+
+def test_main_parses_with_one_parser_as_a_fresh_parser_would(tmp_path, capsys, monkeypatch):
+    # main reuses one cached parser; a command after another, or after a usage error, sees no trace of it
+    monkeypatch.delenv("TSGRID_OUTPUT_DIR", raising=False)
+    write_sine(tmp_path / "d.csv", length=300)
+    evaluate = ["evaluate", "--dataset", str(tmp_path / "d.csv"), "--lookback", "32", "--horizons", "8,16"]
+    commands = [
+        ["evaluate", "--dataset", str(tmp_path / "d.csv")],  # no --model: a usage error
+        evaluate + ["--model", "seasonal-naive", "--perturb", "missing:0.3", "--perturb", "harmonic"]
+        + ["--seed", "1", "-o", "e1"],
+        ["evaluate", "--model", "persistence"],  # no --dataset: a usage error
+        evaluate + ["--model", "persistence-image", "--seed", "2", "-o", "e2"],  # no --perturb, no scenario left over
+        ["list-models"],
+        ["generate", "-n", "2", "--length", "64", "--seed", "3", "-o", "g"],
+        ["solve-ms", "--h-list", "16", "--k-list", "1", "-o", "s"],
+        ["bogus"],
+    ]
+
+    def run_all(where):
+        where.mkdir()
+        monkeypatch.chdir(where)
+        results = []
+        for argv in commands:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            results.append((code, *capsys.readouterr()))
+        return results
+
+    assert cli.build_parser() is cli.build_parser()
+    cached = run_all(tmp_path / "cached")
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)  # a new parser per call
+    fresh = run_all(tmp_path / "fresh")
+    assert [r[0] for r in cached] == [2, 0, 2, 0, 0, 0, 0, 2]
+    assert cached == fresh
+    assert files_identical(tmp_path / "cached", tmp_path / "fresh")
+
 # ---------------------------------------------------------------- replay
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -787,3 +789,42 @@ def test_evaluate_series_rows_are_those_of_one_remetrics_call_per_scenario(model
         want.extend(report.rows)
     assert got.rows == want
     assert np.array_equal(truth.values, values)
+
+
+# ---------------------------------------------------------------- memory
+
+
+def traced_peak(call):
+    """The ``tracemalloc`` peak of a second ``call()``: imports and first-call caches stay out of it."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# a 64-channel walk of 2.1 MB at the benchmark's shape; its rescale set is 5.66x its bytes
+MANY = TimeSeries(np.cumsum(np.random.default_rng(5).standard_normal((64, 4096)), axis=1))
+SET_BYTES = sum(round(b * MANY.length) for b in EvalConfig().rescale_factors) * MANY.channels * 8
+
+
+@pytest.mark.parametrize("perturbation, extra", [(None, 2.0), ("gaussian_noise:0.1", 3.0)])
+def test_remetrics_holds_one_rescale_set_and_one_block(perturbation, extra):
+    # measured: 6.80x the series without a scenario (the set and one block's
+    # temporaries) and 7.91x with noise (the set, and the largest factor's noise
+    # while it replaces that factor's series); the bound leaves about 0.8x of
+    # headroom over each.  The set and a concatenated copy of it once peaked at 13x.
+    spec = None if perturbation is None else PerturbationSpec.parse(perturbation)
+    model = get_model("seasonal-naive")
+    peak = traced_peak(lambda: remetrics(MANY, model, EvalConfig(lookback=512), perturbation=spec, rng=RngStream(1)))
+    assert peak <= SET_BYTES + extra * MANY.values.nbytes
+
+
+def test_evaluate_series_holds_the_set_and_one_scenarios_copy_at_a_time():
+    # measured 12.47x the series: the set, one scenario's perturbed copy of it and
+    # one block; the bound is two sets and 2x.  Three scenarios once peaked at 18.7x.
+    model = get_model("seasonal-naive")
+    peak = traced_peak(lambda: evaluate_series(MANY, model, EvalConfig(lookback=512), SCENARIOS, seed=1))
+    assert peak <= 2 * SET_BYTES + 2.0 * MANY.values.nbytes

@@ -254,6 +254,31 @@ def test_every_handle_forecasts_a_prefix_of_its_longer_forecast(case):
         assert np.array_equal(_window_predictions(model, X, missing, horizon, future, P64), full[:, :horizon])
 
 
+@settings(max_examples=200, deadline=None)
+@given(case=prefix_cases())
+@example(case=(TIE, 100, 37, None))
+@example(case=(np.vstack([TIE, -TIE]), 40, 1, np.vstack([TIE > 0.9, TIE < 0.5])))
+def test_every_handle_forecasts_a_strided_block_as_its_contiguous_copy(case):
+    # the harness hands a block over as read-only views into its windows of lookback + horizon samples
+    X, horizon, _, missing = case
+    n = X.shape[1]
+    future = np.linspace(-1.0, 1.0, X.shape[0] * horizon).reshape(X.shape[0], horizon)  # only the oracle reads it
+    windows = np.concatenate([X, future], axis=1)
+    gaps = None if missing is None else np.concatenate([missing, np.zeros(future.shape, dtype=bool)], axis=1)
+    for array in (windows, gaps):
+        if array is not None:
+            array.setflags(write=False)  # a handle that wrote into its lookbacks would raise
+    look, ahead = windows[:, :n], windows[:, n:]
+    look_missing = None if gaps is None else gaps[:, :n]
+    for model in register_baselines():
+        if model.id.startswith("linear-trend") and n < 2:
+            continue
+        want = model.predict_rows(X.copy(), horizon, future.copy())
+        assert model.predict_rows(look, horizon, ahead).tobytes() == want.tobytes()
+        want = _window_predictions(model, X.copy(), None if missing is None else missing.copy(), horizon, future, P64)
+        assert _window_predictions(model, look, look_missing, horizon, ahead, P64).tobytes() == want.tobytes()
+
+
 def test_fft_length_is_the_smallest_5_smooth_length_not_below_m():
     limit = 8192  # past the answer for every m tested
     smooth = sorted(
@@ -632,11 +657,10 @@ def test_the_padded_buffer_rfft_is_bit_equal_to_rfft_with_n(rows, n):
     g = np.random.default_rng(n)
     X = 250.0 * g.standard_normal((rows, n)) - 1e3
     nfft = _fft_length(n + n // 2)
-    xc, spectrum = _centered_spectrum(X, nfft)
+    energy, spectrum = _centered_spectrum(X, nfft)
     want = X - X.mean(axis=1)[:, None]
-    assert np.array_equal(xc, want)
     assert np.array_equal(spectrum, np.fft.rfft(want, n=nfft, axis=1))
-    assert np.array_equal(np.einsum("ij,ij->i", xc, xc), np.einsum("ij,ij->i", want, want))
+    assert np.array_equal(energy, np.einsum("ij,ij->i", want, want))
 
 
 # ---------------------------------------------------------------- non-finite lookbacks
