@@ -68,9 +68,9 @@ class PerturbationSpec:
     """One robustness scenario.
 
     ``gaussian_noise`` adds N(0, noise_std^2) per point; ``harmonic`` adds a
-    sinusoid (amplitude defaults to 0.3x the channel's std, frequency to
-    twice the channel's dominant frequency, random phase); ``missing`` marks
-    each point missing independently with ``missing_probability``.
+    sinusoid (amplitude defaults to 0.3x the std of the channel's observed
+    samples, frequency to twice their dominant frequency, random phase);
+    ``missing`` makes each point missing (NaN) with ``missing_probability``.
 
     Its text form is ``kind[:p1,p2,...]``, the kind's own parameters in
     ``forms()`` order: ``label`` writes it and ``parse`` reads it back.
@@ -188,27 +188,31 @@ def tsi_rescale(series: TimeSeries, beta: float) -> TimeSeries:
     """Linearly interpolate a series to round(beta * length) samples.
 
     Endpoints are preserved and degree-1 signals reproduce exactly; the
-    length rounding is half-to-even.  A factor of 1 returns an identical
-    copy.  Missing masks are carried by nearest-position lookup.  A
-    rescaled length that cannot be allocated is an ``EvaluationError``.
+    length rounding is half-to-even; a factor that keeps the length returns
+    a read-only view of the values.  A rescaled sample is missing (NaN) when
+    a neighbour that gives it nonzero weight is missing (the bracket rule,
+    which is ``np.interp``'s NaN propagation).  A rescaled length that
+    cannot be allocated is an ``EvaluationError``.
     """
     if beta <= 0 or not math.isfinite(beta):
         raise InputError(f"rescale factor must be positive and finite, got {beta}")
     new_length = round(beta * series.length)
+    if new_length == series.length > 1:
+        values = series.values.view()
+        values.flags.writeable = False
+        return TimeSeries(values, dict(series.tags))
     try:
         values = linear_resample(series.values, new_length)
-        missing = None
-        if series.missing is not None:
-            positions = np.linspace(0.0, series.length - 1.0, new_length)
-            missing = series.missing[:, np.rint(positions).astype(int)]
     except MemoryError as exc:  # not an InputError: that would read as a series too short to rescale
         raise EvaluationError(
             f"rescale factor {beta}: a rescaled length of {new_length} samples cannot be allocated"
         ) from exc
-    return TimeSeries(values, missing, dict(series.tags))
+    return TimeSeries(values, dict(series.tags))
 
 
 def _dominant_frequency(x: np.ndarray) -> float:
+    if x.size < 2:
+        return 0.125
     spectrum = np.abs(np.fft.rfft(x - x.mean()))
     if spectrum.size < 2 or not spectrum[1:].any():
         return 0.125
@@ -216,22 +220,19 @@ def _dominant_frequency(x: np.ndarray) -> float:
 
 
 def perturb(series: TimeSeries, spec: PerturbationSpec, rng: RngStream) -> TimeSeries:
-    """Apply one perturbation scenario; missing data only grows the mask.
+    """Apply one perturbation scenario; a missing sample stays missing.
     The result shares no array with ``series``."""
     out = _perturbed(series, spec, rng)
     if out.values is series.values:
         out.values = series.values.copy()
-    if out.missing is not None and out.missing is series.missing:
-        out.missing = series.missing.copy()
     return out
 
 
 def _perturbed(series: TimeSeries, spec: PerturbationSpec, rng: RngStream) -> TimeSeries:
-    """:func:`perturb`, but an array the scenario leaves as it was is
-    ``series``' own: the missing kind keeps its values."""
+    """:func:`perturb`, but values the scenario leaves as they were (noise
+    of std 0) are ``series``' own."""
     g = rng.generator()
     values = series.values
-    missing = series.missing
 
     if spec.kind == "gaussian_noise":
         if spec.noise_std > 0:
@@ -240,39 +241,35 @@ def _perturbed(series: TimeSeries, spec: PerturbationSpec, rng: RngStream) -> Ti
         values = values.copy()
         t = np.arange(series.length, dtype=np.float64)
         for i in range(series.channels):
+            observed = values[i][~np.isnan(values[i])]
             amp = spec.harmonic_amplitude
-            if amp is None:
-                amp = 0.3 * float(np.std(values[i]))
+            if amp is None:  # an all-missing channel stays all-missing, whatever its amplitude
+                amp = 0.3 * float(np.std(observed)) if observed.size else 0.0
             freq = spec.harmonic_frequency
             if freq is None:
-                freq = 2.0 * _dominant_frequency(values[i])
+                freq = 2.0 * _dominant_frequency(observed)
             phase = g.uniform(0.0, 2.0 * math.pi)
             values[i] = values[i] + amp * np.sin(2.0 * math.pi * freq * t + phase)
     else:  # missing
-        drawn = g.uniform(size=values.shape) < spec.missing_probability
-        missing = drawn if missing is None else (missing | drawn)
+        values = np.where(g.uniform(size=values.shape) < spec.missing_probability, np.nan, values)
 
-    return TimeSeries(values, missing, dict(series.tags))
+    return TimeSeries(values, dict(series.tags))
 
 
 def _window_predictions(
-    model: ForecasterHandle,
-    look_values: np.ndarray,
-    look_missing: np.ndarray | None,
-    horizon: int,
-    target_values: np.ndarray,
-    space: SpaceParams,
+    model: ForecasterHandle, look_values: np.ndarray, horizon: int, target_values: np.ndarray, space: SpaceParams
 ) -> np.ndarray:
     """Predictions for a block of channel-independent rows from one ``predict_rows`` call;
     image models see the block through the grid codec (``predict_grid``).  The
     targets go along as ``future``, which only an oracle reads.  A gap-free
-    value-space block reaches ``predict_rows`` as the view it was given."""
+    value-space block reaches ``predict_rows`` as the view it was given; a
+    gap (NaN) in a lookback is carried forward."""
     if model.space == "numeric":
-        if look_missing is not None and look_missing.any():
-            look_values = carry_forward(look_values, look_missing)
+        if np.isnan(look_values).any():
+            look_values = carry_forward(look_values)
         return model.predict_rows(look_values, horizon, target_values)
 
-    z, stats = normalize(TimeSeries(look_values, look_missing), look_values.shape[1])
+    z, stats = normalize(TimeSeries(look_values), look_values.shape[1])
     rows = encode_rows(z, space)
     del z  # binned: the standardized block is not held through the forecast
     rows = model.predict_grid(rows, horizon, space)
@@ -285,10 +282,9 @@ def _cell_errors(
     """Squared and absolute error sums, scored targets and windows of each (rescale index, horizon) cell with a window.
 
     ``rescaled`` holds one series per rescale factor (None: not rescalable);
-    they share their channels, and all or none carry a missing mask.  A
-    horizon's windows start every ``stride`` samples, so horizons share
-    lookbacks: at the default strides every 192-window starts where a
-    96-window does.  Each distinct (series, start) lookback is forecast
+    they share their channels.  A horizon's windows start every ``stride``
+    samples, so horizons share lookbacks: at the default strides every
+    192-window starts where a 96-window does.  Each distinct (series, start) lookback is forecast
     once, at H, the longest horizon with a window there, and each horizon
     h <= H is scored from the first h columns of that forecast: every
     handle's ``predict_rows`` is prefix-consistent.  The lookbacks of one H
@@ -298,7 +294,7 @@ def _cell_errors(
     ``WINDOW_BLOCK_SAMPLES`` samples (rows x (lookback + H)).  A block is
     gathered from each series' own sliding windows, so nothing the size of
     the rescale set is built beside it.  A window's sums are one pairwise
-    ``np.sum`` over its errors, where a masked target adds zero, and each
+    ``np.sum`` over its errors, where a missing target adds zero, and each
     cell adds its window sums in window order: the result is bit-identical
     to scoring window by window.
     """
@@ -307,6 +303,7 @@ def _cell_errors(
     if not fit:
         return {}
     strides = {h: cfg.stride or h for h in cfg.horizons}
+    gappy = any(np.isnan(s.values).any() for _, s in fit)  # at most one pass per series: none on a gap-free set
     channels = fit[0][1].channels
     # the last window start of each (series k of fit, horizon) with a window
     last = {(k, h): s.length - lookback - h for k, (_, s) in enumerate(fit) for h in cfg.horizons}
@@ -341,21 +338,19 @@ def _cell_errors(
         span = lookback + H
         # per series, its windows as (starts, channels, span) views; a block is gathered from them
         value_windows = {k: _windows(fit[k][1].values, span) for k in range(len(fit)) if first[k + 1] > first[k]}
-        gap_windows = {k: _windows(fit[k][1].missing, span) for k in value_windows if fit[k][1].missing is not None}
         per_block = max(1, WINDOW_BLOCK_SAMPLES // (channels * span))
         for lo in range(0, starts.size, per_block):
             hi = min(lo + per_block, starts.size)
             cell, local = cells[lo:hi], starts[lo:hi]
             block = _gather(value_windows, starts, first, lo, hi)  # (windows, channels, span)
-            gap = _gather(gap_windows, starts, first, lo, hi) if gap_windows else None
             rows = block.reshape(-1, span)
-            look_missing = None if gap is None else gap.reshape(-1, span)[:, :lookback]
             try:
-                preds = _window_predictions(model, rows[:, :lookback], look_missing, H, rows[:, lookback:], space)
+                preds = _window_predictions(model, rows[:, :lookback], H, rows[:, lookback:], space)
             except LookbackOverflow as exc:  # name the series' channel, not the block's row
                 raise LookbackOverflow(exc.channel % channels) from None
             with np.errstate(over="ignore"):  # huge values: an overflowing cell fails by name below
                 errs = preds.reshape(block.shape[0], channels, H) - block[:, :, lookback:]
+                observed = ~np.isnan(block[:, :, lookback:]) if gappy else None
                 for h in cfg.horizons:
                     if h > H:
                         continue
@@ -363,10 +358,10 @@ def _cell_errors(
                     idx = first_window[h][cell[sel]] + local[sel] // strides[h]
                     # every start forecast at H has an H-window: that horizon needs no gather
                     diff = (errs if h == H else errs[sel, :, :h]).reshape(-1, channels * h)
-                    if gap is not None:  # a masked target's error is zero, whatever its placeholder
-                        keep = ~gap[sel, :, lookback : lookback + h].reshape(diff.shape)
+                    if gappy:  # a missing target's error is NaN: it adds zero and is not counted
+                        keep = (observed if h == H else observed[sel, :, :h]).reshape(diff.shape)
                         diff = np.where(keep, diff, 0.0)
-                    scored[h][idx] = diff.shape[1] if gap is None else keep.sum(axis=1)
+                    scored[h][idx] = keep.sum(axis=1) if gappy else diff.shape[1]
                     sq[h][idx] = np.sum(diff * diff, axis=1)
                     ab[h][idx] = np.sum(np.abs(diff), axis=1)
 

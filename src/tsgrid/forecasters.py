@@ -60,7 +60,7 @@ class ForecasterHandle:
     n, n+1, ..., the ``-image`` twins bin each value on its own, and the
     oracle returns a prefix of the future.
     Handles with ``needs_future`` are evaluation oracles: the harness
-    hands them the true future, which they return verbatim.
+    hands them the true future, which they return verbatim, NaN gaps too.
     """
 
     id: str
@@ -107,7 +107,7 @@ class ForecasterHandle:
             out = np.asarray(self.predict_rows_fn(X, horizon), dtype=np.float64)
         if out.shape != (X.shape[0], horizon):
             raise InputError(f"{self.id}: predictions have shape {out.shape}, expected {(X.shape[0], horizon)}")
-        if not np.isfinite(out).all():
+        if (np.isinf(out) if self.needs_future else ~np.isfinite(out)).any():
             raise InputError(f"{self.id}: predictions must be finite (no NaN/Inf)")
         return out
 
@@ -115,15 +115,15 @@ class ForecasterHandle:
         """Forecast in grid space: active rows (rows, lookback), -1 for a missing
         sample, map to predicted active rows (rows, horizon).
 
-        Each lookback is decoded to its cell centers with missing samples
-        carried forward, ``predict_rows`` forecasts the block in value space,
-        and the prediction is binned into the grid; values beyond the scale
-        saturate into the edge cells.
+        Each lookback is decoded to its cell centers, a missing sample to
+        NaN, which is carried forward; ``predict_rows`` forecasts the block
+        in value space, and the prediction is binned into the grid; values
+        beyond the scale saturate into the edge cells.
         """
-        empty = rows < 0
-        visible = params.centers()[rows]  # a fresh gather: a gap-free block is forecast from it as it is
-        if empty.any():
-            visible = carry_forward(visible, empty)
+        # a fresh gather, in which row -1 indexes the NaN: a gap-free block is forecast from it as it is
+        visible = np.append(params.centers(), np.nan)[rows]
+        if np.isnan(visible).any():
+            visible = carry_forward(visible)
         return value_to_row(self.predict_rows(visible, horizon), params)
 
 

@@ -396,7 +396,7 @@ def augment(series: TimeSeries, cfg: GeneratorConfig, rng: RngStream) -> TimeSer
 
     tags = dict(series.tags)
     tags["augmented"] = tuple(fired)
-    return TimeSeries(x, None if series.missing is None else series.missing.copy(), tags)
+    return TimeSeries(x, tags)
 
 
 _BEHAVIOR_FN = {
@@ -418,5 +418,7 @@ def sample_series(cfg: GeneratorConfig, rng: RngStream) -> TimeSeries:
     periodic = bool(g.uniform() < cfg.alpha)
     pool = cfg.periodic_behaviors if periodic else cfg.trend_behaviors
     behavior = pool[int(g.integers(0, len(pool)))]
-    series = _BEHAVIOR_FN[behavior](cfg, cfg.length, rng)
-    return augment(series, cfg, rng)
+    series = augment(_BEHAVIOR_FN[behavior](cfg, cfg.length, rng), cfg, rng)
+    if not np.isfinite(series.values).all():  # a generated series has no gaps: NaN here is a failed computation
+        raise InputError("series values must be finite (no NaN/Inf)")
+    return series

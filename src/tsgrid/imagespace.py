@@ -132,10 +132,11 @@ class SoftImageTensor:
 def normalize(series: TimeSeries, lookback: int) -> tuple[TimeSeries, NormStats]:
     """Standardize each channel using statistics of its first ``lookback`` samples.
 
-    The whole series is transformed with the lookback statistics so the
-    transformation can be inverted after forecasting.  A constant lookback
-    gets its standard deviation floored at ``STD_FLOOR`` and is flagged.
-    Statistics that overflow (finite values of about 1e154 or more square
+    The statistics are over the observed (non-NaN) lookback samples, and
+    the whole series is transformed with them so the transformation can be
+    inverted after forecasting.  A constant lookback, or one with no
+    observed sample (mean 0.0), gets its std floored at ``STD_FLOOR`` and is
+    flagged.  Statistics that overflow (finite values of about 1e154 or more square
     to inf) raise ``LookbackOverflow`` for the first such channel, and a
     later value whose standardized form overflows raises ``InputError``.
     """
@@ -143,8 +144,10 @@ def normalize(series: TimeSeries, lookback: int) -> tuple[TimeSeries, NormStats]
         raise InputError(f"lookback must be in [1, {series.length}], got {lookback}")
     window = series.values[:, :lookback]
     with np.errstate(over="ignore", invalid="ignore"):  # finite values near 1e154 or more: caught below
-        mean = window.mean(axis=1)
-        std = window.std(axis=1)
+        if np.isnan(window).any():
+            mean, std = _observed_stats(window)
+        else:  # a gap-free block: numpy's own mean and std
+            mean, std = window.mean(axis=1), window.std(axis=1)
     overflow = ~(np.isfinite(mean) & np.isfinite(std))
     if overflow.any():
         raise LookbackOverflow(int(np.argmax(overflow)))
@@ -152,11 +155,22 @@ def normalize(series: TimeSeries, lookback: int) -> tuple[TimeSeries, NormStats]
     std = np.where(floored, STD_FLOOR, std)
     with np.errstate(over="ignore"):  # a value far past the lookback's scale: caught below
         values = (series.values - mean[:, None]) / std[:, None]
-    overflow = ~np.isfinite(values).all(axis=1)
+    overflow = np.isinf(values).any(axis=1)
     if overflow.any():
         raise InputError(f"channel {int(np.argmax(overflow))}: standardized values overflow float64")
-    out = TimeSeries(values, None if series.missing is None else series.missing.copy(), dict(series.tags))
-    return out, NormStats(mean=mean, std=std, floored=floored)
+    return TimeSeries(values, dict(series.tags)), NormStats(mean=mean, std=std, floored=floored)
+
+
+def _observed_stats(window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's mean and std over its non-NaN entries, in ``mean``'s and ``std``'s
+    steps (a row with none gets 0.0 and 0.0): ``nanstd`` is ten times slower."""
+    observed = ~np.isnan(window)
+    count = np.maximum(np.count_nonzero(observed, axis=1), 1)
+    dev = np.where(observed, window, 0.0)
+    mean = dev.sum(axis=1) / count
+    dev -= mean[:, None]
+    dev *= observed  # x * 1.0 is x: an observed deviation keeps its bits
+    return mean, np.sqrt(np.multiply(dev, dev, out=dev).sum(axis=1) / count)
 
 
 def denormalize(series: TimeSeries, stats: NormStats) -> TimeSeries:
@@ -164,12 +178,12 @@ def denormalize(series: TimeSeries, stats: NormStats) -> TimeSeries:
     with np.errstate(over="ignore"):  # a scale near float64's limit: caught below
         values = series.values * stats.std[:, None] + stats.mean[:, None]
     check_denormalized(values)
-    return TimeSeries(values, None if series.missing is None else series.missing.copy(), dict(series.tags))
+    return TimeSeries(values, dict(series.tags))
 
 
 def check_denormalized(values: np.ndarray) -> None:
-    """Raise ``InputError`` naming the first channel (row of ``values``) with a non-finite value."""
-    overflow = ~np.isfinite(values).all(axis=1)
+    """Raise ``InputError`` naming the first channel (row of ``values``) with an infinite value; NaN is a gap."""
+    overflow = np.isinf(values).any(axis=1)
     if overflow.any():
         raise InputError(f"channel {int(np.argmax(overflow))}: denormalized values overflow float64")
 
@@ -190,10 +204,16 @@ def value_to_row(values: np.ndarray, params: SpaceParams) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64)
     if not np.all(np.isfinite(v)):
         raise InputError("cannot encode non-finite values")
+    return _rows(v, params)
+
+
+def _rows(v: np.ndarray, params: SpaceParams) -> np.ndarray:
+    """:func:`value_to_row` without its check: a NaN (a gap) gets row -1."""
     with np.errstate(over="ignore"):  # |v| near 1.7e308: an inf quotient clips like a huge one
         q = (np.atleast_1d(v) + params.ms) / params.bin_width
-    np.clip(q, 1, params.h, out=q)
-    rows = np.ceil(q, out=q).astype(np.int64)
+    np.clip(q, 1, params.h, out=q)  # a NaN stays NaN
+    np.ceil(q, out=q)
+    rows = np.fmax(q, 0.0, out=q).astype(np.int64)  # and becomes 0
     rows -= 1
     return rows.reshape(v.shape)
 
@@ -204,19 +224,13 @@ def quantize_values(values: np.ndarray, params: SpaceParams) -> np.ndarray:
 
 
 def encode_rows(series: TimeSeries, params: SpaceParams) -> np.ndarray:
-    """Active cell index of every sample, -1 for missing samples."""
-    rows = value_to_row(series.values, params)
-    if series.missing is not None:
-        rows[series.missing] = -1
-    return rows
+    """Active cell index of every sample, -1 for a missing (NaN) sample."""
+    return _rows(series.values, params)  # a series holds no infinity
 
 
 def decode_rows(rows: np.ndarray, params: SpaceParams) -> TimeSeries:
-    """Cell-center value of every row index; -1 becomes a missing sample (value 0.0)."""
-    empty = rows < 0
-    values = params.centers()[rows]
-    values[empty] = 0.0
-    return TimeSeries(values, empty if np.any(empty) else None)
+    """Cell-center value of every row index; -1 becomes a missing sample (NaN)."""
+    return TimeSeries(np.append(params.centers(), np.nan)[rows])  # row -1 indexes the NaN
 
 
 def encode(series: TimeSeries, params: SpaceParams) -> BinaryImageTensor:
@@ -228,7 +242,7 @@ def decode(image: BinaryImageTensor, allow_missing: bool = False) -> TimeSeries:
     """Recover each column's cell-center value.
 
     All-zero columns are a structural error unless ``allow_missing`` is set,
-    in which case they surface in the result's missing mask (value 0.0).
+    in which case they decode as missing samples (NaN).
     """
     check_decodable(image, allow_missing)
     return decode_rows(image.rows, image.params)

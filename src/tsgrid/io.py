@@ -2,8 +2,8 @@
 
 All writers go through an atomic temp-file-plus-rename step and emit LF
 line endings and '.' decimals regardless of locale; text is read and
-written as UTF-8.  Reals carry 9 significant digits.  Missing samples are
-empty CSV fields.
+written as UTF-8.  Reals carry 9 significant digits.  Missing samples (NaN
+in memory) are empty CSV fields.
 """
 
 from __future__ import annotations
@@ -66,7 +66,8 @@ def write_series_csv(path: str | Path, series: TimeSeries) -> None:
     the values are formatted: ``,%.9g`` per observed cell (the same text as
     ``_fmt``) and a bare ``,`` per missing cell.
     """
-    text = _series_text(series.values, series.missing, ",%.9g")
+    gaps = np.isnan(series.values)
+    text = _series_text(series.values, gaps if gaps.any() else None, ",%.9g")
     with atomic_write(path) as handle:
         handle.write(text)
 
@@ -131,31 +132,25 @@ def _gap_free_template(length: int, channels: int, token: str) -> str:
 def read_series_csv(path: str | Path) -> TimeSeries:
     """Read a delimited series; the first column is treated as the index.
 
-    Empty fields become missing samples (placeholder value 0.0); a
-    non-numeric first column (e.g. timestamps) is accepted and dropped.  A
-    non-numeric or non-finite cell is an error that names its line.
+    An empty field, ``NA`` or a NaN (``nan``, ``NaN``, ``-nan``) is a
+    missing sample, NaN in memory; a non-numeric first column (e.g.
+    timestamps) is accepted and dropped.  A non-numeric cell or an
+    infinite one (``inf``, ``1e400``) is an error that names its line.
 
     The file is read once.  A plain file is parsed by numpy's C text reader
-    (:func:`_parse_plain`), its gaps too when no cell can be a literal
-    ``nan`` or ``inf``; every other file takes the ``csv`` path on the same
-    bytes, which names the line of each error.
+    (:func:`_parse_plain`), its gaps too; every other file takes the ``csv``
+    path on the same bytes, which names the line of each error.
     """
     path = Path(path)
     try:
         data = path.read_bytes()
     except OSError as exc:
         raise InputError(f"{path}: {exc}") from exc
-    rows = _parse_plain(data, gaps=True)
+    rows = _parse_plain(data)
     if rows is None:
         return _parse_csv(path, data)
     del data  # the bytes are not needed beside the transposed copy
-    values = np.ascontiguousarray(rows.T)
-    del rows
-    missing = np.isnan(values)  # only a gap reads as NaN
-    if not missing.any():
-        return TimeSeries(values)
-    values[missing] = 0.0
-    return TimeSeries(values, missing)
+    return TimeSeries(np.ascontiguousarray(rows.T))
 
 
 # Bytes that make csv's tokenization more than a split on ',' and '\n' ('"'
@@ -164,10 +159,11 @@ def read_series_csv(path: str | Path) -> TimeSeries:
 _NOT_PLAIN = (b'"', b"\r", b"\x1c", b"\x1d", b"\x1e", b"\x1f", b"\0")
 
 
-def _parse_plain(data: bytes, gaps: bool = False) -> np.ndarray | None:
-    """The (rows, channels) values of a plain, gap-free, all-finite series
-    CSV, or None when the ``csv`` path must read it.  With ``gaps``, an
-    empty cell between two commas or before a line end reads as NaN.
+def _parse_plain(data: bytes) -> np.ndarray | None:
+    """The (rows, channels) values of a plain series CSV with no infinite
+    cell, NaN for a gap, or None when the ``csv`` path must read it.  A
+    ``nan`` cell, and an empty cell between two commas or before a line
+    end, read as NaN.
 
     numpy's reader strips the same whitespace as ``float()`` and hands the
     rest to the same string-to-double routine, so an accepted file gives the
@@ -176,12 +172,11 @@ def _parse_plain(data: bytes, gaps: bool = False) -> np.ndarray | None:
     ignores fields past ``usecols``, so the comma count must show that every
     row has exactly the header's width.
 
-    A file that fails to parse is parsed once more with each gap rewritten
-    to ``nan``, if its body has no ``n`` or ``N`` byte: there no cell can be
-    a literal ``nan`` or ``inf``, so every NaN read is a gap.  The rewrite
-    adds no comma.  An empty cell it leaves (a whitespace-only cell, a gap
-    at the file's last byte) is a parse error, and the file falls back.
-    Gap-free files, the common case, pay no search for gaps.
+    A file that fails to parse is parsed once more with each empty cell
+    rewritten to ``nan``.  The rewrite adds no comma.  An empty cell it
+    leaves (a whitespace-only cell, a gap at the file's last byte) and an
+    ``NA`` cell are parse errors, and the file falls back.  Files with no
+    empty cell, the common case, pay no search for gaps.
     """
     if any(byte in data for byte in _NOT_PLAIN):
         return None
@@ -191,12 +186,9 @@ def _parse_plain(data: bytes, gaps: bool = False) -> np.ndarray | None:
     if header_end < 0 or width < 2 or data.find(b",", header_end) < 0:
         return None
     rows = _loadtxt(data, width)
-    gapped = rows is None and gaps and data.find(b"n", header_end) < 0 and data.find(b"N", header_end) < 0
-    if gapped:  # twice: one pass rewrites every other gap of a run of them
+    if rows is None:  # twice: one pass rewrites every other gap of a run of them
         rows = _loadtxt(data.replace(b",,", b",nan,").replace(b",,", b",nan,").replace(b",\n", b",nan\n"), width)
-    if rows is None or data.count(b",") != (len(rows) + 1) * (width - 1):
-        return None
-    if (np.isinf(rows) if gapped else ~np.isfinite(rows)).any():
+    if rows is None or data.count(b",") != (len(rows) + 1) * (width - 1) or np.isinf(rows).any():
         return None
     return rows
 
@@ -246,34 +238,33 @@ def _parse_csv(path: Path, data: bytes) -> TimeSeries:
     if not lines:
         raise InputError(f"{path}: no data rows")
     values = np.empty((width - 1, len(lines)))
-    missing = np.zeros(values.shape, dtype=bool)
     for i in range(width - 1):
         column = cells[i + 1 :: width]
-        try:  # one pass per channel; a gap, a bad or a non-finite cell takes the per-cell path
+        try:  # one pass per channel; an empty, ``NA``, bad or infinite cell takes the per-cell path
             values[i] = np.fromiter(map(float, column), dtype=np.float64, count=len(lines))
-            if np.isfinite(values[i]).all():
+            if not np.isinf(values[i]).any():
                 continue
         except ValueError:
             pass
-        values[i], missing[i] = zip(*(_parse_cell(path, line, cell) for line, cell in zip(lines, column)))
-    return TimeSeries(values, missing if missing.any() else None)
+        values[i] = [_parse_cell(path, line, cell) for line, cell in zip(lines, column)]
+    return TimeSeries(values)
 
 
-def _parse_cell(path: Path, line: int, cell: str) -> tuple[float, bool]:
-    """(value, missing) of one CSV cell; an empty cell is a missing sample.
-
-    A NaN, an infinity or a number too large for a float is an error, not a
-    missing sample.
+def _parse_cell(path: Path, line: int, cell: str) -> float:
+    """The value of one CSV cell: NaN, a missing sample, for an empty cell,
+    ``NA`` or a NaN.  An infinity or a number too large for a float is an
+    error, not a missing sample.
     """
-    if not cell.strip():
-        return 0.0, True
+    text = cell.strip()
+    if not text or text == "NA":
+        return math.nan
     try:
         value = float(cell)
     except ValueError as exc:
-        raise InputError(f"{path}:{line}: non-numeric value {cell.strip()!r}") from exc
-    if not math.isfinite(value):
-        raise InputError(f"{path}:{line}: non-finite value {cell.strip()!r}")
-    return value, False
+        raise InputError(f"{path}:{line}: non-numeric value {text!r}") from exc
+    if math.isinf(value):
+        raise InputError(f"{path}:{line}: non-finite value {text!r}")
+    return value
 
 
 def write_manifest_csv(path: str | Path, records: Iterable[dict]) -> None:

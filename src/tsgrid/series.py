@@ -14,16 +14,15 @@ from .errors import InputError
 class TimeSeries:
     """A real-valued multichannel sequence.
 
-    ``values`` has shape (channels, length) and every entry is finite.
-    Positions flagged in ``missing`` still carry a finite placeholder value;
-    consumers decide how to treat them (the grid codec renders them as
-    all-zero columns, numerical baselines receive carried-forward values,
-    metrics skip them).  ``tags`` carries provenance such as the generating
+    ``values`` has shape (channels, length).  A NaN is a missing sample, the
+    only kind: a consumer that forgets a gap computes NaN, not a plausible
+    number (the grid codec renders a gap as an all-zero column, numerical
+    baselines carry the last value forward, metrics skip it).  Every other
+    entry is finite.  ``tags`` carries provenance such as the generating
     hypothesis and behavior.
     """
 
     values: np.ndarray
-    missing: np.ndarray | None = None
     tags: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -32,14 +31,9 @@ class TimeSeries:
             raise InputError(f"series values must be 2-D (channels, length), got ndim={v.ndim}")
         if v.shape[0] < 1 or v.shape[1] < 1:
             raise InputError(f"series must have at least one channel and one sample, got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise InputError("series values must be finite (no NaN/Inf)")
+        if np.isinf(v).any():
+            raise InputError("series values must not be infinite (NaN marks a missing sample)")
         self.values = v
-        if self.missing is not None:
-            m = np.asarray(self.missing, dtype=bool)
-            if m.shape != v.shape:
-                raise InputError(f"missing mask shape {m.shape} does not match values {v.shape}")
-            self.missing = m
 
     @property
     def channels(self) -> int:
@@ -80,16 +74,14 @@ def linear_resample(values: np.ndarray, new_length: int) -> np.ndarray:
     return out
 
 
-def carry_forward(values: np.ndarray, missing: np.ndarray | None) -> np.ndarray:
-    """Replace missing positions with the last preceding observed value.
+def carry_forward(values: np.ndarray) -> np.ndarray:
+    """A copy with each missing (NaN) sample replaced by the last preceding observed value.
 
-    Leading missing positions take the first observed value; an all-missing
+    Leading missing samples take the first observed value; an all-missing
     channel collapses to zeros.
     """
     v = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    if missing is None:
-        return v.copy()
-    observed = ~np.atleast_2d(np.asarray(missing, dtype=bool))
+    observed = ~np.isnan(v)
     rows, n = v.shape
     first = observed.argmax(axis=1)  # 0 in an all-missing row
     # one past the last observed position so far; a leading gap starts at one past the first

@@ -305,20 +305,19 @@ def test_encode_constant_series_single_row(tmp_path):
 
 def test_decode_structural_error_names_path(tmp_path, capsys):
     src = tmp_path / "masked.csv"
-    series = from_1d(np.linspace(-1, 1, 16))
-    series.missing = np.zeros((1, 16), dtype=bool)
-    series.missing[0, 3] = True
-    write_series_csv(src, series)
+    values = np.linspace(-1, 1, 16)
+    values[3] = np.nan
+    write_series_csv(src, from_1d(values))
     enc = tmp_path / "enc"
     assert main(["encode", str(src), "-o", str(enc)]) == 0
     # without --allow-missing the all-zero column is a structural error
     assert main(["decode", str(enc / "masked.meta"), "-o", str(tmp_path / "dec")]) == 1
     err = capsys.readouterr().err
     assert "masked.meta" in err
-    # with the flag it decodes, carrying the mask through
+    # with the flag it decodes, carrying the gap through
     assert main(["decode", str(enc / "masked.meta"), "--allow-missing", "-o", str(tmp_path / "dec")]) == 0
     decoded = read_series_csv(tmp_path / "dec" / "masked.decoded.csv")
-    assert decoded.missing[0, 3]
+    assert np.flatnonzero(np.isnan(decoded.values[0])).tolist() == [3]
 
 
 def test_decode_rejects_a_column_with_two_cells_in_its_graymap(tmp_path, capsys):
@@ -712,11 +711,9 @@ def test_evaluate_is_deterministic(tmp_path):
 
 
 def test_evaluate_names_why_an_aggregate_was_skipped(tmp_path, capsys):
-    missing = np.ones((1, 1000), dtype=bool)
-    missing[:, :40] = False
-    missing[:, 950:] = False
     values = np.cumsum(np.random.default_rng(0).standard_normal(1000))
-    write_series_csv(tmp_path / "series.csv", TimeSeries(values[None, :], missing))
+    values[40:950] = np.nan
+    write_series_csv(tmp_path / "series.csv", from_1d(values))
     out = tmp_path / "ev"
     args = ["evaluate", "--dataset", str(tmp_path / "series.csv"), "--model", "persistence"]
     assert main(args + ["--lookback", "100", "--horizons", "8,500,5000", "--seed", "0", "-o", str(out)]) == 0
@@ -810,7 +807,7 @@ def test_perturb_missing_writes_empty_fields(tmp_path):
     rc = main(["perturb", "--dataset", str(src), "--perturb", "missing:0.3", "--seed", "2", "-o", str(out)])
     assert rc == 0
     back = read_series_csv(out / "data.perturbed.csv")
-    density = back.missing.mean()
+    density = np.isnan(back.values).mean()
     assert 0.25 <= density <= 0.35
 
 

@@ -126,11 +126,11 @@ def test_perturbation_spec_rejects_non_finite_parameters(field, message, bad):
 def test_time_series_validation():
     import numpy as np
 
-    with pytest.raises(InputError):
-        TimeSeries(np.array([[np.nan, 1.0]]))
+    for infinite in (np.inf, -np.inf):
+        with pytest.raises(InputError, match=r"^series values must not be infinite \(NaN marks a missing sample\)$"):
+            TimeSeries(np.array([[infinite, 1.0]]))
+    assert np.isnan(TimeSeries(np.array([[np.nan, 1.0]])).values[0, 0])  # a gap
     with pytest.raises(InputError):
         TimeSeries(np.zeros((0, 4)))
-    with pytest.raises(InputError):
-        TimeSeries(np.zeros((1, 4)), np.zeros((1, 5), dtype=bool))
     with pytest.raises(InputError):
         TimeSeries(np.zeros((2, 2, 2)))

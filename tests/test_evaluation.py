@@ -27,12 +27,18 @@ from tsgrid import evaluation, forecasters
 from tsgrid.evaluation import ReportRow, _perturbed, _window_predictions
 from tsgrid.forecasters import ForecasterHandle
 from tsgrid.imagespace import SoftImageTensor, SpaceParams, denormalize, encode, normalize, soft_decode
-from tsgrid.series import carry_forward
+from tsgrid.series import carry_forward, linear_resample
 
 
 def walk(length, seed=0, scale=1.0):
     g = np.random.default_rng(seed)
     return from_1d(np.cumsum(scale * g.standard_normal(length)))
+
+
+def gappy(values, missing):
+    """The series of ``values`` with a gap (NaN) wherever ``missing`` is set."""
+    values = np.atleast_2d(np.asarray(values, dtype=np.float64))
+    return TimeSeries(values if missing is None else np.where(missing, np.nan, values))
 
 
 SMALL = EvalConfig(lookback=32, horizons=(8, 16), rescale_factors=(0.5, 1.0, 2.0))
@@ -45,6 +51,8 @@ def test_rescale_identity_factor():
     series = walk(100)
     out = tsi_rescale(series, 1.0)
     assert np.array_equal(out.values, series.values)
+    assert np.shares_memory(out.values, series.values) and not out.values.flags.writeable
+    assert series.values.flags.writeable  # the truth itself stays writeable
 
 
 def test_rescale_hand_example():
@@ -87,10 +95,48 @@ def test_an_unallocatable_rescaled_length_names_the_factor():
 
 
 def test_rescale_carries_missing_mask():
-    series = TimeSeries(np.arange(10, dtype=float)[None, :], np.zeros((1, 10), dtype=bool))
-    series.missing[0, 4] = True
-    out = tsi_rescale(series, 1.0)
-    assert out.missing[0].tolist() == series.missing[0].tolist()
+    missing = np.arange(10) == 4
+    out = tsi_rescale(gappy(np.arange(10, dtype=float), missing), 1.0)
+    assert np.isnan(out.values[0]).tolist() == missing.tolist()
+
+
+def test_rescale_never_reads_a_gap_into_an_observed_sample():
+    # a constant 1000 with every 7th sample missing, at beta 0.66: when a gap
+    # was a 0.0 placeholder and a mask looked up by nearest position, 49 of
+    # the 57 samples were marked observed and 8 of those were off by up to
+    # 500.  Those 8 have a missing neighbour of nonzero weight: now they are gaps
+    missing = np.arange(87) % 7 == 0
+    out = tsi_rescale(gappy(np.full(87, 1000.0), missing), 0.66)
+    observed = out.values[0][~np.isnan(out.values[0])]
+    assert (out.length, observed.size) == (57, 41)
+    assert np.all(observed == 1000.0)
+
+
+def bracket_rule(missing, new_length):
+    """A rescaled sample is missing when a neighbour that gives it nonzero weight is missing."""
+    positions = np.linspace(0.0, missing.size - 1.0, new_length)
+    left = np.floor(positions).astype(int)
+    right = np.minimum(left + 1, missing.size - 1)
+    return missing[left] | ((positions > left) & missing[right])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_rescale_follows_the_bracket_rule(data):
+    length = data.draw(st.integers(2, 200))
+    values = data.draw(arrays(np.float64, length, elements=st.floats(-1e6, 1e6)))
+    missing = data.draw(arrays(np.bool_, length))
+    fill = data.draw(arrays(np.float64, length, elements=st.floats(-1e6, 1e6)))
+    beta = data.draw(st.floats(0.05, 4.0))
+    new_length = round(beta * length)
+    if new_length < 2:
+        return
+    got = tsi_rescale(gappy(values, missing), beta).values[0]
+    gaps = bracket_rule(missing, new_length)
+    assert np.isnan(got).tolist() == gaps.tolist()
+    # an observed sample is what the series gives with its gaps filled by any finite values
+    want = linear_resample(np.where(missing, fill, values), new_length)[0]
+    assert np.array_equal(got[~gaps], want[~gaps])
 
 
 # ---------------------------------------------------------------- perturb
@@ -112,20 +158,21 @@ def test_perturb_noise_moments():
 def test_perturb_missing_degenerate_probability():
     series = walk(64)
     out = perturb(series, PerturbationSpec(kind="missing", missing_probability=1.0), RngStream(3, 0))
-    assert out.missing.all()
+    assert np.isnan(out.values).all()
     out = perturb(series, PerturbationSpec(kind="missing", missing_probability=0.0), RngStream(3, 1))
-    assert out.missing is not None and not out.missing.any()
+    assert np.array_equal(out.values, series.values)
 
 
 def test_perturb_missing_density():
     series = from_1d(np.zeros(100_000))
     p = 0.3
     out = perturb(series, PerturbationSpec(kind="missing", missing_probability=p), RngStream(4, 0))
-    density = out.missing.mean()
-    sigma = np.sqrt(p * (1 - p) / out.missing.size)
+    missing = np.isnan(out.values)
+    density = missing.mean()
+    sigma = np.sqrt(p * (1 - p) / missing.size)
     assert abs(density - p) <= 3.0 * sigma
-    # values are untouched; only the mask grows
-    assert np.array_equal(out.values, series.values)
+    # the observed values are untouched
+    assert np.array_equal(out.values[~missing], series.values[~missing])
 
 
 @pytest.mark.parametrize(
@@ -140,14 +187,15 @@ def test_perturb_missing_density():
 )
 def test_perturb_returns_arrays_of_its_own(spec):
     g = np.random.default_rng(8)
-    series = TimeSeries(np.cumsum(g.standard_normal((2, 256)), axis=1), g.uniform(size=(2, 256)) < 0.1)
+    series = gappy(np.cumsum(g.standard_normal((2, 256)), axis=1), g.uniform(size=(2, 256)) < 0.1)
     out = perturb(series, spec, RngStream(7, 0))
     assert not np.shares_memory(out.values, series.values)
-    assert not np.shares_memory(out.missing, series.missing)
-    # the evaluation's variant keeps the arrays the scenario leaves as they were, with the same result
+    # a gap stays a gap in every kind
+    assert np.isnan(out.values[np.isnan(series.values)]).all()
+    # the evaluation's variant keeps values the scenario leaves as they were, with the same result
     shared = _perturbed(series, spec, RngStream(7, 0))
-    assert np.array_equal(shared.values, out.values) and np.array_equal(shared.missing, out.missing)
-    assert (shared.values is series.values) == (spec.kind == "missing" or spec.noise_std == 0.0)
+    assert np.array_equal(shared.values, out.values, equal_nan=True)
+    assert (shared.values is series.values) == (spec.kind == "gaussian_noise" and spec.noise_std == 0.0)
 
 
 def test_perturb_harmonic_adds_configured_sinusoid():
@@ -292,7 +340,7 @@ def test_all_skipped_raises():
 def test_all_masked_targets_raise_with_their_own_reason():
     missing = np.zeros((1, 200), dtype=bool)
     missing[:, 32:] = True  # every cell has windows, but no observed target
-    truth = TimeSeries(walk(200).values, missing)
+    truth = gappy(walk(200).values, missing)
     cfg = EvalConfig(lookback=32, horizons=(8,), rescale_factors=(1.0,))
     with pytest.raises(EvaluationError, match=r"^scenario none: every target is masked in every \(rescale factor, horizon\) pair"):
         remetrics(truth, get_model("persistence"), cfg)
@@ -305,16 +353,16 @@ def test_masked_targets_do_not_contribute():
     values[40] = 100.0  # the only nonzero target
     missing = np.zeros((1, 48), dtype=bool)
     missing[0, 40] = True
-    truth = TimeSeries(values[None, :], missing)
+    truth = gappy(values, missing)
     cfg = EvalConfig(lookback=32, horizons=(16,), rescale_factors=(1.0,))
     report = remetrics(truth, get_model("persistence"), cfg)
     # with the outlier masked the persistence forecast is exact
     assert report.remse(16) == 0.0
 
 
-@pytest.mark.parametrize("model", ["seasonal-naive", "persistence", "seasonal-naive-image", "linear-trend-image"])
+@pytest.mark.parametrize("model", ["seasonal-naive", "persistence", "seasonal-naive-image", "linear-trend-image", "oracle"])
 def test_a_masked_target_never_changes_a_metric(model):
-    # one window per cell, at beta 1 (a copy), with masked samples among the targets only
+    # one window per cell, at beta 1, with missing samples among the targets only
     lookback, horizon = 64, 24
     t = np.arange(lookback + horizon)
     values = np.stack([np.sin(2 * np.pi * t / 12) + 0.01 * t, np.cos(2 * np.pi * t / 8)])
@@ -322,12 +370,66 @@ def test_a_masked_target_never_changes_a_metric(model):
     missing[0, lookback + 3 :: 5] = True
     missing[1, lookback:] = True  # every target of one channel
     cfg = EvalConfig(lookback=lookback, horizons=(horizon,), rescale_factors=(1.0,))
-    reports = []
-    for placeholder in (0.0, 7.5, 1e300, -1e300):
-        filled = np.where(missing, placeholder, values)
-        reports.append(remetrics(TimeSeries(filled, missing), get_model(model), cfg).rows)
-    assert reports[0][0].windows == 1 and reports[0][0].mse is not None
-    assert all(rows == reports[0] for rows in reports[1:])
+    rows = remetrics(gappy(values, missing), get_model(model), cfg).rows
+    assert rows[0].windows == 1 and rows[0].mse is not None
+    # the window's forecast, scored on the observed targets only
+    preds = _window_predictions(get_model(model), values[:, :lookback], horizon, values[:, lookback:], SpaceParams())
+    diff = (preds - values[:, lookback:])[~missing[:, lookback:]]
+    assert (rows[0].mse, rows[0].mae) == pytest.approx((np.mean(diff**2), np.mean(np.abs(diff))), rel=1e-12)
+
+
+def hidden_by(truth, spec, seed, scenario=1, factor=0):
+    """Where ``evaluate_series(truth, ..., seed=seed)`` hides samples in its
+    ``scenario``-th scenario at its ``factor``-th rescale factor, the truth's own length."""
+    return np.isnan(perturb(truth, spec, RngStream(seed).child(scenario).child(factor)).values)
+
+
+@pytest.mark.parametrize("model", ["seasonal-naive", "seasonal-naive-image"])
+def test_the_values_a_missing_scenario_hides_never_reach_a_metric(model):
+    # 1000 + sin(2 pi t / 24), L = 4096, horizon 96, beta 1, 10% hidden:
+    # seasonal-naive-image once scored MAE 3.67 with the hidden samples at
+    # 0.0 and 21.97 with them at -5000, because normalize took its
+    # statistics over them
+    t = np.arange(4096)
+    truth = from_1d(1000.0 + np.sin(2 * np.pi * t / 24))
+    spec = PerturbationSpec("missing", missing_probability=0.1)
+    cfg = EvalConfig(lookback=512, horizons=(96,), rescale_factors=(1.0,))
+    hidden = hidden_by(truth, spec, seed=5)
+    rows = []
+    for fill in (None, 0.0, -5000.0):
+        values = truth.values if fill is None else np.where(hidden, fill, truth.values)
+        report = evaluate_series(TimeSeries(values), get_model(model), cfg, (spec,), seed=5)
+        rows.append([r for r in report.rows if r.scenario == spec.label()])
+    assert rows[0][0].mae < 0.05
+    assert rows[1] == rows[0] and rows[2] == rows[0]
+
+
+def scenario_rows(truth, model, cfg, spec, seed):
+    """The rows of ``spec``'s scenario in an ``evaluate_series`` run, or the error that ends the run."""
+    try:
+        report = evaluate_series(truth, model, cfg, (spec,), seed=seed)
+    except EvaluationError as exc:
+        return str(exc)
+    return [r for r in report.rows if r.scenario == spec.label()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_no_value_a_missing_scenario_hides_changes_its_rows(data):
+    channels = data.draw(st.integers(1, 3))
+    lookback = data.draw(st.integers(2, 40))
+    horizon = data.draw(st.integers(1, 12))
+    length = data.draw(st.integers(lookback + horizon, 160))
+    values = data.draw(arrays(np.float64, (channels, length), elements=st.floats(-1e3, 1e3)))
+    spec = PerturbationSpec("missing", missing_probability=data.draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0])))
+    seed = data.draw(st.integers(0, 2**16))
+    model = get_model(data.draw(st.sampled_from(["persistence", "seasonal-naive", "persistence-image", "seasonal-naive-image"])))
+    cfg = EvalConfig(lookback=lookback, horizons=(horizon,), rescale_factors=(1.0,), stride=data.draw(st.sampled_from([None, 1, 3])))
+    truth = TimeSeries(values)
+    hidden = hidden_by(truth, spec, seed)
+    fill = data.draw(arrays(np.float64, values.shape, elements=st.floats(-1e6, 1e6)))
+    want = scenario_rows(truth, model, cfg, spec, seed)
+    assert scenario_rows(TimeSeries(np.where(hidden, fill, values)), model, cfg, spec, seed) == want
 
 
 def test_multichannel_channel_independent_average():
@@ -418,14 +520,16 @@ def test_rescale_set_order_does_not_matter():
 # ---------------------------------------------------------------- grid-space windows
 
 
-def dense_window_predictions(model, look_values, look_missing, horizon, space):
+def dense_window_predictions(model, look_values, horizon, space):
     """Reference on dense grids: encode the lookback, soft-decode it (empty columns
     carried forward), predict in value space, then encode and soft-decode the prediction."""
-    z, stats = normalize(TimeSeries(look_values, look_missing), look_values.shape[1])
+    z, stats = normalize(TimeSeries(look_values), look_values.shape[1])
     grid = encode(z, space).grid.astype(np.float64)
     empty = grid.sum(axis=1) == 0
     grid[:, 0, :][empty] = 1.0  # any one-hot column: carry_forward overwrites it
-    visible = carry_forward(soft_decode(SoftImageTensor(grid, space)).values, empty)
+    visible = soft_decode(SoftImageTensor(grid, space)).values
+    visible[empty] = np.nan
+    visible = carry_forward(visible)
     predicted = encode(TimeSeries(model.predict_rows(visible, horizon)), space).grid
     z_pred = soft_decode(SoftImageTensor(predicted.astype(np.float64), space)).values
     return denormalize(TimeSeries(z_pred), stats).values
@@ -443,27 +547,28 @@ def image_windows(draw):
     missing[0, : draw(st.integers(0, lookback))] = True  # leading gap, up to the whole channel
     if draw(st.booleans()):
         missing[-1] = True
-    look_missing = draw(st.sampled_from([None, missing]))
+    if draw(st.booleans()):
+        values[missing] = np.nan
     horizon = draw(st.integers(1, 24))
     space = SpaceParams(h=draw(st.sampled_from([2, 7, 128])), ms=draw(st.sampled_from([0.5, 1.5, 3.5])))
-    return values, look_missing, horizon, space
+    return values, horizon, space
 
 
 @pytest.mark.parametrize("model_id", ["persistence-image", "seasonal-naive-image", "linear-trend-image"])
 @settings(max_examples=150, deadline=None)
 @given(window=image_windows())
 def test_image_window_predictions_match_dense_grid_path(model_id, window):
-    values, look_missing, horizon, space = window
+    values, horizon, space = window
     model = get_model(model_id)
     target = np.zeros((values.shape[0], horizon))
-    got = _window_predictions(model, values, look_missing, horizon, target, space)
-    assert np.array_equal(got, dense_window_predictions(model, values, look_missing, horizon, space))
+    got = _window_predictions(model, values, horizon, target, space)
+    assert np.array_equal(got, dense_window_predictions(model, values, horizon, space))
 
 
 def test_image_window_rejects_non_finite_prediction():
     model = ForecasterHandle("nan-image", "image", lambda X, horizon: np.full((len(X), horizon), np.nan))
     with pytest.raises(InputError):
-        _window_predictions(model, np.arange(16.0)[None, :], None, 4, np.zeros((1, 4)), SpaceParams())
+        _window_predictions(model, np.arange(16.0)[None, :], 4, np.zeros((1, 4)), SpaceParams())
 
 
 @pytest.mark.parametrize("space", ["numeric", "image"])
@@ -492,7 +597,7 @@ def test_oracle_scoring_enforces_its_capability_limits():
 def test_image_window_rejects_one_sample_lookback_for_linear_trend():
     model = get_model("linear-trend-image")
     with pytest.raises(InputError, match="at least 2 samples, got 1"):
-        _window_predictions(model, np.array([[5.0], [-2.0]]), None, 3, np.zeros((2, 3)), SpaceParams())
+        _window_predictions(model, np.array([[5.0], [-2.0]]), 3, np.zeros((2, 3)), SpaceParams())
 
 
 # ---------------------------------------------------------------- batched cells
@@ -525,16 +630,12 @@ def window_loop_remetrics(truth, model, cfg, *, perturbation=None, rng=None, spa
             for start in range(0, last_start + 1, stride):
                 split = start + cfg.lookback
                 look_values = rescaled.values[:, start:split]
-                look_missing = None if rescaled.missing is None else rescaled.missing[:, start:split]
                 target_values = rescaled.values[:, split : split + horizon]
-                target_missing = None if rescaled.missing is None else rescaled.missing[:, split : split + horizon]
 
-                preds = _window_predictions(model, look_values, look_missing, horizon, target_values, space)
-                diff = preds - target_values
-                kept = diff.size
-                if target_missing is not None:  # a masked target adds zero and is not counted
-                    diff = np.where(target_missing, 0.0, diff)
-                    kept = int((~target_missing).sum())
+                preds = _window_predictions(model, look_values, horizon, target_values, space)
+                observed = ~np.isnan(target_values)  # a missing target adds zero and is not counted
+                diff = np.where(observed, preds - target_values, 0.0)
+                kept = int(observed.sum())
                 sq_sum += float(np.sum(diff * diff))
                 abs_sum += float(np.sum(np.abs(diff)))
                 count += kept
@@ -593,7 +694,7 @@ def evaluation_cases(draw):
     )
     block = draw(st.sampled_from([1, 40, 200, evaluation.WINDOW_BLOCK_SAMPLES]))
     cfg = EvalConfig(lookback=lookback, horizons=horizons, rescale_factors=betas, stride=stride)
-    return TimeSeries(values, missing), get_model(model_id), cfg, perturbation, space, block
+    return gappy(values, missing), get_model(model_id), cfg, perturbation, space, block
 
 
 # 200-sample blocks (8 windows at horizon 4, 5 at horizon 9) span the beta = 1.5 and beta = 1
@@ -679,12 +780,10 @@ def test_a_fixed_stride_forecasts_only_the_shortest_horizons_lookbacks():
     assert sum(seen) == sum(r.windows for r in report.rows if r.horizon == 96)
 
 
-def loop_carry_forward(values, missing):
+def loop_carry_forward(values):
     """Reference: carry each channel forward with its own search over observed indices."""
     v = np.atleast_2d(np.asarray(values, dtype=np.float64)).copy()
-    if missing is None:
-        return v
-    m = np.atleast_2d(np.asarray(missing, dtype=bool))
+    m = np.isnan(v)
     for i in range(v.shape[0]):
         obs = np.flatnonzero(~m[i])
         if obs.size == 0:
@@ -706,18 +805,17 @@ def test_carry_forward_matches_per_channel_loop(data):
     missing[0, : data.draw(st.integers(0, length))] = True  # leading gap, up to the whole channel
     if data.draw(st.booleans()):
         missing[-1] = True
-    missing = data.draw(st.sampled_from([None, missing]))
-    got = carry_forward(values, missing)
-    assert np.array_equal(got, loop_carry_forward(values, missing))
+    if data.draw(st.booleans()):
+        values[missing] = np.nan
+    got = carry_forward(values)
+    assert np.array_equal(got, loop_carry_forward(values))
     assert not np.shares_memory(got, values)
 
 
-def where_carry_forward(values, missing):
+def where_carry_forward(values):
     """Reference: ``carry_forward`` as two ``np.where`` passes and a ``take_along_axis`` gather."""
     v = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    if missing is None:
-        return v.copy()
-    observed = ~np.atleast_2d(np.asarray(missing, dtype=bool))
+    observed = ~np.isnan(v)
     idx = np.where(observed, np.arange(v.shape[1]), -1)
     np.maximum.accumulate(idx, axis=1, out=idx)
     idx = np.where(idx < 0, observed.argmax(axis=1)[:, None], idx)
@@ -737,20 +835,20 @@ def test_carry_forward_is_bit_equal_to_the_where_version(data):
     missing[0, : data.draw(st.integers(0, length))] = True  # leading gap, up to the whole row
     if data.draw(st.booleans()):
         missing[-1] = True  # an all-missing row
+    values[missing] = np.nan
     # the slices _cell_errors hands over: the lookback columns of a wider block
-    values, missing = values[:, :length], missing[:, :length]
-    got = carry_forward(values, missing)
-    want = where_carry_forward(values, missing)
+    values = values[:, :length]
+    got = carry_forward(values)
+    want = where_carry_forward(values)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert not np.shares_memory(got, values)
 
 
 def test_carry_forward_edge_rows():
-    values = np.array([[7.0], [-0.0], [3.0]])
-    assert carry_forward(values, np.array([[True], [False], [True]])).tolist() == [[0.0], [-0.0], [0.0]]
-    got = carry_forward(np.array([1.0, 2.0, 3.0, 4.0]), np.array([True, True, False, True]))
-    assert got.tolist() == [[3.0, 3.0, 3.0, 3.0]]
+    got = carry_forward(np.array([[np.nan], [-0.0], [np.nan]]))
+    assert got.tolist() == [[0.0], [-0.0], [0.0]] and np.signbit(got[1, 0])
+    assert carry_forward(np.array([np.nan, np.nan, 3.0, np.nan])).tolist() == [[3.0, 3.0, 3.0, 3.0]]
 
 
 SCENARIOS = (
@@ -778,7 +876,8 @@ def test_evaluate_series_rescales_the_truth_once_per_factor(count, monkeypatch):
 def test_evaluate_series_rows_are_those_of_one_remetrics_call_per_scenario(model_id):
     g = np.random.default_rng(9)
     values = np.cumsum(g.standard_normal((2, 300)), axis=1)
-    truth = TimeSeries(values.copy(), g.uniform(size=values.shape) < 0.1)
+    values[g.uniform(size=values.shape) < 0.1] = np.nan
+    truth = TimeSeries(values.copy())
     # 1e-3 leaves too few samples to rescale: a None in the shared set
     cfg = EvalConfig(lookback=32, horizons=(8, 16), rescale_factors=(0.5, 1e-3, 1.0, 1.5))
     got = evaluate_series(truth, get_model(model_id), cfg, SCENARIOS, seed=4, dataset="d")
@@ -788,7 +887,7 @@ def test_evaluate_series_rows_are_those_of_one_remetrics_call_per_scenario(model
         report = remetrics(truth, get_model(model_id), cfg, dataset="d", perturbation=spec, rng=streams.child(s_idx))
         want.extend(report.rows)
     assert got.rows == want
-    assert np.array_equal(truth.values, values)
+    assert np.array_equal(truth.values, values, equal_nan=True)
 
 
 # ---------------------------------------------------------------- memory

@@ -140,13 +140,21 @@ def test_oracle_requires_and_returns_future():
         (np.ones((2, 3)), r"^oracle: predictions have shape \(2, 3\), expected \(2, 5\)$"),
         (np.ones((1, 8)), r"^oracle: predictions have shape \(1, 5\), expected \(2, 5\)$"),
         (np.ones(5), r"^oracle: predictions have shape \(1, 5\), expected \(2, 5\)$"),
-        (np.full((2, 5), np.nan), r"^oracle: predictions must be finite \(no NaN/Inf\)$"),
+        (np.full((2, 5), np.inf), r"^oracle: predictions must be finite \(no NaN/Inf\)$"),
     ],
 )
 def test_oracle_future_passes_the_prediction_checks(future, message):
-    # a short, mismatched or NaN future once came back as the prediction, and a 1-D one raised IndexError
+    # a short, mismatched or infinite future once came back as the prediction, and a 1-D one raised IndexError
     with pytest.raises(InputError, match=message):
         get_model("oracle").predict_rows(np.zeros((2, 10)), 5, future)
+
+
+def test_an_oracle_returns_a_missing_target_as_nan():
+    future = np.array([[1.0, np.nan, 3.0], [np.nan, np.nan, 6.0]])
+    got = get_model("oracle").predict_rows(np.zeros((2, 4)), 2, future)
+    assert np.array_equal(got, future[:, :2], equal_nan=True)
+    with pytest.raises(InputError, match=r"^persistence: lookback row 1 is not finite \(NaN/Inf\)$"):
+        get_model("persistence").predict_rows(np.array([[1.0, 2.0], [np.nan, 2.0]]), 2)
 
 
 def test_capability_limits_enforced():
@@ -250,8 +258,9 @@ def test_every_handle_forecasts_a_prefix_of_its_longer_forecast(case):
         full = model.predict_rows(X, longest, future)
         assert np.array_equal(model.predict_rows(X, horizon, future), full[:, :horizon])
         # and as the harness scores a block: carried forward, or through the codec for image handles
-        full = _window_predictions(model, X, missing, longest, future, P64)
-        assert np.array_equal(_window_predictions(model, X, missing, horizon, future, P64), full[:, :horizon])
+        gappy = X if missing is None else np.where(missing, np.nan, X)
+        full = _window_predictions(model, gappy, longest, future, P64)
+        assert np.array_equal(_window_predictions(model, gappy, horizon, future, P64), full[:, :horizon])
 
 
 @settings(max_examples=200, deadline=None)
@@ -263,20 +272,18 @@ def test_every_handle_forecasts_a_strided_block_as_its_contiguous_copy(case):
     X, horizon, _, missing = case
     n = X.shape[1]
     future = np.linspace(-1.0, 1.0, X.shape[0] * horizon).reshape(X.shape[0], horizon)  # only the oracle reads it
-    windows = np.concatenate([X, future], axis=1)
-    gaps = None if missing is None else np.concatenate([missing, np.zeros(future.shape, dtype=bool)], axis=1)
-    for array in (windows, gaps):
-        if array is not None:
-            array.setflags(write=False)  # a handle that wrote into its lookbacks would raise
-    look, ahead = windows[:, :n], windows[:, n:]
-    look_missing = None if gaps is None else gaps[:, :n]
+    gappy = X if missing is None else np.where(missing, np.nan, X)
+    windows, gappy_windows = (np.concatenate([x, future], axis=1) for x in (X, gappy))
+    for array in (windows, gappy_windows):
+        array.setflags(write=False)  # a handle that wrote into its lookbacks would raise
     for model in register_baselines():
         if model.id.startswith("linear-trend") and n < 2:
             continue
         want = model.predict_rows(X.copy(), horizon, future.copy())
-        assert model.predict_rows(look, horizon, ahead).tobytes() == want.tobytes()
-        want = _window_predictions(model, X.copy(), None if missing is None else missing.copy(), horizon, future, P64)
-        assert _window_predictions(model, look, look_missing, horizon, ahead, P64).tobytes() == want.tobytes()
+        assert model.predict_rows(windows[:, :n], horizon, windows[:, n:]).tobytes() == want.tobytes()
+        want = _window_predictions(model, gappy.copy(), horizon, future, P64)
+        got = _window_predictions(model, gappy_windows[:, :n], horizon, gappy_windows[:, n:], P64)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_fft_length_is_the_smallest_5_smooth_length_not_below_m():
@@ -438,20 +445,17 @@ def test_forecast_numeric_and_image_agree_to_quantization():
 
 def test_forecast_handles_missing_lookback_columns():
     values = np.linspace(-1, 1, 48)
-    missing = np.zeros((1, 48), dtype=bool)
-    missing[0, 10:14] = True
-    series = TimeSeries(values[None, :], missing)
-    image = encode(series, P64)
+    values[10:14] = np.nan
+    image = encode(TimeSeries(values), P64)
     mask = TemporalMask(48, 40)
     soft = forecast(get_model("persistence-image"), image, mask)
     assert np.max(np.abs(soft.grid[:, :, 40:].sum(axis=1) - 1.0)) < 1e-9
 
 
 def gappy_image(gaps, length=48, lookback=40):
-    missing = np.zeros((1, length), dtype=bool)
-    missing[0, gaps] = True
-    series = TimeSeries(np.linspace(-1, 1, length)[None, :], missing)
-    return encode(series, P64), TemporalMask(length, lookback)
+    values = np.linspace(-1, 1, length)
+    values[gaps] = np.nan
+    return encode(TimeSeries(values), P64), TemporalMask(length, lookback)
 
 
 def test_forecast_without_blur_leaves_missing_lookback_columns_empty():

@@ -45,8 +45,9 @@ def golden_series(gappy: bool, length: int = 1200) -> TimeSeries:
     t = np.arange(length)
     cycle = 10.0 + 3.0 * np.sin(2.0 * np.pi * t / 24.0) + 0.5 * g.standard_normal(length)
     values = np.stack([cycle, np.cumsum(g.standard_normal(length))])
-    missing = g.uniform(size=values.shape) < 0.05 if gappy else None
-    return TimeSeries(values, missing)
+    if gappy:
+        values[g.uniform(size=values.shape) < 0.05] = np.nan
+    return TimeSeries(values)
 
 
 def sha256(path: Path) -> str:

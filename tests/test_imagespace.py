@@ -97,6 +97,44 @@ def test_normalize_names_the_channel_whose_lookback_statistics_overflow():
     normalize(TimeSeries(values[[0, 2]]), 16)
 
 
+def test_normalize_takes_its_statistics_over_observed_lookback_samples():
+    x = np.array([4.0, np.nan, 6.0, np.nan, 5.0, 100.0, np.nan])
+    out, stats = normalize(from_1d(x), 5)
+    assert (stats.mean[0], stats.std[0]) == (np.mean([4.0, 6.0, 5.0]), np.std([4.0, 6.0, 5.0]))
+    assert np.array_equal(np.isnan(out.values[0]), np.isnan(x))
+    assert out.values[0, 5] == (100.0 - stats.mean[0]) / stats.std[0]
+
+
+def test_normalize_gives_a_lookback_with_no_observed_sample_the_floor():
+    # what a 0.0 placeholder in every gap gave: mean 0.0, a floored std, and no error
+    values = np.array([[np.nan, np.nan, np.nan, 2e-8], [1.0, 3.0, np.nan, 5.0]])
+    out, stats = normalize(TimeSeries(values), 3)
+    assert stats.mean.tolist() == [0.0, 2.0] and stats.std.tolist() == [1e-8, 1.0]
+    assert stats.floored.tolist() == [True, False]
+    assert np.array_equal(out.values, [[np.nan, np.nan, np.nan, 2.0], [-1.0, 1.0, np.nan, 3.0]], equal_nan=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_observed_statistics_of_a_gap_free_row_are_numpys(data):
+    # a block with a gap takes the count-based statistics: its gap-free rows get numpy's bits
+    rows, length = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 600))
+    window = data.draw(arrays(np.float64, (rows, length), elements=st.floats(-1e6, 1e6)))
+    missing = data.draw(arrays(np.bool_, (rows, length)))
+    missing[0] = data.draw(st.booleans())  # a gap-free or an all-missing row
+    window[missing] = np.nan
+    mean, std = imagespace._observed_stats(window)
+    for i, row in enumerate(window):
+        observed = row[~np.isnan(row)]
+        if observed.size == 0:
+            assert (mean[i], std[i]) == (0.0, 0.0)
+        elif observed.size == length:
+            assert (mean[i], std[i]) == (row.mean(), row.std())
+        else:
+            assert mean[i] == pytest.approx(observed.mean(), rel=1e-12, abs=1e-9)
+            assert std[i] == pytest.approx(observed.std(), rel=1e-9, abs=1e-6)
+
+
 def test_normalize_rejects_bad_lookback():
     with pytest.raises(InputError):
         normalize(from_1d([1.0, 2.0]), 3)
@@ -185,10 +223,11 @@ def test_encode_rejects_non_finite():
 
 
 def test_encode_missing_becomes_zero_column():
-    series = TimeSeries(np.array([[0.5, 1.0, 2.0]]), np.array([[False, True, False]]))
+    series = TimeSeries(np.array([[0.5, np.nan, 2.0]]))
     image = encode(series, P128)
     assert image.grid[0, :, 1].sum() == 0
     assert image.grid[0, :, 0].sum() == 1
+    assert image.rows[0, 1] == -1
 
 
 # ---------------------------------------------------------------- decoding
@@ -220,8 +259,7 @@ def test_decode_missing_columns_when_allowed():
     grid[0, 4, 0] = 1
     grid[0, 2, 2] = 1
     out = decode(BinaryImageTensor(grid, SpaceParams(h=8, ms=1.0)), allow_missing=True)
-    assert out.missing is not None
-    assert out.missing[0].tolist() == [False, True, False]
+    assert np.isnan(out.values[0]).tolist() == [False, True, False]
 
 
 @pytest.mark.parametrize("params", [SpaceParams(128, 3.5), SpaceParams(32, 2.1)])
@@ -845,8 +883,7 @@ def test_decode_names_the_first_structural_defect():
         decode(BinaryImageTensor(empty, params))
     assert str(info.value) == NO_ACTIVE
     out = decode(BinaryImageTensor(empty, params), allow_missing=True)
-    assert out.missing.tolist() == [[False, True, False]]
-    assert out.values.tolist() == [[params.centers()[1], 0.0, params.centers()[6]]]
+    assert np.array_equal(out.values, [[params.centers()[1], np.nan, params.centers()[6]]], equal_nan=True)
 
 
 @pytest.mark.parametrize(
@@ -925,8 +962,8 @@ def outcome(fn, *args, **kwargs):
         result = fn(*args, **kwargs)
     except TsgridError as exc:
         return type(exc), str(exc)
-    if isinstance(result, TimeSeries):
-        return result.values.tolist(), None if result.missing is None else result.missing.tolist()
+    if isinstance(result, TimeSeries):  # the bytes: a gap's NaN is not equal to itself
+        return result.values.shape, result.values.tobytes()
     if isinstance(result, SoftImageTensor):
         return result.grid.tolist()
     return result
@@ -951,9 +988,9 @@ def raw_grids(draw):
     data=st.data(),
 )
 def test_encoded_rows_survive_the_dense_grid(values, data):
-    missing = data.draw(st.one_of(st.none(), arrays(np.bool_, values.shape)))
+    values[data.draw(arrays(np.bool_, values.shape))] = np.nan
     params = SpaceParams(h=data.draw(st.integers(2, 40)), ms=1.0)
-    image = encode(TimeSeries(values, missing), params)
+    image = encode(TimeSeries(values), params)
     assert image.grid.shape == (values.shape[0], params.h, values.shape[1])
     assert np.array_equal(BinaryImageTensor(image.grid, params).rows, image.rows)
 

@@ -45,15 +45,15 @@ def test_series_csv_roundtrip(tmp_path):
     g = np.random.default_rng(0)
     values = g.uniform(-100, 100, (3, 64))
     missing = g.uniform(size=(3, 64)) < 0.2
-    series = TimeSeries(values, missing)
+    series = TimeSeries(np.where(missing, np.nan, values))
     path = tmp_path / "series.csv"
     write_series_csv(path, series)
+    assert path.read_text(encoding="utf-8").count(",,") > 0  # a gap is an empty field
     back = read_series_csv(path)
     assert back.values.shape == (3, 64)
-    assert np.array_equal(back.missing, missing)
+    assert np.array_equal(np.isnan(back.values), missing)
     observed = ~missing
     assert np.allclose(back.values[observed], values[observed], rtol=1e-8)
-    assert np.all(back.values[missing] == 0.0)
 
 
 def test_series_csv_significant_digits(tmp_path):
@@ -117,11 +117,25 @@ def test_series_csv_names_the_line_of_a_bad_cell(tmp_path):
 @pytest.mark.parametrize("cell", ["nan", "NaN", " inf", "-inf", "1e400", "-Infinity"])
 @pytest.mark.parametrize("gappy", [False, True], ids=["gap-free", "gappy"])
 def test_series_csv_names_the_line_of_a_non_finite_cell(tmp_path, cell, gappy):
+    # an infinite cell is an error that names its line; a NaN cell is a gap
     path = tmp_path / "bad.csv"
     path.write_text(f"t,ch0,ch1\n0,1,2\n1,{'' if gappy else 5},3\n2,{cell},4\n", encoding="utf-8")
+    if "nan" in cell.lower():
+        assert np.array_equal(read_series_csv(path).values[0], [1.0, np.nan if gappy else 5.0, np.nan], equal_nan=True)
+        return
     with pytest.raises(InputError) as info:
         read_series_csv(path)
     assert str(info.value) == f"{path}:4: non-finite value {cell.strip()!r}"
+
+
+@pytest.mark.parametrize("cell", ["", "nan", "NaN", "-nan", "NA", " NA "])
+def test_every_gap_token_reads_as_nan_on_both_readers(tmp_path, cell):
+    for name, line_end in (("lf", "\n"), ("crlf", "\r\n")):  # numpy's reader, then the csv path
+        path = tmp_path / f"{name}.csv"
+        path.write_text(f"t,ch0,ch1{line_end}0,{cell},1{line_end}1,2,{cell}{line_end}", encoding="utf-8", newline="")
+        back = read_series_csv(path)
+        assert np.isnan(back.values).tolist() == [[True, False], [False, True]]
+        assert back.values[0, 1] == 2.0 and back.values[1, 0] == 1.0
 
 
 def test_series_csv_parses_padded_and_blank_cells_like_the_cell_parser(tmp_path):
@@ -131,12 +145,9 @@ def test_series_csv_parses_padded_and_blank_cells_like_the_cell_parser(tmp_path)
         path.write_text("t,ch0\n" + "".join(f"{t},{c}\n" for t, c in enumerate(column)), encoding="utf-8")
         back = read_series_csv(path)
         gap = [not c.strip() for c in column]
-        expected = np.array([0.0 if g else float(c) for c, g in zip(column, gap)])
-        assert np.array_equal(back.values[0], expected)
+        expected = np.array([np.nan if g else float(c) for c, g in zip(column, gap)])
+        assert np.array_equal(back.values[0], expected, equal_nan=True)
         assert np.array_equal(np.signbit(back.values[0]), np.signbit(expected))
-        assert (back.missing is None) == (not any(gap))
-        if back.missing is not None:
-            assert back.missing[0].tolist() == gap
 
 
 def reference_write_series_csv(path, series):
@@ -147,7 +158,7 @@ def reference_write_series_csv(path, series):
         for t in range(series.length):
             row = [str(t)]
             for i in range(series.channels):
-                if series.missing is not None and series.missing[i, t]:
+                if np.isnan(series.values[i, t]):
                     row.append("")
                 else:
                     row.append(_fmt(series.values[i, t]))
@@ -172,7 +183,8 @@ def gappy_series(draw):
         missing[g.integers(channels)] = True  # a fully-missing channel
     missing[:, 0] |= draw(st.booleans())
     missing[:, -1] |= draw(st.booleans())
-    return TimeSeries(values, missing)
+    values[missing] = np.nan
+    return TimeSeries(values)
 
 
 @settings(max_examples=80, deadline=None)
@@ -184,18 +196,15 @@ def test_series_csv_matches_reference_writer(series):
         reference_write_series_csv(want, series)
         assert got.read_bytes() == want.read_bytes()
         back = read_series_csv(got)
-    no_gaps = np.zeros(series.values.shape, dtype=bool)
-    missing = no_gaps if series.missing is None else series.missing
-    assert np.array_equal(no_gaps if back.missing is None else back.missing, missing)
-    expected = np.array([float(_fmt(v)) for v in series.values.ravel()]).reshape(missing.shape)
-    assert np.array_equal(back.values, np.where(missing, 0.0, expected))
+    expected = np.array([float(_fmt(v)) for v in series.values.ravel()]).reshape(series.values.shape)
+    assert np.array_equal(back.values, expected, equal_nan=True)
 
 
 def test_series_csv_shapes_in_turn_match_reference_writer(tmp_path):
     # 2x3 and 3x2 have the same cell count: a body template cached on the cell
     # count, or kept across shapes, writes the second with the first's rows
     g = np.random.default_rng(5)
-    gappy = TimeSeries(g.standard_normal((2, 3)), np.array([[False, True, False], [True, False, False]]))
+    gappy = TimeSeries(np.where([[False, True, False], [True, False, False]], np.nan, g.standard_normal((2, 3))))
     for i, series in enumerate([TimeSeries(g.standard_normal((2, 3))), TimeSeries(g.standard_normal((3, 2))), gappy]):
         got, want = tmp_path / f"got{i}.csv", tmp_path / f"want{i}.csv"
         write_series_csv(got, series)
@@ -257,7 +266,8 @@ def test_decoded_csv_fails_only_at_a_used_overflowing_cell(tmp_path):
 
 
 def reference_read_series_csv(path):
-    """Reference: the ``csv``-module reader that every file once took."""
+    """Reference: the ``csv``-module reader that every file once took, with
+    today's gaps: an empty cell, ``NA`` or a NaN reads as NaN."""
     path = Path(path)
     try:
         with path.open(newline="", encoding="utf-8") as handle:
@@ -279,33 +289,27 @@ def reference_read_series_csv(path):
     if not lines:
         raise InputError(f"{path}: no data rows")
     values = np.empty((width - 1, len(lines)))
-    missing = np.zeros(values.shape, dtype=bool)
     for i in range(width - 1):
         column = cells[i + 1 :: width]
-        try:
-            values[i] = np.fromiter(map(float, column), dtype=np.float64, count=len(lines))
-            if np.isfinite(values[i]).all():
-                continue
-        except ValueError:
-            pass
-        values[i], missing[i] = zip(*(reference_parse_cell(path, line, cell) for line, cell in zip(lines, column)))
-    return TimeSeries(values, missing if missing.any() else None)
+        for t, (line, cell) in enumerate(zip(lines, column)):
+            values[i, t] = reference_parse_cell(path, line, cell)
+    return TimeSeries(values)
 
 
 def reference_parse_cell(path, line, cell):
-    if not cell.strip():
-        return 0.0, True
+    if cell.strip() in ("", "NA"):
+        return math.nan
     try:
         value = float(cell)
     except ValueError as exc:
         raise InputError(f"{path}:{line}: non-numeric value {cell.strip()!r}") from exc
-    if not math.isfinite(value):
+    if math.isinf(value):
         raise InputError(f"{path}:{line}: non-finite value {cell.strip()!r}")
-    return value, False
+    return value
 
 
 def assert_reads_like_reference(path):
-    """read_series_csv gives the reference's values, sign bits included, and mask, or raises its error."""
+    """read_series_csv gives the reference's values, sign bits and gaps included, or raises its error."""
     try:
         want = reference_read_series_csv(path)
     except csv.Error as exc:  # the reference let csv's own errors escape; the reader names their line
@@ -321,9 +325,6 @@ def assert_reads_like_reference(path):
     got = read_series_csv(path)
     assert got.values.shape == want.values.shape and got.values.flags.c_contiguous
     assert got.values.tobytes() == want.values.tobytes()
-    assert (got.missing is None) == (want.missing is None)
-    if got.missing is not None:
-        assert np.array_equal(got.missing, want.missing)
 
 
 # byte strings that a text mutation splices in: csv syntax, line ends, padding
@@ -331,7 +332,7 @@ def assert_reads_like_reference(path):
 _CSV_TOKENS = [
     b'"', b"\r", b"\r\n", b"\n", b"\n\n", b",", b" ", b"\t", b"\x1c", b"\x1f", b"\x00", "\xa0".encode(),
     " ".encode(), "١".encode(), b"\xff", b"1_000", b"nan", b"-inf", b"1e400", b"0x1p3", b"x",
-    b"-", b".", b"e", b"+", b"5e-324", b"", b",,", b",\n",
+    b"-", b".", b"e", b"+", b"5e-324", b"", b",,", b",\n", b"NA", b"NaN", b"-nan",
 ]
 
 
@@ -361,8 +362,8 @@ def test_series_csv_reader_matches_reference_reader(series, edits):
         path = Path(tmp) / "series.csv"
         write_series_csv(path, series)
         data = path.read_bytes()
-        if not edits and series.missing is None:
-            assert _parse_plain(data) is not None  # a written gap-free file takes numpy's reader
+        if not edits:
+            assert _parse_plain(data) is not None  # a written file, gaps and all, takes numpy's reader
         for where, kind, token in edits:
             data = edit_csv(data, int(where * len(data)), kind, token)
         path.write_bytes(data)
@@ -386,10 +387,10 @@ def test_series_csv_reader_matches_reference_reader(series, edits):
         ("t,ch0\n0,١\n".encode(), False),
         (b"t,ch0\n0,\x1c1\n", False),
         ("t,ch0\n0,\xa01\xa0\n".encode(), True),  # both strip a non-breaking space
-        (b"t,ch0\n0,1\n1,nan\n", False),
+        (b"t,ch0\n0,1\n1,nan\n", True),  # a gap
         (b"t,ch0\n0,inf\n", False),
         (b"t,ch0\n0,1e400\n", False),
-        (b"t,ch0\n0,1\n1,\n", False),
+        (b"t,ch0\n0,1\n1,\n", True),  # a gap
         (b"t,ch0\n0\x00,1\n", False),
         (b"date,HUFL,HULL\n2016-07-01 00:00:00,5.827,2.009\n2016-07-01 01:00:00,5.693,2.076\n", True),
         (b"t,ch0\n", False),
@@ -421,11 +422,11 @@ def test_series_csv_reader_paths_match_reference(tmp_path, data, plain):
         (b"t,ch0,ch1\n0,,1\n\n1,2,3\n", True),
         (b"t,ch0\n0,1\n1,", False),
         (b"t,ch0,ch1\n0, ,1\n1,,2\n", False),
-        (b"t,ch0,ch1\n0,,nan\n", False),
-        (b"t,ch0,ch1\n0,,NA\n", False),
+        (b"t,ch0,ch1\n0,,nan\n", True),  # two gaps
+        (b"t,ch0,ch1\n0,,NA\n", False),  # two gaps, on the csv path
         (b"t,ch0,ch1\n0,,-inf\n", False),
         (b"t,ch0,ch1\n0,,1e400\n", False),
-        (b"t,ch0\nJan,1\nFeb,\n", False),
+        (b"t,ch0\nJan,1\nFeb,\n", True),
         (b"t,ch0,ch1\n0,,1,\n", False),
         (b"t,ch0\n0,1,\n", False),
         (b't,ch0,ch1\n0,"",1\n', False),
@@ -436,10 +437,11 @@ def test_series_csv_reader_paths_match_reference(tmp_path, data, plain):
     ],
 )
 def test_a_gappy_series_csv_takes_numpys_reader_when_no_cell_can_be_nan(tmp_path, data, fast):
+    # every NaN cell is a gap, so an empty cell is rewritten to nan whatever
+    # else the file holds; a cell numpy cannot parse (NA) takes the csv path
     path = tmp_path / "case.csv"
     path.write_bytes(data)
-    assert _parse_plain(data) is None  # the gap-free reader is unchanged
-    assert (_parse_plain(data, gaps=True) is not None) == fast
+    assert (_parse_plain(data) is not None) == fast
     assert_reads_like_reference(path)
 
 
@@ -473,8 +475,9 @@ def test_gappy_series_csv_read_peak_memory_is_bounded(tmp_path):
     g = np.random.default_rng(3)
     values = 100.0 * g.standard_normal((64, 4096))
     path = tmp_path / "gappy.csv"
-    write_series_csv(path, TimeSeries(values, g.random(values.shape) < 0.01))
-    assert read_series_csv(path).missing.any()  # imports and first-call caches stay out of the count
+    values[g.random(values.shape) < 0.01] = np.nan
+    write_series_csv(path, TimeSeries(values))
+    assert np.isnan(read_series_csv(path).values).any()  # imports and first-call caches stay out of the count
     tracemalloc.start()
     try:
         read_series_csv(path)
