@@ -1,11 +1,11 @@
-"""Rescale-based forecast evaluation, robustness perturbations, benchmark sweeps.
+"""Rescale-based forecast evaluation and robustness perturbations.
 
 The protocol guards against memorized test data: the test series is
 interpolated to several time resolutions (the rescale set), the forecaster
 is scored on sliding windows at every resolution, and the reported metrics
 are the unweighted means over the set.  Perturbation scenarios (additive
 noise, an injected harmonic, missing data) run the same sweep on a
-perturbed copy of the series.
+perturbed copy of each rescaled series.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ class PerturbationSpec:
 
     ``gaussian_noise`` adds N(0, noise_std^2) per point; ``harmonic`` adds a
     sinusoid (amplitude defaults to 0.3x the std of the channel's observed
-    samples, frequency to twice their dominant frequency, random phase);
+    samples, frequency to twice the channel's dominant frequency, random phase);
     ``missing`` makes each point missing (NaN) with ``missing_probability``.
 
     Its text form is ``kind[:p1,p2,...]``, the kind's own parameters in
@@ -211,10 +211,16 @@ def tsi_rescale(series: TimeSeries, beta: float) -> TimeSeries:
 
 
 def _dominant_frequency(x: np.ndarray) -> float:
-    if x.size < 2:
+    """The strongest nonzero frequency of channel ``x``, in cycles per sample.
+    The observed samples are centered and a gap (NaN) reads as zero, so the
+    spectrum keeps the channel's time base."""
+    gaps = np.isnan(x)
+    if x.size - np.count_nonzero(gaps) < 2:
         return 0.125
-    spectrum = np.abs(np.fft.rfft(x - x.mean()))
-    if spectrum.size < 2 or not spectrum[1:].any():
+    x = x - x[~gaps].mean()
+    x[gaps] = 0.0
+    spectrum = np.abs(np.fft.rfft(x))
+    if not spectrum[1:].any():
         return 0.125
     return (int(np.argmax(spectrum[1:])) + 1) / x.size
 
@@ -222,32 +228,22 @@ def _dominant_frequency(x: np.ndarray) -> float:
 def perturb(series: TimeSeries, spec: PerturbationSpec, rng: RngStream) -> TimeSeries:
     """Apply one perturbation scenario; a missing sample stays missing.
     The result shares no array with ``series``."""
-    out = _perturbed(series, spec, rng)
-    if out.values is series.values:
-        out.values = series.values.copy()
-    return out
-
-
-def _perturbed(series: TimeSeries, spec: PerturbationSpec, rng: RngStream) -> TimeSeries:
-    """:func:`perturb`, but values the scenario leaves as they were (noise
-    of std 0) are ``series``' own."""
     g = rng.generator()
     values = series.values
 
     if spec.kind == "gaussian_noise":
-        if spec.noise_std > 0:
-            values = values + spec.noise_std * g.standard_normal(values.shape)
+        values = values + spec.noise_std * g.standard_normal(values.shape) if spec.noise_std > 0 else values.copy()
     elif spec.kind == "harmonic":
         values = values.copy()
         t = np.arange(series.length, dtype=np.float64)
         for i in range(series.channels):
-            observed = values[i][~np.isnan(values[i])]
             amp = spec.harmonic_amplitude
             if amp is None:  # an all-missing channel stays all-missing, whatever its amplitude
+                observed = values[i][~np.isnan(values[i])]
                 amp = 0.3 * float(np.std(observed)) if observed.size else 0.0
             freq = spec.harmonic_frequency
             if freq is None:
-                freq = 2.0 * _dominant_frequency(observed)
+                freq = 2.0 * _dominant_frequency(values[i])
             phase = g.uniform(0.0, 2.0 * math.pi)
             values[i] = values[i] + amp * np.sin(2.0 * math.pi * freq * t + phase)
     else:  # missing
@@ -411,9 +407,12 @@ def remetrics(
 ) -> EvalReport:
     """Score a forecaster over the full rescale set.
 
-    For each factor the truth is rescaled (then perturbed, for robustness
-    scenarios), windows every ``stride`` samples (non-overlapping by
-    default) invoke the model on the lookback, and squared/absolute errors
+    For each factor b the truth is rescaled and, for a robustness scenario,
+    perturbed from the stream ``rng.child(b)``; the unperturbed series goes
+    before the next factor is rescaled, so the call holds one set, and one
+    unperturbed factor while it is perturbed.  Windows every ``stride``
+    samples (non-overlapping by default) invoke the model on the lookback,
+    and squared/absolute errors
     against the window's future accumulate.  Windows of several horizons
     that start at one sample share one forecast, made at the longest of
     them (see ``_cell_errors``).
@@ -425,39 +424,17 @@ def remetrics(
     """
     if perturbation is not None and rng is None:
         raise ConfigurationError("a random stream is required for perturbation scenarios")
-    rescaled = _rescale_set(truth, cfg)
-    if perturbation is not None:  # the set is this call's own: each perturbed copy replaces its factor's series
-        for b in range(len(rescaled)):
-            if rescaled[b] is not None:
-                rescaled[b] = _perturbed(rescaled[b], perturbation, rng.child(b))
-    return _scenario_report(truth, rescaled, model, cfg, dataset, perturbation, space)
-
-
-def _rescale_set(truth: TimeSeries, cfg: EvalConfig) -> list[TimeSeries | None]:
-    """The truth at each rescale factor; None where it is too short to rescale."""
-    rescaled: list[TimeSeries | None] = []
-    for beta in cfg.rescale_factors:
-        try:
-            rescaled.append(tsi_rescale(truth, beta))
-        except InputError:
-            rescaled.append(None)
-    return rescaled
-
-
-def _scenario_report(
-    truth: TimeSeries,
-    rescaled: list[TimeSeries | None],
-    model: ForecasterHandle,
-    cfg: EvalConfig,
-    dataset: str,
-    perturbation: PerturbationSpec | None,
-    space: SpaceParams | None,
-) -> EvalReport:
-    """:func:`remetrics` of one scenario on ``rescaled``, ``truth``'s
-    rescale set as that scenario perturbed it; nothing here writes it."""
-    space = space or SpaceParams()
     scenario = "none" if perturbation is None else perturbation.label()
-    errors = _cell_errors(model, rescaled, cfg, space)
+    rescaled: list[TimeSeries | None] = []
+    for b, beta in enumerate(cfg.rescale_factors):
+        try:
+            series = tsi_rescale(truth, beta)
+        except InputError:  # too short to rescale
+            rescaled.append(None)
+            continue
+        rescaled.append(series if perturbation is None else perturb(series, perturbation, rng.child(b)))
+        del series  # a perturbed factor's unperturbed series goes before the next factor is rescaled
+    errors = _cell_errors(model, rescaled, cfg, space or SpaceParams())
 
     rows: list[ReportRow] = []
     for b_idx, beta in enumerate(cfg.rescale_factors):
@@ -491,18 +468,13 @@ def evaluate_series(
 ) -> EvalReport:
     """Sweep horizons x rescale factors x scenarios; deterministic per seed.  Prints nothing.
 
-    The rescale set is built once and shared by every scenario.  A
-    scenario's perturbed copy shares only the arrays it does not change,
-    and nothing writes the set, so the scenarios see it as it was built.
+    Scenario s (0 is ``none``, then ``perturbations`` in order) is one
+    :func:`remetrics` call on the stream ``RngStream(seed).child(s)``, so a
+    run holds one scenario's rescale set at a time.
     """
     rng = RngStream(seed)
-    rescaled = _rescale_set(truth, cfg)
     rows: list[ReportRow] = []
-    for s_idx, spec in enumerate((None, *perturbations)):
-        perturbed = rescaled
-        if spec is not None:
-            stream = rng.child(s_idx)
-            perturbed = [None if s is None else _perturbed(s, spec, stream.child(b)) for b, s in enumerate(rescaled)]
-        rows.extend(_scenario_report(truth, perturbed, model, cfg, dataset, spec, space).rows)
-        del perturbed  # before the next scenario perturbs a copy of its own
+    for s, spec in enumerate((None, *perturbations)):
+        report = remetrics(truth, model, cfg, dataset=dataset, perturbation=spec, rng=rng.child(s), space=space)
+        rows.extend(report.rows)
     return EvalReport(rows)
