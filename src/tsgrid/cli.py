@@ -14,7 +14,7 @@ import configparser
 import functools
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -22,7 +22,7 @@ from . import io
 from .bounds import SolveConfig, solve_ms_table
 from .errors import ConfigurationError, TsgridError
 from .evaluation import EvalConfig, PerturbationSpec, evaluate_series, perturb
-from .forecasters import get_model, register_baselines
+from .forecasters import MAX_HORIZON, MAX_LOOKBACK, get_model, register_baselines
 from .generate import AugmentConfig, GeneratorConfig, sample_series
 from .imagespace import SpaceParams, encode, normalize
 from .rng import RngStream
@@ -288,8 +288,10 @@ def cmd_evaluate(args) -> int:
     perturbations = tuple(_parse_perturbation(p) for p in (args.perturb or ()))
     seed = _pick_seed(args)
     model = get_model(args.model)
+    if model.space is not None:  # a grid-space model forecasts through the run's grid
+        model = replace(model, space=space)
     truth = io.read_series_csv(args.dataset)
-    report = evaluate_series(truth, model, cfg, perturbations, seed=seed, dataset=Path(args.dataset).stem, space=space)
+    report = evaluate_series(truth, model, cfg, perturbations, seed=seed, dataset=Path(args.dataset).stem)
     aggregates = report.aggregates()
     with_windows = {(r.dataset, r.horizon, r.scenario) for r in report.rows if r.windows}
     for agg in aggregates:
@@ -334,10 +336,10 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_list_models(args) -> int:
-    handles = register_baselines()
     print(f"{'id':<24}{'space':<10}{'max_lookback':>14}{'max_horizon':>13}{'needs_future':>14}")
-    for h in handles:
-        print(f"{h.id:<24}{h.space:<10}{h.max_lookback:>14}{h.max_horizon:>13}{str(h.needs_future).lower():>14}")
+    for h in register_baselines():
+        space = "numeric" if h.space is None else "image"
+        print(f"{h.id:<24}{space:<10}{MAX_LOOKBACK:>14}{MAX_HORIZON:>13}{str(h.needs_future).lower():>14}")
     return 0
 
 

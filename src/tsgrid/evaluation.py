@@ -5,7 +5,9 @@ interpolated to several time resolutions (the rescale set), the forecaster
 is scored on sliding windows at every resolution, and the reported metrics
 are the unweighted means over the set.  Perturbation scenarios (additive
 noise, an injected harmonic, missing data) run the same sweep on a
-perturbed copy of each rescaled series.
+perturbed copy of each rescaled series.  How a model sees a block of
+values, in value space or through its handle's grid, is the handle's own
+(``ForecasterHandle.predict_block``).
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigurationError, EvaluationError, InputError, LookbackOverflow
 from .forecasters import ForecasterHandle
-from .imagespace import SpaceParams, denormalize, encode_rows, normalize
 from .rng import RngStream
-from .series import TimeSeries, carry_forward, linear_resample
+from .series import TimeSeries, linear_resample
 
 # Window samples (lookback + horizon, all channels) scored per block: bounds
 # the memory of a horizon with many overlapping windows, e.g. at stride 1.
@@ -252,28 +253,8 @@ def perturb(series: TimeSeries, spec: PerturbationSpec, rng: RngStream) -> TimeS
     return TimeSeries(values, dict(series.tags))
 
 
-def _window_predictions(
-    model: ForecasterHandle, look_values: np.ndarray, horizon: int, target_values: np.ndarray, space: SpaceParams
-) -> np.ndarray:
-    """Predictions for a block of channel-independent rows from one ``predict_rows`` call;
-    image models see the block through the grid codec (``predict_grid``).  The
-    targets go along as ``future``, which only an oracle reads.  A gap-free
-    value-space block reaches ``predict_rows`` as the view it was given; a
-    gap (NaN) in a lookback is carried forward."""
-    if model.space == "numeric":
-        if np.isnan(look_values).any():
-            look_values = carry_forward(look_values)
-        return model.predict_rows(look_values, horizon, target_values)
-
-    z, stats = normalize(TimeSeries(look_values), look_values.shape[1])
-    rows = encode_rows(z, space)
-    del z  # binned: the standardized block is not held through the forecast
-    rows = model.predict_grid(rows, horizon, space)
-    return denormalize(TimeSeries(space.centers()[rows]), stats).values
-
-
 def _cell_errors(
-    model: ForecasterHandle, rescaled: list[TimeSeries | None], cfg: EvalConfig, space: SpaceParams
+    model: ForecasterHandle, rescaled: list[TimeSeries | None], cfg: EvalConfig
 ) -> dict[tuple[int, int], tuple[float, float, int, int]]:
     """Squared and absolute error sums, scored targets and windows of each (rescale index, horizon) cell with a window.
 
@@ -286,7 +267,7 @@ def _cell_errors(
     handle's ``predict_rows`` is prefix-consistent.  The lookbacks of one H
     are folded into the row axis as one stream (series by series, start by
     start, one row per channel), because every model is channel-independent,
-    and one ``_window_predictions`` call scores a block of up to
+    and one ``predict_block`` call scores a block of up to
     ``WINDOW_BLOCK_SAMPLES`` samples (rows x (lookback + H)).  A block is
     gathered from each series' own sliding windows, so nothing the size of
     the rescale set is built beside it.  A window's sums are one pairwise
@@ -341,7 +322,7 @@ def _cell_errors(
             block = _gather(value_windows, starts, first, lo, hi)  # (windows, channels, span)
             rows = block.reshape(-1, span)
             try:
-                preds = _window_predictions(model, rows[:, :lookback], H, rows[:, lookback:], space)
+                preds = model.predict_block(rows[:, :lookback], H, rows[:, lookback:])
             except LookbackOverflow as exc:  # name the series' channel, not the block's row
                 raise LookbackOverflow(exc.channel % channels) from None
             with np.errstate(over="ignore"):  # huge values: an overflowing cell fails by name below
@@ -403,7 +384,6 @@ def remetrics(
     dataset: str = "series",
     perturbation: PerturbationSpec | None = None,
     rng: RngStream | None = None,
-    space: SpaceParams | None = None,
 ) -> EvalReport:
     """Score a forecaster over the full rescale set.
 
@@ -434,7 +414,7 @@ def remetrics(
             continue
         rescaled.append(series if perturbation is None else perturb(series, perturbation, rng.child(b)))
         del series  # a perturbed factor's unperturbed series goes before the next factor is rescaled
-    errors = _cell_errors(model, rescaled, cfg, space or SpaceParams())
+    errors = _cell_errors(model, rescaled, cfg)
 
     rows: list[ReportRow] = []
     for b_idx, beta in enumerate(cfg.rescale_factors):
@@ -464,7 +444,6 @@ def evaluate_series(
     *,
     seed: int = 0,
     dataset: str = "series",
-    space: SpaceParams | None = None,
 ) -> EvalReport:
     """Sweep horizons x rescale factors x scenarios; deterministic per seed.  Prints nothing.
 
@@ -475,6 +454,6 @@ def evaluate_series(
     rng = RngStream(seed)
     rows: list[ReportRow] = []
     for s, spec in enumerate((None, *perturbations)):
-        report = remetrics(truth, model, cfg, dataset=dataset, perturbation=spec, rng=rng.child(s), space=space)
+        report = remetrics(truth, model, cfg, dataset=dataset, perturbation=spec, rng=rng.child(s))
         rows.extend(report.rows)
     return EvalReport(rows)

@@ -6,10 +6,10 @@ and deterministic: persistence, seasonal-naive with autocorrelation period
 detection, and a least-squares linear trend.  Each is registered in a
 value-space and a grid-space (encode-after-predict) variant behind one
 handle type, so richer models can plug in later without touching the
-evaluation harness.  The harness hands a handle a block of lookbacks at a
-time (``ForecasterHandle.predict_rows``); the baselines predict the whole
-block at once.  Grid-space forecasts, in the harness and in
-:func:`forecast`, all go through ``ForecasterHandle.predict_grid``.
+evaluation harness.  A grid-space handle carries the grid it forecasts
+through.  The harness hands a handle a block of lookbacks at a time
+(``ForecasterHandle.predict_block``), which alone decides how the model
+sees it; the baselines predict the whole block at once.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CapabilityError, ConfigurationError, InputError
-from .imagespace import BinaryImageTensor, SpaceParams, value_to_row
-from .series import carry_forward
+from .errors import CapabilityError, InputError
+from .imagespace import BinaryImageTensor, SpaceParams, denormalize, encode_rows, normalize, value_to_row
+from .series import TimeSeries, carry_forward
 
 MAX_LOOKBACK = 8192
 MAX_HORIZON = 4096
@@ -43,7 +43,7 @@ class TemporalMask:
 
 @dataclass(frozen=True)
 class ForecasterHandle:
-    """A named, pure forecaster with declared capability limits.
+    """A named, pure forecaster, held to ``MAX_LOOKBACK`` and ``MAX_HORIZON``.
 
     ``predict_rows`` is the batch contract: a block of lookbacks
     (rows, lookback) maps to predictions (rows, horizon), one row per
@@ -64,21 +64,15 @@ class ForecasterHandle:
     """
 
     id: str
-    space: str  # "numeric" | "image"
     predict_rows_fn: Callable[[np.ndarray, int], np.ndarray]
-    max_lookback: int = MAX_LOOKBACK
-    max_horizon: int = MAX_HORIZON
+    space: SpaceParams | None = None  # the grid a grid-space handle forecasts through; None in value space
     needs_future: bool = False
 
-    def __post_init__(self) -> None:
-        if self.space not in ("numeric", "image"):
-            raise ConfigurationError(f"{self.id}: space must be 'numeric' or 'image', got {self.space!r}")
-
     def check_capability(self, lookback: int, horizon: int) -> None:
-        if lookback > self.max_lookback:
-            raise CapabilityError(f"{self.id}: lookback {lookback} exceeds limit {self.max_lookback}")
-        if horizon > self.max_horizon:
-            raise CapabilityError(f"{self.id}: horizon {horizon} exceeds limit {self.max_horizon}")
+        if lookback > MAX_LOOKBACK:
+            raise CapabilityError(f"{self.id}: lookback {lookback} exceeds limit {MAX_LOOKBACK}")
+        if horizon > MAX_HORIZON:
+            raise CapabilityError(f"{self.id}: horizon {horizon} exceeds limit {MAX_HORIZON}")
 
     def predict(self, lookback: np.ndarray, horizon: int, future: np.ndarray | None = None) -> np.ndarray:
         """Predict one series: ``predict_rows`` on a block of one row."""
@@ -120,11 +114,29 @@ class ForecasterHandle:
         in value space, and the prediction is binned into the grid; values
         beyond the scale saturate into the edge cells.
         """
-        # a fresh gather, in which row -1 indexes the NaN: a gap-free block is forecast from it as it is
-        visible = np.append(params.centers(), np.nan)[rows]
-        if np.isnan(visible).any():
-            visible = carry_forward(visible)
-        return value_to_row(self.predict_rows(visible, horizon), params)
+        visible = np.append(params.centers(), np.nan)[rows]  # a fresh gather, in which row -1 indexes the NaN
+        return value_to_row(self._predict_carried(visible, horizon), params)
+
+    def predict_block(self, lookbacks: np.ndarray, horizon: int, future: np.ndarray | None = None) -> np.ndarray:
+        """Predict a block of lookbacks as the harness scores it: a grid-space
+        handle sees it through its grid (``predict_grid``), a value-space one
+        as it is, with ``future`` (read by an oracle); in either space a gap
+        (NaN) is carried forward."""
+        if self.space is None:
+            return self._predict_carried(lookbacks, horizon, future)
+
+        z, stats = normalize(TimeSeries(lookbacks), lookbacks.shape[1])
+        rows = encode_rows(z, self.space)
+        del z  # binned: the standardized block is not held through the forecast
+        rows = self.predict_grid(rows, horizon, self.space)
+        return denormalize(TimeSeries(self.space.centers()[rows]), stats).values
+
+    def _predict_carried(self, X: np.ndarray, horizon: int, future: np.ndarray | None = None) -> np.ndarray:
+        """``predict_rows`` of ``X`` with each gap (NaN) carried forward; a
+        gap-free block is forecast from ``X`` as it is, a view too."""
+        if np.isnan(X).any():
+            X = carry_forward(X)
+        return self.predict_rows(X, horizon, future)
 
 
 def detect_period(x: np.ndarray) -> int:
@@ -308,21 +320,17 @@ _BASELINE_CORES: tuple[tuple[str, Callable[[np.ndarray, int], np.ndarray]], ...]
 
 def register_baselines() -> list[ForecasterHandle]:
     """All built-in handles, in stable order."""
-    handles = []
-    for name, fn in _BASELINE_CORES:
-        handles.append(ForecasterHandle(id=name, space="numeric", predict_rows_fn=fn))
-    for name, fn in _BASELINE_CORES:
-        handles.append(ForecasterHandle(id=f"{name}-image", space="image", predict_rows_fn=fn))
-    handles.append(ForecasterHandle(id="oracle", space="numeric", predict_rows_fn=_persistence_rows, needs_future=True))
+    handles = [ForecasterHandle(name, fn) for name, fn in _BASELINE_CORES]
+    handles += [ForecasterHandle(f"{name}-image", fn, SpaceParams()) for name, fn in _BASELINE_CORES]
+    handles.append(ForecasterHandle("oracle", _persistence_rows, needs_future=True))
     return handles
 
 
 def get_model(model_id: str) -> ForecasterHandle:
-    for handle in register_baselines():
-        if handle.id == model_id:
-            return handle
-    known = ", ".join(h.id for h in register_baselines())
-    raise InputError(f"unknown model id {model_id!r}; registered ids: {known}")
+    handles = {h.id: h for h in register_baselines()}
+    if model_id not in handles:
+        raise InputError(f"unknown model id {model_id!r}; registered ids: {', '.join(handles)}")
+    return handles[model_id]
 
 
 def forecast(model: ForecasterHandle, image: BinaryImageTensor, mask: TemporalMask) -> BinaryImageTensor:

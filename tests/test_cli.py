@@ -29,7 +29,7 @@ from tsgrid import (
 from tsgrid.cli import main
 from tsgrid.generate import sample_series
 from tsgrid.imagespace import NormStats, encode
-from tsgrid.io import read_series_csv, write_image, write_series_csv
+from tsgrid.io import read_series_csv, write_image, write_report_csv, write_series_csv
 
 
 def read_manifest_csv(path):
@@ -743,6 +743,30 @@ def test_evaluate_seasonal_naive_from_file(tmp_path):
     assert 0.0 < float(aggregate["mae"]) < float("inf")
 
 
+def test_grid_flags_reach_only_a_grid_space_model(tmp_path):
+    src = tmp_path / "data.csv"
+    write_sine(src, length=400)
+    args = ["evaluate", "--dataset", str(src), "--lookback", "32", "--horizons", "8,24", "--seed", "2"]
+    args += ["--perturb", "missing:0.2"]
+    grid = ["--h", "16", "--ms", "2"]
+    for model in ("seasonal-naive", "seasonal-naive-image"):
+        assert main(args + ["--model", model, "-o", str(tmp_path / model / "default")]) == 0
+        assert main(args + ["--model", model, *grid, "-o", str(tmp_path / model / "grid")]) == 0
+    report = {
+        (model, run): (tmp_path / model / run / "report.csv").read_bytes()
+        for model in ("seasonal-naive", "seasonal-naive-image")
+        for run in ("default", "grid")
+    }
+    assert report["seasonal-naive", "default"] == report["seasonal-naive", "grid"]
+    assert report["seasonal-naive-image", "default"] != report["seasonal-naive-image", "grid"]
+    # the flags' run is the library's, with the handle carrying that grid
+    model = dataclasses.replace(tsgrid.get_model("seasonal-naive-image"), space=SpaceParams(16, 2))
+    cfg, missing = EvalConfig(lookback=32, horizons=(8, 24)), [PerturbationSpec.parse("missing:0.2")]
+    want = tsgrid.evaluate_series(read_series_csv(src), model, cfg, missing, seed=2, dataset="data")
+    write_report_csv(tmp_path / "want.csv", want.rows, want.aggregates())
+    assert report["seasonal-naive-image", "grid"] == (tmp_path / "want.csv").read_bytes()
+
+
 def test_evaluate_keeps_distinct_harmonic_scenarios_apart(tmp_path):
     src = tmp_path / "data.csv"
     write_sine(src, length=400)
@@ -828,9 +852,16 @@ def test_perturb_noise_changes_values(tmp_path):
 
 def test_list_models_table(capsys):
     assert main(["list-models"]) == 0
-    out = capsys.readouterr().out
-    for model_id in ("persistence", "seasonal-naive-image", "oracle"):
-        assert model_id in out
+    assert capsys.readouterr().out == (
+        "id                      space       max_lookback  max_horizon  needs_future\n"
+        "persistence             numeric             8192         4096         false\n"
+        "seasonal-naive          numeric             8192         4096         false\n"
+        "linear-trend            numeric             8192         4096         false\n"
+        "persistence-image       image               8192         4096         false\n"
+        "seasonal-naive-image    image               8192         4096         false\n"
+        "linear-trend-image      image               8192         4096         false\n"
+        "oracle                  numeric             8192         4096          true\n"
+    )
 
 
 def test_missing_config_file_errors(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from tsgrid import (
     tsi_rescale,
 )
 from tsgrid import evaluation, forecasters
-from tsgrid.evaluation import ReportRow, _dominant_frequency, _window_predictions
+from tsgrid.evaluation import ReportRow, _dominant_frequency
 from tsgrid.forecasters import ForecasterHandle
 from tsgrid.imagespace import SoftImageTensor, SpaceParams, denormalize, encode, normalize, soft_decode
 from tsgrid.series import carry_forward, linear_resample
@@ -380,7 +381,7 @@ def test_a_masked_target_never_changes_a_metric(model):
     rows = remetrics(gappy(values, missing), get_model(model), cfg).rows
     assert rows[0].windows == 1 and rows[0].mse is not None
     # the window's forecast, scored on the observed targets only
-    preds = _window_predictions(get_model(model), values[:, :lookback], horizon, values[:, lookback:], SpaceParams())
+    preds = get_model(model).predict_block(values[:, :lookback], horizon, values[:, lookback:])
     diff = (preds - values[:, lookback:])[~missing[:, lookback:]]
     assert (rows[0].mse, rows[0].mae) == pytest.approx((np.mean(diff**2), np.mean(np.abs(diff))), rel=1e-12)
 
@@ -566,19 +567,19 @@ def image_windows(draw):
 @given(window=image_windows())
 def test_image_window_predictions_match_dense_grid_path(model_id, window):
     values, horizon, space = window
-    model = get_model(model_id)
+    model = replace(get_model(model_id), space=space)
     target = np.zeros((values.shape[0], horizon))
-    got = _window_predictions(model, values, horizon, target, space)
+    got = model.predict_block(values, horizon, target)
     assert np.array_equal(got, dense_window_predictions(model, values, horizon, space))
 
 
 def test_image_window_rejects_non_finite_prediction():
-    model = ForecasterHandle("nan-image", "image", lambda X, horizon: np.full((len(X), horizon), np.nan))
+    model = ForecasterHandle("nan-image", lambda X, horizon: np.full((len(X), horizon), np.nan), SpaceParams())
     with pytest.raises(InputError):
-        _window_predictions(model, np.arange(16.0)[None, :], 4, np.zeros((1, 4)), SpaceParams())
+        model.predict_block(np.arange(16.0)[None, :], 4, np.zeros((1, 4)))
 
 
-@pytest.mark.parametrize("space", ["numeric", "image"])
+@pytest.mark.parametrize("space", [None, SpaceParams()], ids=["numeric", "image"])
 @pytest.mark.parametrize(
     "core, message",
     [
@@ -591,7 +592,7 @@ def test_scoring_rejects_a_row_core_result_of_the_wrong_shape_or_not_finite(spac
     truth = TimeSeries(np.cumsum(np.random.default_rng(3).standard_normal((2, 160)), axis=1))
     cfg = EvalConfig(lookback=32, horizons=(8,), rescale_factors=(1.0,))
     with pytest.raises(InputError, match=message):
-        remetrics(truth, ForecasterHandle("bad", space, core), cfg)
+        remetrics(truth, ForecasterHandle("bad", core, space), cfg)
 
 
 def test_oracle_scoring_enforces_its_capability_limits():
@@ -604,15 +605,14 @@ def test_oracle_scoring_enforces_its_capability_limits():
 def test_image_window_rejects_one_sample_lookback_for_linear_trend():
     model = get_model("linear-trend-image")
     with pytest.raises(InputError, match="at least 2 samples, got 1"):
-        _window_predictions(model, np.array([[5.0], [-2.0]]), 3, np.zeros((2, 3)), SpaceParams())
+        model.predict_block(np.array([[5.0], [-2.0]]), 3, np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------- batched cells
 
 
-def window_loop_remetrics(truth, model, cfg, *, perturbation=None, rng=None, space=None):
+def window_loop_remetrics(truth, model, cfg, *, perturbation=None, rng=None):
     """Reference: score every window of every cell on its own, accumulating in window order."""
-    space = space or SpaceParams()
     scenario = "none" if perturbation is None else perturbation.label()
     rows = []
     for b_idx, beta in enumerate(cfg.rescale_factors):
@@ -639,7 +639,7 @@ def window_loop_remetrics(truth, model, cfg, *, perturbation=None, rng=None, spa
                 look_values = rescaled.values[:, start:split]
                 target_values = rescaled.values[:, split : split + horizon]
 
-                preds = _window_predictions(model, look_values, horizon, target_values, space)
+                preds = model.predict_block(look_values, horizon, target_values)
                 observed = ~np.isnan(target_values)  # a missing target adds zero and is not counted
                 diff = np.where(observed, preds - target_values, 0.0)
                 kept = int(observed.sum())
@@ -699,9 +699,12 @@ def evaluation_cases(draw):
             ]
         )
     )
+    model = get_model(model_id)
+    if model.space is not None:  # the image twins forecast through the drawn grid
+        model = replace(model, space=space)
     block = draw(st.sampled_from([1, 40, 200, evaluation.WINDOW_BLOCK_SAMPLES]))
     cfg = EvalConfig(lookback=lookback, horizons=horizons, rescale_factors=betas, stride=stride)
-    return gappy(values, missing), get_model(model_id), cfg, perturbation, space, block
+    return gappy(values, missing), model, cfg, perturbation, block
 
 
 # 200-sample blocks (8 windows at horizon 4, 5 at horizon 9) span the beta = 1.5 and beta = 1
@@ -722,39 +725,37 @@ NESTLESS = (
 
 @settings(max_examples=300, deadline=None)
 @given(case=evaluation_cases())
-@example(case=(NESTLESS[0], get_model("seasonal-naive"), NESTLESS[1], None, SpaceParams(), 40))
+@example(case=(NESTLESS[0], get_model("seasonal-naive"), NESTLESS[1], None, 40))
 @example(
     case=(
         NESTLESS[0],
-        get_model("seasonal-naive-image"),
+        replace(get_model("seasonal-naive-image"), space=SpaceParams(h=7, ms=3.5)),
         NESTLESS[1],
         PerturbationSpec(kind="missing", missing_probability=0.4),
-        SpaceParams(h=7, ms=3.5),
         40,
     )
 )
-@example(case=(SPANNING[0], get_model("oracle"), NESTLESS[1], None, SpaceParams(), 40))
-@example(case=(SPANNING[0], get_model("seasonal-naive"), SPANNING[1], None, SpaceParams(), 200))
+@example(case=(SPANNING[0], get_model("oracle"), NESTLESS[1], None, 40))
+@example(case=(SPANNING[0], get_model("seasonal-naive"), SPANNING[1], None, 200))
 @example(
     case=(
         SPANNING[0],
-        get_model("seasonal-naive-image"),
+        replace(get_model("seasonal-naive-image"), space=SpaceParams(h=7, ms=3.5)),
         SPANNING[1],
         PerturbationSpec(kind="missing", missing_probability=0.4),
-        SpaceParams(h=7, ms=3.5),
         200,
     )
 )
 def test_remetrics_matches_window_by_window_loop(case):
-    truth, model, cfg, perturbation, space, block = case
-    expected = window_loop_remetrics(truth, model, cfg, perturbation=perturbation, rng=RngStream(3), space=space)
+    truth, model, cfg, perturbation, block = case
+    expected = window_loop_remetrics(truth, model, cfg, perturbation=perturbation, rng=RngStream(3))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evaluation, "WINDOW_BLOCK_SAMPLES", block)  # small blocks split a cell
         if not any(r.mse is not None for r in expected):
             with pytest.raises(EvaluationError):
-                remetrics(truth, model, cfg, perturbation=perturbation, rng=RngStream(3), space=space)
+                remetrics(truth, model, cfg, perturbation=perturbation, rng=RngStream(3))
             return
-        report = remetrics(truth, model, cfg, perturbation=perturbation, rng=RngStream(3), space=space)
+        report = remetrics(truth, model, cfg, perturbation=perturbation, rng=RngStream(3))
     assert report.rows == expected
 
 
@@ -765,7 +766,7 @@ def counting_seasonal_naive(seen):
         seen.append(lookbacks.shape[0])
         return forecasters._seasonal_naive_rows(lookbacks, horizon)
 
-    return ForecasterHandle("counting", "numeric", core)
+    return ForecasterHandle("counting", core)
 
 
 @pytest.mark.parametrize("channels", [1, 2])

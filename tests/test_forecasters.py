@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,7 +7,6 @@ from hypothesis import strategies as st
 
 from tsgrid import (
     CapabilityError,
-    ConfigurationError,
     EvalConfig,
     ForecasterHandle,
     InputError,
@@ -24,10 +25,14 @@ from tsgrid import (
     soft_decode,
 )
 from tsgrid import forecasters
-from tsgrid.evaluation import _window_predictions
-from tsgrid.forecasters import MIN_LAG, _centered_spectrum, _fft_length, _periods, _screen, _screen_constants
+from tsgrid.forecasters import MAX_HORIZON, MAX_LOOKBACK, MIN_LAG, _centered_spectrum, _fft_length, _periods, _screen, _screen_constants
 
 P64 = SpaceParams(h=64, ms=3.5)
+
+
+def on_p64(model):
+    """The handle, forecasting through the grid P64 if it is a grid-space one."""
+    return model if model.space is None else replace(model, space=P64)
 
 
 def masked_image(values, lookback, params=P64):
@@ -158,11 +163,11 @@ def test_an_oracle_returns_a_missing_target_as_nan():
 
 
 def test_capability_limits_enforced():
-    tiny = ForecasterHandle("tiny", "numeric", lambda X, n: np.zeros((len(X), n)), max_lookback=8, max_horizon=4)
+    tiny = ForecasterHandle("tiny", lambda X, n: np.zeros((len(X), n)))
     with pytest.raises(CapabilityError):
-        tiny.predict(np.zeros(9), 2)
+        tiny.predict(np.zeros(MAX_LOOKBACK + 1), 2)
     with pytest.raises(CapabilityError):
-        tiny.predict(np.zeros(8), 5)
+        tiny.predict(np.zeros(8), MAX_HORIZON + 1)
 
 
 # ---------------------------------------------------------------- batched predictions
@@ -259,8 +264,8 @@ def test_every_handle_forecasts_a_prefix_of_its_longer_forecast(case):
         assert np.array_equal(model.predict_rows(X, horizon, future), full[:, :horizon])
         # and as the harness scores a block: carried forward, or through the codec for image handles
         gappy = X if missing is None else np.where(missing, np.nan, X)
-        full = _window_predictions(model, gappy, longest, future, P64)
-        assert np.array_equal(_window_predictions(model, gappy, horizon, future, P64), full[:, :horizon])
+        full = on_p64(model).predict_block(gappy, longest, future)
+        assert np.array_equal(on_p64(model).predict_block(gappy, horizon, future), full[:, :horizon])
 
 
 @settings(max_examples=200, deadline=None)
@@ -281,8 +286,8 @@ def test_every_handle_forecasts_a_strided_block_as_its_contiguous_copy(case):
             continue
         want = model.predict_rows(X.copy(), horizon, future.copy())
         assert model.predict_rows(windows[:, :n], horizon, windows[:, n:]).tobytes() == want.tobytes()
-        want = _window_predictions(model, gappy.copy(), horizon, future, P64)
-        got = _window_predictions(model, gappy_windows[:, :n], horizon, gappy_windows[:, n:], P64)
+        want = on_p64(model).predict_block(gappy.copy(), horizon, future)
+        got = on_p64(model).predict_block(gappy_windows[:, :n], horizon, gappy_windows[:, n:])
         assert got.tobytes() == want.tobytes()
 
 
@@ -316,27 +321,21 @@ def test_periods_fall_back_to_detect_period_on_exact_ties(monkeypatch):
 
 
 def test_predict_rows_validates_once_with_the_predict_texts():
-    tiny = ForecasterHandle("tiny", "numeric", lambda X, n: np.zeros((len(X), n)), max_lookback=8, max_horizon=4)
+    tiny = ForecasterHandle("tiny", lambda X, n: np.zeros((len(X), n)))
     for model in (tiny, get_model("persistence")):
         for bad in (np.zeros(4), np.zeros((1, 2, 3)), np.zeros((2, 0)), np.zeros((0, 4))):
             with pytest.raises(InputError, match=r"^lookbacks must be a nonempty 2-D array$"):
                 model.predict_rows(bad, 2)
         with pytest.raises(InputError, match=r"^horizon must be positive, got 0$"):
             model.predict_rows(np.zeros((2, 4)), 0)
-    with pytest.raises(CapabilityError, match=r"^tiny: lookback 9 exceeds limit 8$"):
-        tiny.predict_rows(np.zeros((2, 9)), 2)
-    with pytest.raises(CapabilityError, match=r"^tiny: horizon 5 exceeds limit 4$"):
-        tiny.predict_rows(np.zeros((2, 8)), 5)
+    with pytest.raises(CapabilityError, match=r"^tiny: lookback 8193 exceeds limit 8192$"):
+        tiny.predict_rows(np.zeros((2, MAX_LOOKBACK + 1)), 2)
+    with pytest.raises(CapabilityError, match=r"^tiny: horizon 4097 exceeds limit 4096$"):
+        tiny.predict_rows(np.zeros((2, 8)), MAX_HORIZON + 1)
     with pytest.raises(InputError, match=r"^oracle: this handle requires the true future$"):
         get_model("oracle").predict_rows(np.zeros((2, 5)), 3)
     future = np.arange(8.0).reshape(2, 4)
     assert np.array_equal(get_model("oracle").predict_rows(np.zeros((2, 5)), 3, future=future), future[:, :3])
-
-
-def test_handle_rejects_an_unknown_space():
-    # a misspelt space was once scored through the grid codec
-    with pytest.raises(ConfigurationError, match=r"^typo: space must be 'numeric' or 'image', got 'Numeric'$"):
-        ForecasterHandle("typo", "Numeric", lambda X, n: np.repeat(X[:, -1:], n, axis=1))
 
 
 @pytest.mark.parametrize(
@@ -350,23 +349,23 @@ def test_handle_rejects_an_unknown_space():
     ],
     ids=["one-row", "wide", "one-dimensional", "nan", "inf"],
 )
-@pytest.mark.parametrize("space", ["numeric", "image"])
+@pytest.mark.parametrize("space", [None, SpaceParams()], ids=["numeric", "image"])
 def test_predict_rows_checks_the_row_core_result(core, message, space):
-    bad = ForecasterHandle("bad", space, core)
+    bad = ForecasterHandle("bad", core, space)
     with pytest.raises(InputError, match=message):
         bad.predict_rows(np.zeros((3, 4)), 2)
 
 
 def test_predict_rows_returns_float_predictions_of_any_real_core():
-    ints = ForecasterHandle("ints", "numeric", lambda X, n: np.ones((len(X), n), dtype=np.int64))
+    ints = ForecasterHandle("ints", lambda X, n: np.ones((len(X), n), dtype=np.int64))
     out = ints.predict_rows(np.zeros((2, 3)), 4)
     assert out.dtype == np.float64 and out.tolist() == [[1.0] * 4] * 2
 
 
-@pytest.mark.parametrize("space", ["numeric", "image"])
+@pytest.mark.parametrize("space", [None, SpaceParams()], ids=["numeric", "image"])
 def test_one_dimensional_handle_scores_like_its_row_core(space):
-    suffix = "-image" if space == "image" else ""
-    plugged = ForecasterHandle(f"last{suffix}", space, lambda X, horizon: np.repeat(X[:, -1:], horizon, axis=1))
+    suffix = "" if space is None else "-image"
+    plugged = ForecasterHandle(f"last{suffix}", lambda X, horizon: np.repeat(X[:, -1:], horizon, axis=1), space)
     g = np.random.default_rng(12)
     truth = TimeSeries(np.cumsum(g.standard_normal((2, 160)), axis=1))
     cfg = EvalConfig(lookback=32, horizons=(8, 24), rescale_factors=(0.66, 1.0, 1.5))
@@ -701,7 +700,7 @@ def test_detect_period_rejects_a_non_finite_series(bad, capfd):
 
 def test_the_core_never_sees_a_non_finite_lookback():
     seen = []
-    handle = ForecasterHandle("spy", "numeric", lambda X, n: seen.append(X) or np.zeros((len(X), n)))
+    handle = ForecasterHandle("spy", lambda X, n: seen.append(X) or np.zeros((len(X), n)))
     with pytest.raises(InputError, match="^spy: lookback row 0 is not finite"):
         handle.predict_rows(np.array([[np.nan, 1.0]]), 2)
     assert seen == []
